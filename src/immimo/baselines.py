@@ -8,6 +8,7 @@ exhaustive-ML decision while visiting far fewer nodes at high SNR.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,9 @@ class DetectorOutput:
 
 
 def _gram_solve(h_real, rhs, diag_load=0.0):
-    g = h_real.T @ h_real
+    g = np.swapaxes(h_real, -1, -2) @ h_real
     if diag_load:
-        g = g + diag_load * np.eye(g.shape[0])
+        g = g + diag_load * np.eye(g.shape[-1])
     try:
         return np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:
@@ -61,14 +62,16 @@ def mmse_detect(h_real, y, sigma_n, config):
 
 
 def linear_soft_batch(h_real, ys, config, sigma_n=None):
-    """ZF (sigma_n None) or MMSE soft outputs for many y sharing one channel.
+    """ZF (sigma_n None) or MMSE soft outputs for many y per channel.
 
-    ys has shape (n_vec, 2n_r); returns (n_vec, 2n_t).
+    h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
+    same leading shape (a stack of channels, or none); returns
+    (..., n_vec, 2n_t).
     """
     h_real = np.asarray(h_real, dtype=float)
     load = 0.0 if sigma_n is None else sigma_n**2 / rail_symbol_energy(config)
-    rhs = h_real.T @ np.asarray(ys, dtype=float).T
-    return _gram_solve(h_real, rhs, diag_load=load).T
+    rhs = np.swapaxes(h_real, -1, -2) @ np.swapaxes(np.asarray(ys, dtype=float), -1, -2)
+    return np.swapaxes(_gram_solve(h_real, rhs, diag_load=load), -1, -2)
 
 
 ML_GUARD = 10**6
@@ -112,21 +115,27 @@ def ml_detect_exhaustive(h_real, y, config):
 
 
 def ml_detect_batch(h_real, ys, config):
-    """Exhaustive ML for many received vectors sharing one channel."""
+    """Exhaustive ML for many received vectors per channel.
+
+    h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
+    same leading shape; returns (..., n_vec, 2n_t).
+    """
     x_cands = candidate_matrix(config)
-    images = np.asarray(h_real, float) @ x_cands  # (2n_r, n_cand)
+    images = np.asarray(h_real, float) @ x_cands  # (..., 2n_r, n_cand)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row
-    metrics = np.sum(images * images, axis=0)[None, :] - 2.0 * ys @ images
-    best = np.argmin(metrics, axis=1)
-    return x_cands[:, best].T.copy()
+    metrics = np.sum(images * images, axis=-2)[..., None, :] - 2.0 * ys @ images
+    best = np.argmin(metrics, axis=-1)
+    return x_cands.T[best]
 
 
 def sphere_decode(h_real, y, config):
     """Depth-first sphere decoder with Schnorr-Euchner enumeration.
 
-    Returns the same decision as :func:`ml_detect_exhaustive` together with
-    the number of tree nodes visited.
+    y is one received vector (2n_r,) or several sharing the channel
+    (n_vec, 2n_r); the QR factorization is computed once per call.  Returns
+    the same decisions as :func:`ml_detect_exhaustive`, in y's leading shape,
+    together with the total number of tree nodes visited.
     """
     h_real = np.asarray(h_real, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -135,39 +144,53 @@ def sphere_decode(h_real, y, config):
     diag = np.abs(np.diag(r))
     if np.any(diag < 1e-12 * diag.max()):
         raise RankDeficientChannel("QR exposed a numerically zero pivot")
-    y_red = q.T @ y
-    alphabets = mimo.rail_alphabets(config)
+    # the search runs on Python floats: per-node numpy scalar arithmetic
+    # costs more than the arithmetic itself at these sizes
+    y_red = np.atleast_2d(y) @ q
+    rows = r.tolist()
+    alphabets = [a.tolist() for a in mimo.rail_alphabets(config)]
 
-    best_x = np.zeros(n_rails)
-    best_metric = np.inf
-    x_work = np.zeros(n_rails)
+    x_work = [0.0] * n_rails
+    best_x = list(x_work)
+    best_metric = math.inf
     node_count = 0
 
-    def descend(level, partial):
-        nonlocal best_metric, node_count
-        if level < 0:
-            if partial < best_metric:
-                best_metric = partial
-                best_x[:] = x_work
-            return
+    def descend(level, partial, target):
+        nonlocal best_metric, best_x, node_count
+        row = rows[level]
         # interference-cancelled target for this rail
-        upper = y_red[level] - r[level, level + 1:] @ x_work[level + 1:]
-        alpha = alphabets[level]
+        upper = target[level]
+        for j in range(level + 1, n_rails):
+            upper -= row[j] * x_work[j]
+        pivot = row[level]
+        center = upper / pivot
         # Schnorr-Euchner: try candidates closest to the unconstrained
-        # solution first so the radius shrinks as early as possible
-        order = np.argsort(np.abs(alpha - upper / r[level, level]))
-        for j in order:
-            inc = (upper - r[level, level] * alpha[j]) ** 2
-            metric = partial + inc
+        # solution first so the radius shrinks as early as possible; ties
+        # keep alphabet order
+        alpha = alphabets[level]
+        if len(alpha) == 2:
+            if abs(alpha[1] - center) < abs(alpha[0] - center):
+                alpha = alpha[::-1]
+        elif len(alpha) > 2:
+            alpha = sorted(alpha, key=lambda v: abs(v - center))
+        for value in alpha:
+            inc = upper - pivot * value
+            metric = partial + inc * inc
             node_count += 1
             if metric >= best_metric:
                 # children along SE order only get worse; prune the rest
                 break
-            x_work[level] = alpha[j]
-            descend(level - 1, metric)
+            x_work[level] = value
+            if level:
+                descend(level - 1, metric, target)
+            else:
+                best_metric = metric
+                best_x = list(x_work)
 
-    descend(n_rails - 1, 0.0)
-    return DetectorOutput(
-        x_hat_real=best_x.copy(),
-        node_count=node_count,
-    )
+    decisions = []
+    for target in y_red.tolist():
+        best_metric = math.inf
+        descend(n_rails - 1, 0.0, target)
+        decisions.append(best_x)
+    x_hat = np.array(decisions).reshape(y.shape[:-1] + (n_rails,))
+    return DetectorOutput(x_hat_real=x_hat, node_count=node_count)

@@ -3,15 +3,16 @@
 Subcommands map onto pipeline modes:
 
     immimo train        --config x.cfg --out results/
-    immimo eval-ber     --config x.cfg --out results/ [--threads 4]
+    immimo eval-ber     --config x.cfg --out results/
     immimo bounds       --config x.cfg --out results/
     immimo latency      --config x.cfg --out results/
     immimo complexity   --config x.cfg --out results/
     immimo flops        --config x.cfg --out results/
     immimo program-sim  --config x.cfg --out results/
 
-Common flags override config values: --seed, --threads, --preset, --out.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Common flags override config values: --seed, --preset, --out.
+Exit codes: 0 success, 2 configuration error (a one-line message, never a
+traceback), 3 numeric failure.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import sys
 
 from . import analysis
 from . import device as dev
+from .baselines import RankDeficientChannel
 from .config import ConfigError, load_config
 from .harness import UnknownDetector, run_pipeline
 from .training import TrainingDiverged
@@ -40,8 +42,6 @@ def build_parser():
         cmd.add_argument("--config", required=True, help="flat key=value config file")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="Monte Carlo worker threads")
         cmd.add_argument("--preset", default=None,
                          help="device preset override "
                               f"({', '.join(sorted(dev.DEVICE_PRESETS))})")
@@ -57,8 +57,6 @@ def main(argv=None):
             if args.seed < 0:
                 raise ConfigError("--seed must be a nonnegative integer")
             exp.seed = args.seed
-        if args.threads is not None:
-            exp.threads = max(1, args.threads)
         if args.preset is not None:
             exp.device = dev.device_preset(args.preset)
     except (ConfigError, OSError, KeyError, ValueError) as exc:
@@ -70,7 +68,7 @@ def main(argv=None):
     except (ConfigError, UnknownDetector) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDiverged, analysis.BoundRegimeError,
+    except (TrainingDiverged, analysis.BoundRegimeError, RankDeficientChannel,
             FloatingPointError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

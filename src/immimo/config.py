@@ -23,7 +23,7 @@ Device parameters may be given explicitly (device.g_on_us, device.g_off_us,
 device.n_p, device.gamma, device.dt_w_ns); explicit keys override the preset.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import device as dev
 from . import mimo
@@ -50,8 +50,8 @@ class SweepConfig:
     symbols_per_slot: int = 14  # symbol vectors detected per channel slot
 
     def validate(self):
-        if not self.snr_db:
-            raise ConfigError("sweep.snr_db must be nonempty")
+        if not self.snr_db or not self.gammas:
+            raise ConfigError("sweep.snr_db and sweep.gammas must be nonempty")
         if self.min_bits < MIN_BITS_FLOOR:
             raise ConfigError(f"sweep.min_bits must be >= {MIN_BITS_FLOOR}")
         if self.symbols_per_slot < 1 or self.max_trials < 1:
@@ -83,7 +83,6 @@ class ExperimentConfig:
     latency: LatencyConfig
     seed: int = 0
     mode: str = "eval-ber"
-    threads: int = 1
     params_path: str | None = None
 
 
@@ -109,7 +108,6 @@ def _parse_list(key, raw, kind):
 _SCHEMA = {
     "mode": ("root", "mode", str),
     "seed": ("root", "seed", int),
-    "threads": ("root", "threads", int),
     "eval.params": ("root", "params_path", str),
     "mimo.n_t": ("mimo", "n_t", int),
     "mimo.n_r": ("mimo", "n_r", int),
@@ -208,6 +206,11 @@ def build_config(sections):
 
     sweep = SweepConfig(**sections["sweep"])
     sweep.validate()
+    for gamma in sweep.gammas:
+        try:
+            replace(spec, gamma=gamma)  # the programming noise detnet-hw sweeps
+        except ValueError as exc:
+            raise ConfigError(f"sweep.gammas: {exc}") from exc
     bounds = BoundsConfig(**sections["bounds"])
     latency = LatencyConfig(**sections["latency"])
     return ExperimentConfig(
@@ -219,43 +222,68 @@ def build_config(sections):
         latency=latency,
         seed=root.get("seed", 0),
         mode=mode,
-        threads=root.get("threads", 1),
         params_path=root.get("params_path"),
     )
 
 
+def _unit_text(value, scale):
+    """Shortest decimal text v with float(v) * scale == value, if one exists.
+
+    Device keys are given in config units (microsiemens, nanoseconds) and
+    scaled on parsing, so the echo looks for text that scales back to the
+    stored value exactly.
+    """
+    for digits in range(1, 18):
+        text = f"{value / scale:.{digits}g}"
+        if float(text) * scale == value:
+            return text
+    return repr(value / scale)
+
+
 def config_echo(cfg):
-    """Canonical text form of a parsed config, for run manifests."""
+    """Canonical text form of a parsed config, for run manifests.
+
+    parse_config(config_echo(cfg)) == cfg: floats are written with repr and
+    device values in config units that scale back exactly.
+    """
     m, d, t, s = cfg.mimo, cfg.device, cfg.train, cfg.sweep
+    b, lat = cfg.bounds, cfg.latency
     lines = [
         f"mode = {cfg.mode}",
         f"seed = {cfg.seed}",
-        f"threads = {cfg.threads}",
         f"mimo.n_t = {m.n_t}",
         f"mimo.n_r = {m.n_r}",
         f"mimo.modulation = {m.modulation.value}",
         f"mimo.l = {m.L}",
         f"mimo.s = {m.S}",
         f"mimo.a_size = {m.a_size}",
-        f"device.g_on_us = {d.g_on * 1e6:.6g}",
-        f"device.g_off_us = {d.g_off * 1e6:.6g}",
+        f"device.g_on_us = {_unit_text(d.g_on, 1e-6)}",
+        f"device.g_off_us = {_unit_text(d.g_off, 1e-6)}",
         f"device.n_p = {d.n_p}",
-        f"device.gamma = {d.gamma:.6g}",
-        f"device.dt_w_ns = {d.dt_w * 1e9:.6g}",
+        f"device.gamma = {d.gamma!r}",
+        f"device.dt_w_ns = {_unit_text(d.dt_w, 1e-9)}",
         f"train.epochs = {t.epochs}",
         f"train.batch_size = {t.batch_size}",
-        f"train.lr = {t.lr:.6g}",
-        f"train.snr_low_db = {t.snr_train_range_db[0]:.6g}",
-        f"train.snr_high_db = {t.snr_train_range_db[1]:.6g}",
-        f"train.gamma = {t.gamma_train:.6g}",
+        f"train.lr = {t.lr!r}",
+        f"train.snr_low_db = {t.snr_train_range_db[0]!r}",
+        f"train.snr_high_db = {t.snr_train_range_db[1]!r}",
+        f"train.gamma = {t.gamma_train!r}",
         f"train.weighting = {t.loss_weighting}",
-        f"sweep.snr_db = {', '.join(f'{v:g}' for v in s.snr_db)}",
-        f"sweep.gammas = {', '.join(f'{v:g}' for v in s.gammas)}",
+        f"train.lr_decay = {str(t.lr_decay).lower()}",
+        f"sweep.snr_db = {', '.join(repr(v) for v in s.snr_db)}",
+        f"sweep.gammas = {', '.join(repr(v) for v in s.gammas)}",
         f"sweep.detectors = {', '.join(s.detectors)}",
         f"sweep.min_bits = {s.min_bits}",
         f"sweep.min_errors = {s.min_errors}",
         f"sweep.max_trials = {s.max_trials}",
         f"sweep.symbols_per_slot = {s.symbols_per_slot}",
+        f"bounds.varpi1 = {b.varpi1!r}",
+        f"bounds.varpi2 = {b.varpi2!r}",
+        f"bounds.sigma_n = {b.sigma_n!r}",
+        f"latency.t_array_ns = {lat.t_array_ns!r}",
+        f"latency.t_adder_ns = {lat.t_adder_ns!r}",
+        f"latency.t_relu_ns = {lat.t_relu_ns!r}",
+        f"latency.trials = {lat.trials}",
     ]
     if cfg.params_path:
         lines.append(f"eval.params = {cfg.params_path}")

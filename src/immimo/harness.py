@@ -1,21 +1,25 @@
 """Experiment orchestration: seeded sweeps, pipelines, CSV emission.
 
-Reproducibility contract: every Monte Carlo trial draws from its own RNG
-stream derived from (master_seed, point_index, trial_index), and per-point
-results are pure sums over trials, so serial and thread-parallel runs produce
-identical numbers.  Trials execute in fixed-size waves and the stopping rule
-is evaluated only at wave boundaries, which keeps the set of executed trials
-independent of thread count.
+Reproducibility contract: trial t at SNR index i draws its channel H, its
+payload bits and its channel noise, in that order, from one RNG stream keyed
+on (seed, i, t).  Every detector, and every gamma, at that SNR reuses the same
+draws (common random numbers), so detector differences are paired and the
+sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw` programming
+noise comes from a second stream keyed on (seed, i, t, 1), which every gamma
+restarts, so adding or removing a detector or a gamma never changes another
+row.  Detectors that ignore gamma run once per SNR and their row is reported
+at every gamma.
 
-A BER point accumulates until it has at least `min_bits` bits AND
+Trials run in waves of WAVE, drawn one wave at a time.  A BER point
+accumulates whole waves until it has at least `min_bits` bits AND
 `min_errors` bit errors (confidence at low BER), capped at `max_trials`
-channel realizations.  Every emitted row carries a Wilson 95% interval and a
-flag for points with fewer than 10 errors.
+channel realizations; each detector stops on its own.  Every emitted row
+carries a Wilson 95% interval, a flag for points with fewer than 10 errors,
+the trials run and why the point stopped.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,10 +30,12 @@ from . import device as dev
 from . import mimo, training
 from .config import ConfigError, config_echo
 
-# trials per scheduling wave; constant so serial and parallel runs agree
+# trials per wave; stopping rules are evaluated only at wave boundaries
 WAVE = 8
 
 KNOWN_DETECTORS = ("zf", "mmse", "ml", "sd", "detnet", "detnet-hw")
+# the only detector whose output depends on the programming-noise level gamma
+HW_DETECTOR = "detnet-hw"
 
 
 class UnknownDetector(Exception):
@@ -49,12 +55,23 @@ def wilson_interval(errors, bits, z=1.959964):
 
 @dataclass
 class SweepRow:
+    """One BER point.
+
+    wall_time_s is the detection-plus-demapping time of this row's
+    computation; the shared trial draws are attributed to no row.
+    mean_nodes is the sphere decoder's tree nodes per vector (None for other
+    detectors).
+    """
+
     detector: str
     snr_db: float
     gamma: float
     bits: int
     errors: int
     wall_time_s: float
+    trials: int
+    stop_reason: str  # "target" or "max_trials"
+    mean_nodes: float | None = None
 
     @property
     def ber(self):
@@ -73,48 +90,91 @@ class SweepRow:
 class SweepResult:
     rows: list
 
-    CSV_HEADER = "detector,snr_db,gamma,bits,errors,ber,ci_lo,ci_hi,low_errors,wall_time_s"
+    CSV_HEADER = (
+        "detector,snr_db,gamma,bits,errors,ber,ci_lo,ci_hi,low_errors,wall_time_s,"
+        "trials,stop_reason,mean_nodes"
+    )
 
     def to_csv(self):
         lines = [self.CSV_HEADER]
         for r in self.rows:
             lo, hi = r.ci
+            nodes = "" if r.mean_nodes is None else f"{r.mean_nodes:.12g}"
             lines.append(
                 f"{r.detector},{r.snr_db:.12g},{r.gamma:.12g},{r.bits},{r.errors},"
                 f"{r.ber:.12g},{lo:.12g},{hi:.12g},{int(r.low_errors)},"
-                f"{r.wall_time_s:.6f}"
+                f"{r.wall_time_s:.6f},{r.trials},{r.stop_reason},{nodes}"
             )
         return "\n".join(lines) + "\n"
 
 
-def _trial_rng(seed, point_index, trial_index):
+@dataclass
+class _Tally:
+    """Running totals of one detector (one gamma, for detnet-hw) at one SNR."""
+
+    bits: int = 0
+    errors: int = 0
+    trials: int = 0
+    nodes: int | None = None
+    seconds: float = 0.0
+    stop_reason: str | None = None
+
+    def row(self, detector, snr_db, gamma, vectors_per_trial):
+        mean_nodes = None
+        if self.nodes is not None:
+            mean_nodes = self.nodes / (self.trials * vectors_per_trial)
+        return SweepRow(
+            detector=detector, snr_db=snr_db, gamma=gamma, bits=self.bits,
+            errors=self.errors, wall_time_s=self.seconds, trials=self.trials,
+            stop_reason=self.stop_reason, mean_nodes=mean_nodes,
+        )
+
+
+def _trial_rng(seed, snr_index, trial_index):
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int(point_index), int(trial_index)])
+        np.random.SeedSequence([int(seed), int(snr_index), int(trial_index)])
     )
 
 
-def _detect_slot(detector, h, ys, sigma, gamma, cfg, spec, hw_det, params, rng):
-    """Detect one slot's worth of symbol vectors against one channel."""
-    if detector == "zf":
-        soft = baselines.linear_soft_batch(h, ys, cfg)  # solve once, all symbols
-        x_hat = mimo.decide_rails(soft, cfg)
-    elif detector == "mmse":
-        soft = baselines.linear_soft_batch(h, ys, cfg, sigma_n=sigma)
-        x_hat = mimo.decide_rails(soft, cfg)
-    elif detector == "ml":
-        x_hat = baselines.ml_detect_batch(h, ys, cfg)
-    elif detector == "sd":
-        x_hat = np.stack([baselines.sphere_decode(h, y, cfg).x_hat_real for y in ys])
-    elif detector == "detnet":
-        trajectory, _ = detnet.ideal_forward(params, h, ys)
-        x_hat = trajectory[-1]
-    elif detector == "detnet-hw":
-        # the one reprogramming event for this channel realization
-        cb = hw_det.program_channel(h, rng, spec=replace(spec, gamma=gamma))
-        x_hat, _ = hw_det.forward(cb, ys)
-    else:
-        raise UnknownDetector(detector)
-    return mimo.demodulate(x_hat, cfg)
+def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
+    """Stacked draws of one wave: H (W, 2n_r, 2n_t), bits, ys (W, vectors, 2n_r)."""
+    rngs = [_trial_rng(seed, snr_index, t) for t in trials]
+    h_complex = []
+    bits = []
+    for rng in rngs:
+        h_complex.append(mimo.generate_channel(cfg, rng))
+        bits.append(mimo.random_bits(cfg, rng, count=vectors))
+    h = mimo.to_real(np.stack(h_complex))
+    bits = np.stack(bits)
+    x = mimo.modulate(bits, cfg).real
+    ys = np.stack([mimo.transmit(h[i], x[i], sigma, rng) for i, rng in enumerate(rngs)])
+    return h, bits, ys
+
+
+def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, program_keys):
+    """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total."""
+    if detector in ("zf", "mmse"):
+        soft = baselines.linear_soft_batch(
+            h, ys, cfg, sigma_n=sigma if detector == "mmse" else None
+        )
+        return mimo.decide_rails(soft, cfg), None
+    if detector == "ml":
+        return baselines.ml_detect_batch(h, ys, cfg), None
+    if detector == "sd":
+        outs = [baselines.sphere_decode(h_t, ys_t, cfg) for h_t, ys_t in zip(h, ys)]
+        return (np.stack([o.x_hat_real for o in outs]),
+                sum(o.node_count for o in outs))
+    if detector == "detnet":
+        trajectory, _ = detnet.ideal_forward(params, h[:, None], ys)
+        return trajectory[-1], None
+    if detector == HW_DETECTOR:
+        x_hat = []
+        for h_t, ys_t, key in zip(h, ys, program_keys):
+            # the one reprogramming event for this channel realization
+            cb = hw_det.program_channel(h_t, np.random.default_rng(key), spec=hw_spec)
+            x_hat.append(hw_det.forward(cb, ys_t)[0])
+        return np.stack(x_hat), None
+    raise UnknownDetector(detector)
 
 
 def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
@@ -123,6 +183,7 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
     Deep detectors require trained params.  Each trial is one channel
     realization carrying `symbols_per_slot` symbol vectors; hardware
     detection reprograms the channel arrays exactly once per realization.
+    Rows are ordered by detector, then SNR, then gamma.
     """
     cfg = exp.mimo
     sweep = exp.sweep
@@ -131,62 +192,60 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
     for det in detectors:
         if det not in KNOWN_DETECTORS:
             raise UnknownDetector(f"{det!r}; known: {KNOWN_DETECTORS}")
-    if any(d in ("detnet", "detnet-hw") for d in detectors) and params is None:
+    if any(d in ("detnet", HW_DETECTOR) for d in detectors) and params is None:
         raise ConfigError("deep detectors need trained params (eval.params)")
 
     hw_det = None
-    if "detnet-hw" in detectors:
+    hw_specs = {}
+    if HW_DETECTOR in detectors:
         hw_det = crossbar.HardwareDetector(cfg, params, exp.device)
+        hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
 
-    points = [
-        (det, snr, gamma)
+    # one lane per detector; detnet-hw gets one per gamma
+    lanes = [
+        (det, gamma)
         for det in detectors
-        for snr in sweep.snr_db
+        for gamma in (sweep.gammas if det == HW_DETECTOR else (None,))
+    ]
+    vectors = sweep.symbols_per_slot
+    tallies = []
+    for s_idx, snr in enumerate(sweep.snr_db):
+        sigma = mimo.sigma_from_snr(snr)
+        point = {lane: _Tally() for lane in lanes}
+        tallies.append(point)
+        active = list(point.items())
+        trial = 0
+        while active and trial < sweep.max_trials:
+            wave = range(trial, min(trial + WAVE, sweep.max_trials))
+            h, bits, ys = _draw_wave(cfg, vectors, seed, s_idx, wave, sigma)
+            program_keys = [[int(seed), s_idx, t, 1] for t in wave]
+            for (det, gamma), tally in active:
+                t0 = time.perf_counter()
+                x_hat, nodes = _detect_wave(
+                    det, h, ys, sigma, cfg, params, hw_det, hw_specs.get(gamma),
+                    program_keys,
+                )
+                errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
+                tally.seconds += time.perf_counter() - t0
+                tally.bits += bits.size
+                tally.errors += errors
+                tally.trials += len(wave)
+                if nodes is not None:
+                    tally.nodes = (tally.nodes or 0) + nodes
+                if tally.bits >= sweep.min_bits and tally.errors >= sweep.min_errors:
+                    tally.stop_reason = "target"
+            trial += len(wave)
+            active = [(lane, t) for lane, t in active if t.stop_reason is None]
+        for _, tally in active:
+            tally.stop_reason = "max_trials"
+
+    rows = [
+        tallies[s_idx][(det, gamma if det == HW_DETECTOR else None)].row(
+            det, snr, gamma, vectors)
+        for det in detectors
+        for s_idx, snr in enumerate(sweep.snr_db)
         for gamma in sweep.gammas
     ]
-    bits_per_trial = sweep.symbols_per_slot * cfg.bits_per_vector
-    rows = []
-    pool = ThreadPoolExecutor(max_workers=exp.threads) if exp.threads > 1 else None
-    try:
-        for p_idx, (det, snr, gamma) in enumerate(points):
-            sigma = mimo.sigma_from_snr(snr)
-            t0 = time.perf_counter()
-
-            def one_trial(t_idx, det=det, sigma=sigma, gamma=gamma):
-                rng = _trial_rng(seed, p_idx, t_idx)
-                h = mimo.to_real(mimo.generate_channel(cfg, rng))
-                bits = mimo.random_bits(cfg, rng, count=sweep.symbols_per_slot)
-                x = mimo.modulate(bits, cfg).real
-                ys = mimo.transmit(h, x, sigma, rng)
-                bits_hat = _detect_slot(
-                    det, h, ys, sigma, gamma, cfg, exp.device, hw_det, params, rng
-                )
-                return int(np.sum(bits_hat != bits))
-
-            bits_total = 0
-            errors = 0
-            trial = 0
-            while trial < sweep.max_trials:
-                wave = range(trial, min(trial + WAVE, sweep.max_trials))
-                if pool is not None:
-                    wave_errors = list(pool.map(one_trial, wave))
-                else:
-                    wave_errors = [one_trial(t) for t in wave]
-                errors += sum(wave_errors)
-                bits_total += bits_per_trial * len(wave_errors)
-                trial += len(wave_errors)
-                if bits_total >= sweep.min_bits and errors >= sweep.min_errors:
-                    break
-            rows.append(
-                SweepRow(
-                    detector=det, snr_db=snr, gamma=gamma,
-                    bits=bits_total, errors=errors,
-                    wall_time_s=time.perf_counter() - t0,
-                )
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return SweepResult(rows=rows)
 
 
@@ -225,7 +284,10 @@ def run_pipeline(exp, out_dir):
         if any(d in ("detnet", "detnet-hw") for d in exp.sweep.detectors):
             if not exp.params_path:
                 raise ConfigError("eval.params required for deep detectors")
-            params, _ = training.load_params(exp.params_path, expected_config=cfg)
+            try:
+                params, _ = training.load_params(exp.params_path, expected_config=cfg)
+            except (OSError, KeyError, ValueError) as exc:
+                raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
         result = run_ber_sweep(exp, params=params)
         outputs.append(_write(out / "ber.csv", result.to_csv()))
 

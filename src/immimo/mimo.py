@@ -91,21 +91,32 @@ def constellation_scale(config):
     return 1.0 / np.sqrt(config.n_t * _E_AVG[config.modulation])
 
 
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
 def rail_alphabets(config):
     """Per-real-rail candidate amplitudes, in bit-lexicographic order.
 
-    Returns a list of 2*n_t arrays.  Rails 0..n_t-1 carry the in-phase part,
-    rails n_t..2n_t-1 the quadrature part.  BPSK has no quadrature component,
-    so its Q rails collapse to the single value 0.
+    Returns a tuple of 2*n_t read-only arrays.  Rails 0..n_t-1 carry the
+    in-phase part, rails n_t..2n_t-1 the quadrature part.  BPSK has no
+    quadrature component, so its Q rails collapse to the single value 0.
+    Cached per (n_t, modulation).
     """
-    scale = constellation_scale(config)
+    key = (config.n_t, config.modulation)
+    cached = _ALPHABET_CACHE.get(key)
+    if cached is not None:
+        return cached
     mod = config.modulation
-    i_rail = _RAIL_LEVELS[mod] * scale
-    if mod is Modulation.BPSK:
-        q_rail = np.array([0.0])
-    else:
-        q_rail = i_rail
-    return [i_rail] * config.n_t + [q_rail] * config.n_t
+    i_rail = _frozen(_RAIL_LEVELS[mod] * constellation_scale(config))
+    q_rail = _frozen(np.array([0.0])) if mod is Modulation.BPSK else i_rail
+    alphabets = (i_rail,) * config.n_t + (q_rail,) * config.n_t
+    _ALPHABET_CACHE[key] = alphabets
+    return alphabets
+
+
+_ALPHABET_CACHE = {}
 
 
 def constellation_points(config):
@@ -113,26 +124,37 @@ def constellation_points(config):
 
     Points are ordered lexicographically by bit pattern (I bits first, then Q
     bits), so an argmin over this ordering breaks distance ties toward the
-    lexicographically smaller label.
+    lexicographically smaller label.  Both arrays are read-only and cached per
+    (n_t, modulation).
     """
+    key = (config.n_t, config.modulation)
+    cached = _POINTS_CACHE.get(key)
+    if cached is not None:
+        return cached
     mod = config.modulation
-    scale = constellation_scale(config)
-    i_levels = _RAIL_LEVELS[mod] * scale
+    i_levels = _RAIL_LEVELS[mod] * constellation_scale(config)
     if mod is Modulation.BPSK:
         points = i_levels.astype(complex)
         bits = np.array([[0], [1]], dtype=np.int8)
-        return points, bits
-    n_rail_bits = mod.bits_per_symbol // 2
-    m_rail = len(i_levels)
-    points = []
-    bits = []
-    for bi in range(m_rail):
-        for bq in range(m_rail):
-            points.append(i_levels[bi] + 1j * i_levels[bq])
-            label = [(bi >> (n_rail_bits - 1 - k)) & 1 for k in range(n_rail_bits)]
-            label += [(bq >> (n_rail_bits - 1 - k)) & 1 for k in range(n_rail_bits)]
-            bits.append(label)
-    return np.array(points), np.array(bits, dtype=np.int8)
+    else:
+        n_rail_bits = mod.bits_per_symbol // 2
+        m_rail = len(i_levels)
+        points = []
+        bits = []
+        for bi in range(m_rail):
+            for bq in range(m_rail):
+                points.append(i_levels[bi] + 1j * i_levels[bq])
+                label = [(bi >> (n_rail_bits - 1 - k)) & 1 for k in range(n_rail_bits)]
+                label += [(bq >> (n_rail_bits - 1 - k)) & 1 for k in range(n_rail_bits)]
+                bits.append(label)
+        points = np.array(points)
+        bits = np.array(bits, dtype=np.int8)
+    cached = (_frozen(points), _frozen(bits))
+    _POINTS_CACHE[key] = cached
+    return cached
+
+
+_POINTS_CACHE = {}
 
 
 def generate_channel(config, rng):

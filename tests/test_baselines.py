@@ -131,6 +131,22 @@ class TestMl:
             assert np.allclose(batch[i], single.x_hat_real)
 
 
+class TestStackedChannels:
+    def test_stack_matches_per_channel(self, rng):
+        c = cfg(n_t=3, n_r=4)
+        h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(5)])
+        ys = rng.standard_normal((5, 6, 8))
+        ml = baselines.ml_detect_batch(h, ys, c)
+        zf = baselines.linear_soft_batch(h, ys, c)
+        mmse = baselines.linear_soft_batch(h, ys, c, sigma_n=0.3)
+        for w in range(5):
+            assert np.array_equal(ml[w], baselines.ml_detect_batch(h[w], ys[w], c))
+            assert np.allclose(zf[w], baselines.linear_soft_batch(h[w], ys[w], c))
+            assert np.allclose(
+                mmse[w], baselines.linear_soft_batch(h[w], ys[w], c, sigma_n=0.3)
+            )
+
+
 class TestSphereDecoder:
     @pytest.mark.parametrize("mod,n_t,n_r", [
         ("qpsk", 4, 4), ("bpsk", 4, 6), ("qam16", 2, 3),

@@ -1,0 +1,184 @@
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from immimo import baselines, config, detnet, harness, mimo
+from immimo.mimo import MimoConfig
+
+TINY = (
+    "seed = 5\n"
+    "mimo.n_t = 2\nmimo.n_r = 3\nmimo.l = 2\nmimo.s = 8\n"
+    "sweep.snr_db = 4, 12\nsweep.gammas = 0, 0.02\n"
+    "sweep.detectors = zf, mmse, ml, sd, detnet, detnet-hw\n"
+    "sweep.min_bits = 10000\nsweep.min_errors = 20\nsweep.max_trials = 60\n"
+)
+
+
+@pytest.fixture(scope="module")
+def exp():
+    return config.parse_config(TINY)
+
+
+@pytest.fixture(scope="module")
+def params(exp):
+    return detnet.init_params(exp.mimo, np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def full(exp, params):
+    return harness.run_ber_sweep(exp, params=params)
+
+
+def by_key(result):
+    return {(r.detector, r.snr_db, r.gamma): r for r in result.rows}
+
+
+def without_wall_time(csv_text):
+    return [line.split(",")[:9] + line.split(",")[10:] for line in csv_text.splitlines()]
+
+
+def counts(row):
+    return (row.bits, row.errors, row.trials, row.stop_reason, row.mean_nodes)
+
+
+class TestSweep:
+    def test_same_seed_same_csv(self, exp, params, full):
+        again = harness.run_ber_sweep(exp, params=params)
+        assert without_wall_time(again.to_csv()) == without_wall_time(full.to_csv())
+
+    def test_other_seed_other_draws(self, exp, params, full):
+        other = harness.run_ber_sweep(exp, params=params, rng_seed=6)
+        assert [r.errors for r in other.rows] != [r.errors for r in full.rows]
+
+    def test_row_order_and_columns(self, exp, full):
+        s = exp.sweep
+        assert [(r.detector, r.snr_db, r.gamma) for r in full.rows] == [
+            (d, snr, g) for d in s.detectors for snr in s.snr_db for g in s.gammas
+        ]
+        header = full.to_csv().splitlines()[0].split(",")
+        assert header[-3:] == ["trials", "stop_reason", "mean_nodes"]
+        for r in full.rows:
+            assert r.bits == r.trials * s.symbols_per_slot * exp.mimo.bits_per_vector
+            assert (r.mean_nodes is not None) == (r.detector == "sd")
+
+    def test_sd_matches_ml_to_the_bit(self, exp, full):
+        rows = by_key(full)
+        for snr in exp.sweep.snr_db:
+            for g in exp.sweep.gammas:
+                sd, ml = rows[("sd", snr, g)], rows[("ml", snr, g)]
+                assert (sd.bits, sd.errors, sd.trials) == (ml.bits, ml.errors, ml.trials)
+
+    def test_gamma_insensitive_rows_repeat_across_gammas(self, exp, full):
+        rows = by_key(full)
+        for det in ("zf", "mmse", "ml", "sd", "detnet"):
+            for snr in exp.sweep.snr_db:
+                r0, r1 = (rows[(det, snr, g)] for g in exp.sweep.gammas)
+                assert counts(r0) == counts(r1)
+                assert r0.wall_time_s == r1.wall_time_s
+        # programming noise does reach the hardware detector
+        hw = [rows[("detnet-hw", 4.0, g)].errors for g in exp.sweep.gammas]
+        assert hw[0] != hw[1]
+
+    @pytest.mark.parametrize("subset", [
+        ["sd"], ["detnet-hw"], ["zf", "detnet"], ["mmse", "ml"],
+    ])
+    def test_row_independent_of_other_detectors(self, exp, params, full, subset):
+        alone = harness.run_ber_sweep(exp, detectors=subset, params=params)
+        rows = by_key(full)
+        for r in alone.rows:
+            assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
+
+    def test_hw_row_independent_of_other_gammas(self, exp, params, full):
+        one = replace(exp, sweep=replace(exp.sweep, gammas=[0.02]))
+        alone = harness.run_ber_sweep(one, detectors=["detnet-hw"], params=params)
+        rows = by_key(full)
+        for r in alone.rows:
+            assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
+
+    def test_unknown_detector_and_missing_params(self, exp):
+        with pytest.raises(harness.UnknownDetector):
+            harness.run_ber_sweep(exp, detectors=["zf", "mystery"])
+        with pytest.raises(config.ConfigError):
+            harness.run_ber_sweep(exp, detectors=["detnet"])
+
+
+class TestStoppingRule:
+    def sweep(self, exp, **kw):
+        one = replace(exp, sweep=replace(exp.sweep, snr_db=[0.0], **kw))
+        return harness.run_ber_sweep(one, detectors=["zf"]).rows[0]
+
+    def test_stops_at_first_wave_boundary_past_the_targets(self, exp):
+        bits_per_trial = exp.sweep.symbols_per_slot * exp.mimo.bits_per_vector  # 56
+        # 1000 bits need 18 trials: the rule is checked after waves of 8
+        row = self.sweep(exp, min_bits=1000, min_errors=1, max_trials=100)
+        assert (row.trials, row.stop_reason) == (24, "target")
+        assert row.bits == 24 * bits_per_trial
+
+    def test_error_target_also_gates(self, exp):
+        row = self.sweep(exp, min_bits=1000, min_errors=400, max_trials=1000)
+        assert row.stop_reason == "target"
+        assert row.trials % harness.WAVE == 0
+        assert row.errors >= 400
+        # the wave before did not reach the error target
+        shorter = self.sweep(exp, min_bits=1000, min_errors=400,
+                             max_trials=row.trials - harness.WAVE)
+        assert shorter.errors < 400
+        assert shorter.stop_reason == "max_trials"
+
+    def test_cap_ends_a_partial_wave(self, exp):
+        row = self.sweep(exp, min_bits=10**9, min_errors=1, max_trials=13)
+        assert (row.trials, row.stop_reason) == (13, "max_trials")
+
+
+class TestWilson:
+    def test_contains_estimate_and_narrows(self):
+        lo, hi = harness.wilson_interval(50, 1000)
+        assert lo < 0.05 < hi
+        lo2, hi2 = harness.wilson_interval(500, 10000)
+        assert hi2 - lo2 < hi - lo
+
+    def test_known_value(self):
+        # p = 0.5, n = 100: center 0.5, half-width z*sqrt(0.25/100 + z^2/40000)/(1 + z^2/100)
+        z = 1.959964
+        half = z * np.sqrt(0.0025 + z * z / 40000) / (1 + z * z / 100)
+        lo, hi = harness.wilson_interval(50, 100)
+        assert lo == pytest.approx(0.5 - half)
+        assert hi == pytest.approx(0.5 + half)
+
+    def test_edges(self):
+        assert harness.wilson_interval(0, 0) == (0.0, 1.0)
+        lo, hi = harness.wilson_interval(0, 100)
+        assert lo == 0.0 and 0 < hi < 0.05
+        lo, hi = harness.wilson_interval(100, 100)
+        assert hi == 1.0 and 0.95 < lo < 1.0
+
+
+class TestBatchedSphereDecoder:
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("qpsk", 4, 6), ("bpsk", 4, 6), ("qam16", 2, 3),
+    ])
+    def test_batch_equals_per_vector_and_ml(self, mod, n_t, n_r):
+        c = MimoConfig(n_t=n_t, n_r=n_r, modulation=mod)
+        rng = np.random.default_rng(9)
+        for snr in (0.0, 10.0):
+            for _ in range(15):
+                h = mimo.to_real(mimo.generate_channel(c, rng))
+                bits = mimo.random_bits(c, rng, count=7)
+                ys = mimo.transmit(h, mimo.modulate(bits, c).real,
+                                   mimo.sigma_from_snr(snr), rng)
+                batch = baselines.sphere_decode(h, ys, c)
+                singles = [baselines.sphere_decode(h, y, c) for y in ys]
+                assert batch.x_hat_real.shape == (7, 2 * n_t)
+                assert np.array_equal(batch.x_hat_real,
+                                      np.stack([s.x_hat_real for s in singles]))
+                assert batch.node_count == sum(s.node_count for s in singles)
+                assert np.array_equal(batch.x_hat_real,
+                                      baselines.ml_detect_batch(h, ys, c))
+
+    def test_single_vector_keeps_its_shape(self):
+        c = MimoConfig(n_t=2, n_r=3)
+        rng = np.random.default_rng(4)
+        h = mimo.to_real(mimo.generate_channel(c, rng))
+        out = baselines.sphere_decode(h, rng.standard_normal(6), c)
+        assert out.x_hat_real.shape == (4,)

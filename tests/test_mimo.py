@@ -126,6 +126,20 @@ class TestModulation:
             assert np.array_equal(mimo.demodulate(sv.real + bump, c), bits)
 
 
+class TestAlphabetCache:
+    @pytest.mark.parametrize("mod", ["bpsk", "qpsk", "qam16"])
+    def test_cached_per_size_and_read_only(self, mod):
+        c = cfg(mod, n_t=3, n_r=3)
+        alphabets = mimo.rail_alphabets(c)
+        points, bit_table = mimo.constellation_points(c)
+        assert mimo.rail_alphabets(cfg(mod, n_t=3, n_r=5)) is alphabets
+        assert mimo.constellation_points(c)[0] is points
+        assert len(mimo.rail_alphabets(cfg(mod, n_t=2, n_r=2))) == 4
+        for arr in (*alphabets, points, bit_table):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestTransmit:
     def test_noise_free(self, rng):
         c = cfg()
