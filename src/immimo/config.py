@@ -23,7 +23,7 @@ Device parameters may be given explicitly (device.g_on_us, device.g_off_us,
 device.n_p, device.gamma, device.dt_w_ns); explicit keys override the preset.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import device as dev
 from . import mimo
@@ -206,11 +206,6 @@ def build_config(sections):
 
     sweep = SweepConfig(**sections["sweep"])
     sweep.validate()
-    for gamma in sweep.gammas:
-        try:
-            replace(spec, gamma=gamma)  # the programming noise detnet-hw sweeps
-        except ValueError as exc:
-            raise ConfigError(f"sweep.gammas: {exc}") from exc
     bounds = BoundsConfig(**sections["bounds"])
     latency = LatencyConfig(**sections["latency"])
     return ExperimentConfig(

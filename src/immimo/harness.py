@@ -199,7 +199,10 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
     hw_specs = {}
     if HW_DETECTOR in detectors:
         hw_det = crossbar.HardwareDetector(cfg, params, exp.device)
-        hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
+        try:
+            hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
+        except ValueError as exc:
+            raise ConfigError(f"sweep.gammas: {exc}") from exc
 
     # one lane per detector; detnet-hw gets one per gamma
     lanes = [

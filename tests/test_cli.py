@@ -56,9 +56,19 @@ def test_rank_deficient_channel_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_gamma_out_of_range_exits_2(tmp_path, capsys):
-    code, err = run(tmp_path, SWEEP + "sweep.gammas = 0, 0.5\n", capsys)
+    config = mimo.MimoConfig(n_t=2, n_r=3, L=2, S=8)
+    ckpt = tmp_path / "p.npz"
+    training.save_params(ckpt, detnet.init_params(config, np.random.default_rng(0)), config)
+    text = SWEEP + f"sweep.detectors = detnet-hw\neval.params = {ckpt}\nsweep.gammas = 0, 0.5\n"
+    code, err = run(tmp_path, text, capsys)
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, "config error: sweep.gammas: gamma outside")
+
+
+def test_gamma_is_not_checked_without_detnet_hw(tmp_path, capsys):
+    # only detnet-hw reads gamma; other detectors report the same row at each
+    code, err = run(tmp_path, SWEEP + "sweep.detectors = zf\nsweep.gammas = 0, 0.5\n", capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
 
 
 @pytest.mark.parametrize("line", ["threads = 2", "mimo.n_x = 3"])
