@@ -10,12 +10,11 @@ Implemented evaluators:
   t_relu);
 * hardware component counts (memristors, inverters, TIAs, adders, rectifiers);
 * FLOPs-per-symbol and throughput models, validated by an operation counter
-  that walks the actual forward-pass structure;
-* abstract cycle-count curves for comparing detector families.
+  that walks the actual forward-pass structure.
 
-Every closed form has a second, symbolically different evaluation path used
-as a cross-check (expanded vs factored algebra, explicit sums vs geometric
-closed forms).
+The bound and the FLOPs formula are cross-checked in the tests against a
+second, symbolically different evaluation path (expanded algebra and an
+explicit power sum; the operation counter).
 """
 
 from dataclasses import dataclass
@@ -120,46 +119,6 @@ def eval_bound(inputs):
     gamma_cap = (
         2.0 * i.varpi1 * i.varpi2 * i.gamma * phi_cap**5 * root6 * geo / (phi - 1.0)
     )
-
-    correction = xi * (1.0 - tau * i.L) / (1.0 - tau) + gamma_cap * (
-        i.L - 1.0 / (phi - 1.0)
-    )
-    bound = xi + gamma_cap + correction * omega
-    return BoundReport(
-        phi=float(phi), tau=float(tau), xi=float(xi), omega=float(omega),
-        gamma_cap=float(gamma_cap), bound=float(bound),
-    )
-
-
-def eval_bound_expanded(inputs):
-    """Second evaluation path with distinct algebra, for cross-checking.
-
-    Uses expanded polynomial forms of tau and xi, a log-domain Omega, and an
-    explicit power-sum loop in place of the geometric closed form.
-    """
-    i = inputs
-    phi_cap = np.sqrt(i.n_t) + np.sqrt(i.n_r)
-    root6 = np.sqrt(6.0 * np.sqrt(2.0 / np.pi) * i.n_p)
-    root3 = np.sqrt(3.0 * np.sqrt(2.0 / np.pi) * i.n_p)
-
-    phi = 2.0 * i.varpi2 * phi_cap * phi_cap
-    tau = i.varpi2 * (i.gamma * root6 * phi_cap**3 + 2.0 * phi_cap**2)
-    xi = (
-        2.0 * i.varpi1 * i.sigma_n * np.sqrt(2.0 * i.n_r * (i.n_t + i.n_r))
-        + 2.0 * i.varpi1 * i.gamma * root3 * (i.n_t + i.n_r) ** 1.5
-    )
-    omega = np.exp(0.5 * (np.log(4.0 * i.S) - np.log(3.0 * i.n_r)) - i.S / 8.0)
-
-    if phi <= 1.0 + SINGULARITY_TOL:
-        raise BoundRegimeError(
-            f"phi={phi:.6g} <= 1: closed-form accumulation term is invalid"
-        )
-    # sum_{j=0}^{L-1} phi^j tau^(L-1-j) equals (phi^L - tau^L)/(phi - tau)
-    geo = 0.0
-    for j in range(i.L):
-        geo += phi**j * tau ** (i.L - 1 - j)
-    c = 2.0 * i.varpi1 * i.varpi2 * i.gamma * root6
-    gamma_cap = c * phi_cap**5 * geo / (phi - 1.0)
 
     correction = xi * (1.0 - tau * i.L) / (1.0 - tau) + gamma_cap * (
         i.L - 1.0 / (phi - 1.0)
@@ -331,20 +290,3 @@ def count_forward_flops(config):
     block += _matvec_flops(a, s, bias=True)
     return FlopCount(channel_setup=setup, per_block=block, L=L)
 
-
-def time_complexity_curves(n_values, L=30, mod_order=4, n_iter=10, beta=1.0, unit=1.0):
-    """Abstract cycle-count models for symmetric N x N detection.
-
-    Cycle units are configuration (default 1 per abstract operation); what
-    matters is the growth ordering, not absolute values.
-    """
-    n = np.asarray(n_values, dtype=float)
-    log_term = np.sqrt(np.log(np.maximum(n, 1.0)))  # ln 1 = 0 handled
-    return {
-        "zf": unit * n**3,
-        "mmse": unit * n**3,
-        "sdr": unit * n**3 * n_iter,
-        "sd": unit * np.power(float(mod_order), beta * n),
-        "detnet": unit * n**2 * L,
-        "in-memory": unit * (n * log_term + L),
-    }

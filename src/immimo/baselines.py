@@ -23,27 +23,7 @@ class RankDeficientChannel(Exception):
 @dataclass
 class DetectorOutput:
     x_hat_real: np.ndarray
-    soft: np.ndarray | None = None
     node_count: int | None = None
-
-
-def _gram_solve(h_real, rhs, diag_load=0.0):
-    g = np.swapaxes(h_real, -1, -2) @ h_real
-    if diag_load:
-        g = g + diag_load * np.eye(g.shape[-1])
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientChannel(str(exc)) from exc
-
-
-def zf_detect(h_real, y, config):
-    """soft = (H^T H)^{-1} H^T y, then per-rail nearest-point decision."""
-    h_real = np.asarray(h_real, dtype=float)
-    if np.linalg.matrix_rank(h_real) < h_real.shape[1]:
-        raise RankDeficientChannel("channel matrix is column-rank deficient")
-    soft = _gram_solve(h_real, h_real.T @ np.asarray(y, dtype=float))
-    return DetectorOutput(x_hat_real=mimo.decide_rails(soft, config), soft=soft)
 
 
 def rail_symbol_energy(config):
@@ -51,27 +31,31 @@ def rail_symbol_energy(config):
     return 1.0 / (2.0 * config.n_t)
 
 
-def mmse_detect(h_real, y, sigma_n, config):
-    """soft = (H^T H + (sigma_n^2 / E_rail) I)^{-1} H^T y, then decision."""
-    if sigma_n < 0:
-        raise ValueError("sigma_n must be nonnegative")
-    h_real = np.asarray(h_real, dtype=float)
-    load = sigma_n**2 / rail_symbol_energy(config)
-    soft = _gram_solve(h_real, h_real.T @ np.asarray(y, dtype=float), diag_load=load)
-    return DetectorOutput(x_hat_real=mimo.decide_rails(soft, config), soft=soft)
-
-
 def linear_soft_batch(h_real, ys, config, sigma_n=None):
     """ZF (sigma_n None) or MMSE soft outputs for many y per channel.
 
+    ZF:   soft = (H^T H)^{-1} H^T y
+    MMSE: soft = (H^T H + (sigma_n^2 / E_rail) I)^{-1} H^T y
+
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
     same leading shape (a stack of channels, or none); returns
-    (..., n_vec, 2n_t).
+    (..., n_vec, 2n_t).  ZF raises RankDeficientChannel if any channel in the
+    stack lost full column rank.
     """
     h_real = np.asarray(h_real, dtype=float)
-    load = 0.0 if sigma_n is None else sigma_n**2 / rail_symbol_energy(config)
-    rhs = np.swapaxes(h_real, -1, -2) @ np.swapaxes(np.asarray(ys, dtype=float), -1, -2)
-    return np.swapaxes(_gram_solve(h_real, rhs, diag_load=load), -1, -2)
+    h_t = np.swapaxes(h_real, -1, -2)
+    g = h_t @ h_real
+    if sigma_n is None:
+        if np.any(np.linalg.matrix_rank(h_real) < h_real.shape[-1]):
+            raise RankDeficientChannel("channel matrix is column-rank deficient")
+    else:
+        g = g + sigma_n**2 / rail_symbol_energy(config) * np.eye(g.shape[-1])
+    rhs = h_t @ np.swapaxes(np.asarray(ys, dtype=float), -1, -2)
+    try:
+        soft = np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientChannel(str(exc)) from exc
+    return np.swapaxes(soft, -1, -2)
 
 
 ML_GUARD = 10**6

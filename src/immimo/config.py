@@ -1,8 +1,10 @@
 """Flat key-value experiment configuration.
 
-Config files are UTF-8 text, one `section.key = value` pair per line, with
-`#` comments and blank lines ignored.  Unknown keys are rejected with a line
-diagnostic so typos cannot silently fall back to defaults.
+Config files are UTF-8 text, one `section.key = value` pair per line.  Blank
+lines and comment lines, whose first non-blank character is `#`, are ignored;
+a `#` anywhere else is part of the value, so paths such as `runs/a#1` keep it.
+Unknown keys are rejected with a line diagnostic so typos cannot silently fall
+back to defaults.
 
 Example::
 
@@ -151,8 +153,8 @@ def parse_config(text):
     sections = {"root": {}, "mimo": {}, "device": {}, "train": {},
                 "sweep": {}, "bounds": {}, "latency": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")

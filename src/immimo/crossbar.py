@@ -6,188 +6,41 @@ Two circuit roles are modeled:
   loop (imprecise, see :mod:`immimo.device`) once per channel realization and
   reused by every block for both the H^T y and H^T H x_{k-1} paths;
 * weight arrays hold the trained W1/W2/W3 matrices; weights are tuned offline
-  with verification, so their mapping is treated as exact unless noise
-  injection is explicitly requested for sensitivity studies.
+  with verification, so their mapping is treated as exact.
 
 Peripherals (TIAs, inverters, adders, the ReLU rectifier) are ideal: the TIA
 feedback resistances realize the scalar gains alpha1 (one stage) and alpha2
 (two cascaded stages), here exact multiplications.  All signals stay in
 normalized numeric units with the mapping coefficient mu divided out; no
 volt/ampere headroom is enforced.
+
+With exact weights and ideal peripherals the in-memory detector is exactly
+the software forward pass run on the realized channel H + dH, so detection
+programs the channel and then runs :func:`immimo.detnet.ideal_forward`.
 """
-
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import device as dev
 from . import detnet
 
 
-@dataclass
-class RealizedCrossbar:
-    """A differential conductance pair realizing one real matrix."""
-
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-    mu: float
-    origin: str  # "channel" (noisy, reprogrammed per slot) or "weight" (exact)
-    program_count: int = field(default=1)
-
-    @property
-    def matrix(self):
-        """The represented real matrix, (G+ - G-)/mu."""
-        return (self.g_plus - self.g_minus) / self.mu
-
-
-def program_channel_crossbar(h_real, spec, rng):
-    """Program H onto channel-origin arrays; returns the realized crossbar.
-
-    This is the one reprogramming event per channel realization; the returned
-    object is immutable by convention and shared by all L blocks.
-    """
-    result = dev.program_matrix(h_real, spec, rng)
-    return RealizedCrossbar(
-        g_plus=result.g_plus,
-        g_minus=result.g_minus,
-        mu=dev.map_coefficient(spec),
-        origin="channel",
-    )
-
-
-def weight_crossbar(matrix, spec, rng=None, noise_gamma=None):
-    """Map a trained weight matrix onto arrays exactly (offline fine-tuning).
-
-    noise_gamma, if given, perturbs the stored matrix with the same
-    conductance-noise law as channel programming (sensitivity studies only).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    mu = dev.map_coefficient(spec)
-    if noise_gamma:
-        noisy_spec = dev.DeviceSpec(
-            g_on=spec.g_on, g_off=spec.g_off, n_p=spec.n_p,
-            gamma=noise_gamma, dt_w=spec.dt_w,
-        )
-        matrix = matrix + dev.sample_dh_matrix(matrix, noisy_spec, rng)
-    g_plus = spec.g_off + mu * np.maximum(matrix, 0.0)
-    g_minus = spec.g_off + mu * np.maximum(-matrix, 0.0)
-    return RealizedCrossbar(g_plus=g_plus, g_minus=g_minus, mu=mu, origin="weight")
-
-
-def analog_mvm(crossbar, v_in):
-    """Output current of one array pair: i_out = (G+ - G-) v_in."""
-    g = crossbar.g_plus - crossbar.g_minus
-    if g.shape[1] != np.shape(v_in)[-1]:
-        raise ValueError(
-            f"input of length {np.shape(v_in)[-1]} into {g.shape} crossbar"
-        )
-    return v_in @ g.T
-
-
-def analog_mvm_t(crossbar, v_in):
-    """Transpose-path MVM, i_out = (G+ - G-)^T v_in (arrays driven row-side)."""
-    g = crossbar.g_plus - crossbar.g_minus
-    if g.shape[0] != np.shape(v_in)[-1]:
-        raise ValueError(
-            f"input of length {np.shape(v_in)[-1]} into transposed {g.shape} crossbar"
-        )
-    return v_in @ g
-
-
-def channel_dependent_block(x_prev, crossbar_h, y, alpha1, alpha2):
-    """s_k = x_{k-1} - alpha1 H^T y + alpha2 H^T H x_{k-1} on realized arrays.
-
-    Both terms reuse the same channel arrays; each crossbar stage produces a
-    current scaled by mu which the following TIA folds back out, and the TIA
-    feedback gains contribute alpha1 (single stage) and alpha2 (two stages).
-    """
-    if crossbar_h.program_count < 1:
-        raise ValueError("channel crossbar has not been programmed")
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise ValueError("alpha gains map to resistances and must be positive")
-    mu = crossbar_h.mu
-    hty = analog_mvm_t(crossbar_h, y) / mu
-    hx = analog_mvm(crossbar_h, x_prev) / mu
-    hthx = analog_mvm_t(crossbar_h, hx) / mu
-    return x_prev - alpha1 * hty + alpha2 * hthx
-
-
-def neural_block(u, w1, b1, w2, b2, w3, b3):
-    """One two-layer block: z = relu(W1 u + b1); x, a branches in parallel."""
-    if np.shape(u)[-1] != w1.shape[1]:
-        raise ValueError(f"block input length {np.shape(u)[-1]} != {w1.shape[1]}")
-    z = np.maximum(u @ w1.T + b1, 0.0)
-    x = z @ w2.T + b2
-    a = z @ w3.T + b3
-    return z, x, a
-
-
 class HardwareDetector:
-    """Full detector with weights resident on arrays and a pluggable channel.
+    """Trained weights resident on exact arrays and a reprogrammable channel.
 
-    Weight crossbars are built once at construction; program_channel() is the
-    only per-slot reprogramming event, and the instance counts those events so
-    experiments can assert the reuse contract.
+    program_channel() is the one reprogramming event per channel realization;
+    forward() reuses the realized channel for every symbol vector of the slot.
     """
 
-    def __init__(self, config, params, spec, weight_noise_gamma=None, rng=None):
+    def __init__(self, params, spec):
         params.validate()
-        self.config = config
         self.params = params
         self.spec = spec
-        self.w1_xbars = [
-            weight_crossbar(params.w1[k], spec, rng, weight_noise_gamma)
-            for k in range(params.L)
-        ]
-        self.w2_xbars = [
-            weight_crossbar(params.w2[k], spec, rng, weight_noise_gamma)
-            for k in range(params.L)
-        ]
-        self.w3_xbars = [
-            weight_crossbar(params.w3[k], spec, rng, weight_noise_gamma)
-            for k in range(params.L)
-        ]
-        self.channel_programs = 0
 
     def program_channel(self, h_real, rng, spec=None):
-        self.channel_programs += 1
-        return program_channel_crossbar(h_real, spec or self.spec, rng)
+        """Program H onto the channel arrays; returns the realized H + dH."""
+        spec = spec or self.spec
+        return dev.program_matrix(h_real, spec, rng).realized(spec)
 
-    def forward(self, crossbar_h, y):
-        """Run the L blocks against one realized channel; y may be batched.
-
-        Returns (x_L, trajectory).
-        """
-        p = self.params
-        y = np.asarray(y, dtype=float)
-        batch = y.shape[:-1]
-        x = np.zeros(batch + (p.x_dim,))
-        a = np.zeros(batch + (p.a_size,))
-        trajectory = []
-        for k in range(p.L):
-            s = channel_dependent_block(x, crossbar_h, y, p.alpha1[k], p.alpha2[k])
-            u = np.concatenate([s, a], axis=-1)
-            pre = analog_mvm(self.w1_xbars[k], u) / self.w1_xbars[k].mu + p.b1[k]
-            z = np.maximum(pre, 0.0)  # rectifier clamps negatives to exactly 0
-            x = analog_mvm(self.w2_xbars[k], z) / self.w2_xbars[k].mu + p.b2[k]
-            a = analog_mvm(self.w3_xbars[k], z) / self.w3_xbars[k].mu + p.b3[k]
-            trajectory.append(x)
-        return x, trajectory
-
-
-def hardware_forward(config, params, crossbar_h, y, spec=None):
-    """One-shot convenience wrapper around :class:`HardwareDetector`.
-
-    For repeated detection against many channels construct the detector once
-    instead; building weight crossbars per call is wasteful.
-    """
-    if spec is None:
-        spec = dev.device_preset()
-    det = HardwareDetector(config, params, spec)
-    return det.forward(crossbar_h, y)
-
-
-def ideal_forward(params, h_real, y):
-    """Exact-arithmetic reference forward pass (same math, no arrays)."""
-    trajectory, _ = detnet.ideal_forward(params, h_real, y)
-    return trajectory[-1], trajectory
+    def forward(self, h_realized, y):
+        """Final-block estimate x_L; shapes broadcast as in ideal_forward."""
+        trajectory, _ = detnet.ideal_forward(self.params, h_realized, y)
+        return trajectory[-1]

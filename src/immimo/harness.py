@@ -168,12 +168,13 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, program_k
         trajectory, _ = detnet.ideal_forward(params, h[:, None], ys)
         return trajectory[-1], None
     if detector == HW_DETECTOR:
-        x_hat = []
-        for h_t, ys_t, key in zip(h, ys, program_keys):
-            # the one reprogramming event for this channel realization
-            cb = hw_det.program_channel(h_t, np.random.default_rng(key), spec=hw_spec)
-            x_hat.append(hw_det.forward(cb, ys_t)[0])
-        return np.stack(x_hat), None
+        # the one reprogramming event per channel realization, each from its
+        # own stream; then one forward over the wave's realized channels
+        h_hw = np.stack([
+            hw_det.program_channel(h_t, np.random.default_rng(key), spec=hw_spec)
+            for h_t, key in zip(h, program_keys)
+        ])
+        return hw_det.forward(h_hw[:, None], ys), None
     raise UnknownDetector(detector)
 
 
@@ -198,7 +199,7 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
     hw_det = None
     hw_specs = {}
     if HW_DETECTOR in detectors:
-        hw_det = crossbar.HardwareDetector(cfg, params, exp.device)
+        hw_det = crossbar.HardwareDetector(params, exp.device)
         try:
             hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
         except ValueError as exc:

@@ -21,37 +21,49 @@ def noiseless_instance(c, rng):
     return h, x, h @ x
 
 
+def zf_soft(h, y, c):
+    return baselines.linear_soft_batch(h, y[None], c)[0]
+
+
+def mmse_soft(h, y, sigma_n, c):
+    return baselines.linear_soft_batch(h, y[None], c, sigma_n=sigma_n)[0]
+
+
 class TestZf:
     def test_noiseless_recovery(self, rng):
         c = cfg()
         for _ in range(20):
             h, x, y = noiseless_instance(c, rng)
-            out = baselines.zf_detect(h, y, c)
-            assert np.allclose(out.x_hat_real, x)
-            assert np.allclose(out.soft, x, atol=1e-8)
+            soft = zf_soft(h, y, c)
+            assert np.allclose(mimo.decide_rails(soft, c), x)
+            assert np.allclose(soft, x, atol=1e-8)
 
     def test_square_invertible_is_inverse(self, rng):
         c = cfg(n_t=3, n_r=3)
         h = mimo.to_real(mimo.generate_channel(c, rng))
         y = rng.standard_normal(6)
-        out = baselines.zf_detect(h, y, c)
-        assert np.allclose(out.soft, np.linalg.solve(h, y), atol=1e-8)
+        assert np.allclose(zf_soft(h, y, c), np.linalg.solve(h, y), atol=1e-8)
 
     def test_orthogonal_columns_match_scaled_matched_filter(self, rng):
         c = cfg(n_t=2, n_r=4)
         q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
         h = q * np.array([2.0, 3.0, 0.5, 1.5])  # orthogonal, unequal gains
         y = rng.standard_normal(8)
-        out = baselines.zf_detect(h, y, c)
         mf = h.T @ y / np.array([4.0, 9.0, 0.25, 2.25])
-        assert np.allclose(out.soft, mf)
+        assert np.allclose(zf_soft(h, y, c), mf)
 
-    def test_rank_deficient_signals(self, rng):
+    def test_rank_deficient_signals(self):
+        # the Gram solve alone returns a number for some of these channels
         c = cfg(n_t=2, n_r=3)
-        h = mimo.to_real(mimo.generate_channel(c, rng))
-        h[:, 1] = h[:, 0]
-        with pytest.raises(baselines.RankDeficientChannel):
-            baselines.zf_detect(h, rng.standard_normal(6), c)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(3)])
+            h[seed % 3, :, 1] = h[seed % 3, :, 0]
+            ys = rng.standard_normal((3, 2, 6))
+            with pytest.raises(baselines.RankDeficientChannel):
+                baselines.linear_soft_batch(h[seed % 3], ys[0], c)
+            with pytest.raises(baselines.RankDeficientChannel):
+                baselines.linear_soft_batch(h, ys, c)
 
 
 class TestMmse:
@@ -59,30 +71,18 @@ class TestMmse:
         c = cfg()
         h, _, y = noiseless_instance(c, rng)
         y = y + 0.05 * rng.standard_normal(y.shape)
-        zf = baselines.zf_detect(h, y, c)
-        mmse = baselines.mmse_detect(h, y, 1e-6, c)
-        assert np.linalg.norm(mmse.soft - zf.soft) < 1e-8
+        assert np.linalg.norm(mmse_soft(h, y, 1e-6, c) - zf_soft(h, y, c)) < 1e-8
 
     def test_large_noise_shrinks_to_zero(self, rng):
         c = cfg()
         h, _, y = noiseless_instance(c, rng)
-        out = baselines.mmse_detect(h, y, 1e6, c)
-        assert np.linalg.norm(out.soft) < 1e-6
+        assert np.linalg.norm(mmse_soft(h, y, 1e6, c)) < 1e-6
 
-    def test_rejects_negative_sigma(self, rng):
-        c = cfg()
-        h, _, y = noiseless_instance(c, rng)
-        with pytest.raises(ValueError):
-            baselines.mmse_detect(h, y, -1.0, c)
-
-    def test_batch_matches_single(self, rng):
-        c = cfg()
-        h, _, _ = noiseless_instance(c, rng)
-        ys = rng.standard_normal((5, 12))
-        batch = baselines.linear_soft_batch(h, ys, c, sigma_n=0.3)
-        for i in range(5):
-            single = baselines.mmse_detect(h, ys[i], 0.3, c)
-            assert np.allclose(batch[i], single.soft)
+    def test_rank_deficient_channel_is_regularized(self, rng):
+        c = cfg(n_t=2, n_r=3)
+        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h[:, 1] = h[:, 0]
+        assert np.all(np.isfinite(mmse_soft(h, rng.standard_normal(6), 0.3, c)))
 
 
 class TestMl:

@@ -30,6 +30,7 @@ def float_list(elements, max_size):
 
 @st.composite
 def config_texts(draw):
+    """A config text over every section, and the eval.params value it sets."""
     lo = draw(snr)
     lines = [
         f"mode = {draw(st.sampled_from(config.MODES))}",
@@ -59,18 +60,21 @@ def config_texts(draw):
         draw(st.sets(st.sampled_from(["device.g_off_us", "device.g_on_us",
                                       "device.gamma", "device.dt_w_ns", "device.n_p"]))),
     )
-    if draw(st.booleans()):
-        lines.append("eval.params = ckpt/params.npz")
-    return "\n".join(draw(st.permutations(lines))) + "\n"
+    params = draw(st.sampled_from([None, "ckpt/params.npz", "runs/a#1/params.npz"]))
+    if params:
+        lines.append(f"eval.params = {params}")
+    return "\n".join(draw(st.permutations(lines))) + "\n", params
 
 
 @settings(max_examples=150, deadline=None)
 @given(config_texts())
-def test_echo_round_trips(text):
+def test_echo_round_trips(case):
+    text, params = case
     try:
         cfg = config.parse_config(text)
     except config.ConfigError:
         return  # e.g. explicit g_on below the preset's g_off
+    assert cfg.params_path == params
     assert config.parse_config(config.config_echo(cfg)) == cfg
 
 
@@ -90,6 +94,17 @@ def test_echo_keeps_sections_the_old_echo_dropped():
     assert "latency.trials = 7\n" in echo
     assert "train.lr_decay = true\n" in echo
     assert "threads" not in echo
+
+
+def test_only_whole_lines_are_comments():
+    cfg = config.parse_config(
+        "# a comment line\n   # an indented one\nseed = 3\n"
+        "eval.params = runs/a#1/params.npz\n"
+    )
+    assert cfg.seed == 3
+    assert cfg.params_path == "runs/a#1/params.npz"
+    with pytest.raises(config.ConfigError, match="seed"):
+        config.parse_config("seed = 3  # trailing text is part of the value\n")
 
 
 def test_unknown_and_duplicate_keys_are_rejected():

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from immimo import crossbar, detnet, device, mimo
 from immimo.mimo import MimoConfig
@@ -23,133 +21,105 @@ def desk_cfg(**kw):
     return MimoConfig(**base)
 
 
-class TestAnalogMvm:
-    def test_identity_pair_scales_by_mu(self, luo):
-        mu = device.map_coefficient(luo)
-        cb = crossbar.RealizedCrossbar(
-            g_plus=mu * np.eye(4), g_minus=np.zeros((4, 4)), mu=mu, origin="weight"
-        )
-        v = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.allclose(crossbar.analog_mvm(cb, v), mu * v)
-
-    def test_zero_input(self, luo, rng):
-        cb = crossbar.weight_crossbar(rng.standard_normal((3, 5)), luo)
-        assert np.allclose(crossbar.analog_mvm(cb, np.zeros(5)), 0.0)
-
-    def test_dimension_mismatch(self, luo, rng):
-        cb = crossbar.weight_crossbar(rng.standard_normal((3, 5)), luo)
-        with pytest.raises(ValueError):
-            crossbar.analog_mvm(cb, np.zeros(4))
-
-    def test_weight_crossbar_is_exact(self, luo, rng):
-        w = rng.standard_normal((8, 12)) * 2.5
-        cb = crossbar.weight_crossbar(w, luo)
-        v = rng.standard_normal(12)
-        exact = w @ v
-        got = crossbar.analog_mvm(cb, v) / cb.mu
-        assert np.abs(got - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
-        assert np.allclose(cb.matrix, w, rtol=1e-12)
-
-    def test_weight_noise_flag_perturbs(self, luo, rng):
-        w = rng.standard_normal((8, 12))
-        cb = crossbar.weight_crossbar(w, luo, rng=rng, noise_gamma=0.02)
-        assert not np.allclose(cb.matrix, w)
-
-    @given(
-        a=st.floats(-3, 3, allow_nan=False),
-        b=st.floats(-3, 3, allow_nan=False),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_linearity(self, a, b, seed):
-        rng = np.random.default_rng(seed)
-        spec = device.device_preset("luo2022")
-        cb = crossbar.weight_crossbar(rng.standard_normal((4, 6)), spec)
-        v1, v2 = rng.standard_normal((2, 6))
-        lhs = crossbar.analog_mvm(cb, a * v1 + b * v2)
-        rhs = a * crossbar.analog_mvm(cb, v1) + b * crossbar.analog_mvm(cb, v2)
-        assert np.abs(lhs - rhs).max() <= 1e-12
+def luo_at(gamma):
+    return device.DeviceSpec(g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=gamma, dt_w=0.63e-9)
 
 
 class TestChannelBlock:
-    def _setup(self, luo, rng, gamma=0.0):
+    """s_k = x_{k-1} - alpha1 H^T y + alpha2 H^T H x_{k-1} on the realized channel."""
+
+    def _forward(self, rng, alpha1, alpha2, gamma=0.02):
         cfg = desk_cfg()
-        spec = device.DeviceSpec(
-            g_on=luo.g_on, g_off=luo.g_off, n_p=luo.n_p, gamma=gamma, dt_w=luo.dt_w
-        )
+        params = detnet.init_params(cfg, rng)
+        params.alpha1[:] = alpha1
+        params.alpha2[:] = alpha2
+        det = crossbar.HardwareDetector(params, luo_at(gamma))
         h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
-        cb = crossbar.program_channel_crossbar(h, spec, rng)
-        y = rng.standard_normal(2 * cfg.n_r)
-        return cfg, h, cb, y
+        h_hw = det.program_channel(h, rng)
+        y = rng.standard_normal((5, 2 * cfg.n_r))
+        _, cache = detnet.ideal_forward(params, h_hw, y)
+        s = [blk["u"][..., : params.x_dim] for blk in cache["blocks"]]
+        return params, h_hw, y, cache, s
 
-    def test_zero_gains_return_previous_estimate(self, luo, rng):
-        _, _, cb, y = self._setup(luo, rng)
-        x_prev = rng.standard_normal(8)
-        s = crossbar.channel_dependent_block(x_prev, cb, y, 1e-12, 1e-12)
-        assert np.allclose(s, x_prev, atol=1e-9)
+    def test_cold_start_is_matched_filter(self, rng):
+        _, h_hw, y, _, s = self._forward(rng, 0.1, 0.2)
+        assert np.allclose(s[0], -0.1 * y @ h_hw, atol=1e-10)
 
-    def test_cold_start_is_matched_filter(self, luo, rng):
-        _, _, cb, y = self._setup(luo, rng)
-        h_bar = cb.matrix
-        s = crossbar.channel_dependent_block(np.zeros(8), cb, y, 0.1, 0.2)
-        assert np.allclose(s, -0.1 * h_bar.T @ y, atol=1e-10)
-
-    def test_matches_dense_oracle(self, luo, rng):
+    def test_matches_dense_oracle(self, rng):
         # independent dense evaluation of the linear combination with H + dH
-        _, _, cb, y = self._setup(luo, rng, gamma=0.02)
-        h_bar = cb.matrix
-        x_prev = rng.standard_normal(8)
-        oracle = x_prev - 0.07 * h_bar.T @ y + 0.03 * h_bar.T @ (h_bar @ x_prev)
-        s = crossbar.channel_dependent_block(x_prev, cb, y, 0.07, 0.03)
-        assert np.abs(s - oracle).max() < 1e-10
+        _, h_hw, y, cache, s = self._forward(rng, 0.07, 0.03)
+        for k in range(1, len(s)):
+            x_prev = cache["blocks"][k]["x_prev"]
+            oracle = x_prev - 0.07 * y @ h_hw + 0.03 * (x_prev @ h_hw.T) @ h_hw
+            assert np.abs(s[k] - oracle).max() < 1e-10
+
+    def test_zero_gains_return_previous_estimate(self, rng):
+        _, _, _, cache, s = self._forward(rng, 1e-12, 1e-12)
+        for k in range(1, len(s)):
+            assert np.allclose(s[k], cache["blocks"][k]["x_prev"], atol=1e-9)
 
     def test_rejects_nonpositive_gains(self, luo, rng):
-        _, _, cb, y = self._setup(luo, rng)
+        # the gains are TIA feedback resistances, so they must stay positive
+        params = detnet.init_params(desk_cfg(), rng)
+        params.alpha1[1] = 0.0
         with pytest.raises(ValueError):
-            crossbar.channel_dependent_block(np.zeros(8), cb, y, 0.0, 0.1)
+            crossbar.HardwareDetector(params, luo)
 
 
 class TestNeuralBlock:
+    """z = relu(W1 u + b1), x = W2 z + b2, a = W3 z + b3 on exact weight arrays."""
+
+    def _forward(self, rng, edit):
+        cfg = desk_cfg(L=2)
+        params = detnet.init_params(cfg, rng)
+        edit(params)
+        det = crossbar.HardwareDetector(params, luo_at(0.02))
+        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
+        y = rng.standard_normal((5, 2 * cfg.n_r))
+        trajectory, cache = detnet.ideal_forward(params, h_hw, y)
+        return params, trajectory, cache["blocks"]
+
     def test_zero_w1_negative_bias(self, rng):
-        w1 = np.zeros((6, 5))
-        b1 = -np.ones(6)
-        w2 = rng.standard_normal((3, 6))
-        b2 = np.array([1.0, 2.0, 3.0])
-        w3 = rng.standard_normal((4, 6))
-        b3 = np.array([4.0, 5.0, 6.0, 7.0])
-        z, x, a = crossbar.neural_block(np.ones(5), w1, b1, w2, b2, w3, b3)
-        assert np.all(z == 0)
-        assert np.array_equal(x, b2)
-        assert np.array_equal(a, b3)
+        def edit(p):
+            p.w1[:] = 0.0
+            p.b1[:] = -1.0
+            p.b2[:] = rng.standard_normal(p.b2.shape)
+            p.b3[:] = rng.standard_normal(p.b3.shape)
+
+        p, trajectory, blocks = self._forward(rng, edit)
+        assert all(np.all(blk["z"] == 0) for blk in blocks)
+        assert np.all(trajectory[0] == p.b2[0])
+        assert np.all(blocks[1]["u"][..., p.x_dim:] == p.b3[0])
 
     def test_affine_region_matches_composition(self, rng):
         # large positive b1 keeps the rectifier in its linear region
-        w1 = 0.1 * rng.standard_normal((6, 5))
-        b1 = np.full(6, 50.0)
-        w2 = rng.standard_normal((3, 6))
-        b2 = rng.standard_normal(3)
-        w3 = rng.standard_normal((4, 6))
-        b3 = rng.standard_normal(4)
-        u = rng.standard_normal(5)
-        _, x, a = crossbar.neural_block(u, w1, b1, w2, b2, w3, b3)
-        assert np.allclose(x, w2 @ (w1 @ u + b1) + b2)
-        assert np.allclose(a, w3 @ (w1 @ u + b1) + b3)
+        def edit(p):
+            p.w1 *= 0.01
+            p.b1[:] = 50.0
+            p.b2[:] = rng.standard_normal(p.b2.shape)
+            p.b3[:] = rng.standard_normal(p.b3.shape)
+
+        p, trajectory, blocks = self._forward(rng, edit)
+        pre = blocks[0]["u"] @ p.w1[0].T + p.b1[0]
+        assert np.all(blocks[0]["mask"])
+        assert np.allclose(trajectory[0], pre @ p.w2[0].T + p.b2[0])
+        assert np.allclose(blocks[1]["u"][..., p.x_dim:], pre @ p.w3[0].T + p.b3[0])
 
     def test_negative_preactivations_clamp_to_zero(self, rng):
-        w1 = rng.standard_normal((6, 5))
-        u = rng.standard_normal(5)
-        z, _, _ = crossbar.neural_block(
-            u, w1, -np.abs(w1 @ u) - 1.0, np.zeros((1, 6)), np.zeros(1),
-            np.zeros((1, 6)), np.zeros(1),
-        )
-        assert np.all(z == 0.0)
+        def edit(p):
+            p.b1[:] = -1e3
 
-    def test_dimension_mismatch(self):
+        _, _, blocks = self._forward(rng, edit)
+        for blk in blocks:
+            assert not np.any(blk["mask"])
+            assert np.all(blk["z"] == 0.0)
+
+    def test_dimension_mismatch(self, luo, rng):
+        cfg = desk_cfg()
+        det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
+        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
         with pytest.raises(ValueError):
-            crossbar.neural_block(
-                np.zeros(4), np.zeros((6, 5)), np.zeros(6),
-                np.zeros((3, 6)), np.zeros(3), np.zeros((4, 6)), np.zeros(4),
-            )
+            det.forward(h_hw, np.zeros(2 * cfg.n_r - 1))
 
 
 class TestHardwareForward:
@@ -160,89 +130,69 @@ class TestHardwareForward:
             getattr(params, key)[:] = 0.0
         params.b2[:] = 0.5
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        det = crossbar.HardwareDetector(cfg, params, luo)
-        cb = det.program_channel(h, rng)
-        x_l, _ = det.forward(cb, rng.standard_normal(12))
+        det = crossbar.HardwareDetector(params, luo)
+        x_l = det.forward(det.program_channel(h, rng), rng.standard_normal(12))
         assert np.allclose(x_l, 0.5)
 
     def test_deterministic_given_crossbar_state(self, luo, rng):
         cfg = desk_cfg()
-        params = detnet.init_params(cfg, rng)
-        h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        det = crossbar.HardwareDetector(cfg, params, luo)
-        cb = det.program_channel(h, rng)
+        det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
+        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
         y = rng.standard_normal(12)
-        x1, _ = det.forward(cb, y)
-        x2, _ = det.forward(cb, y)
-        assert np.array_equal(x1, x2)
+        assert np.array_equal(det.forward(h_hw, y), det.forward(h_hw, y))
 
     def test_matches_ideal_at_gamma_zero(self, rng):
         # only pulse quantization separates the two paths
-        spec = device.DeviceSpec(
-            g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=0.0, dt_w=0.63e-9
-        )
         cfg = desk_cfg()
-        params = detnet.init_params(cfg, rng)
+        det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo_at(0.0))
         worst = 0.0
         for _ in range(20):
             h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
             y = rng.standard_normal(12)
-            det = crossbar.HardwareDetector(cfg, params, spec)
-            cb = det.program_channel(h, rng)
-            x_hw, _ = det.forward(cb, y)
-            x_ideal, _ = crossbar.ideal_forward(params, h, y)
+            x_hw = det.forward(det.program_channel(h, rng), y)
+            x_ideal = detnet.ideal_forward(det.params, h, y)[0][-1]
             worst = max(worst, np.abs(x_hw - x_ideal).max())
         assert worst <= 1e-2
 
-    def test_reprogram_count_is_one_per_channel(self, luo, rng):
+    def test_reprogram_count_is_one_per_channel(self, luo, rng, monkeypatch):
+        calls = []
+        program_matrix = device.program_matrix
+        monkeypatch.setattr(device, "program_matrix",
+                            lambda *a, **k: calls.append(1) or program_matrix(*a, **k))
         cfg = desk_cfg()
-        params = detnet.init_params(cfg, rng)
-        det = crossbar.HardwareDetector(cfg, params, luo)
-        h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        cb = det.program_channel(h, rng)
-        assert det.channel_programs == 1
-        assert cb.program_count == 1
+        det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
+        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
+        assert len(calls) == 1
         for _ in range(14):  # one slot's worth of detections, no reprogramming
-            det.forward(cb, rng.standard_normal(12))
-        assert det.channel_programs == 1
+            det.forward(h_hw, rng.standard_normal(12))
+        assert len(calls) == 1
 
     def test_error_grows_with_gamma(self, rng):
         cfg = desk_cfg()
         params = detnet.init_params(cfg, rng)
         diffs = {}
         for gamma in (0.005, 0.02):
-            spec = device.DeviceSpec(
-                g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=gamma, dt_w=0.63e-9
-            )
-            det = crossbar.HardwareDetector(cfg, params, spec)
+            det = crossbar.HardwareDetector(params, luo_at(gamma))
             acc = []
             loc_rng = np.random.default_rng(11)
             for _ in range(200):
                 h = mimo.to_real(mimo.generate_channel(cfg, loc_rng))
                 y = loc_rng.standard_normal(12)
-                cb = det.program_channel(h, loc_rng)
-                x_hw, _ = det.forward(cb, y)
-                x_id, _ = crossbar.ideal_forward(params, h, y)
+                x_hw = det.forward(det.program_channel(h, loc_rng), y)
+                x_id = detnet.ideal_forward(params, h, y)[0][-1]
                 acc.append(np.linalg.norm(x_hw - x_id))
             diffs[gamma] = np.mean(acc)
         assert diffs[0.02] >= diffs[0.005]
 
     def test_round_trip_within_quantization(self, rng):
-        spec = device.DeviceSpec(
-            g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=0.0, dt_w=0.63e-9
-        )
+        spec = luo_at(0.0)
+        det = crossbar.HardwareDetector(detnet.init_params(desk_cfg(), rng), spec)
         h = np.clip(rng.standard_normal((6, 4)), -3, 3)
-        cb = crossbar.program_channel_crossbar(h, spec, rng)
-        assert np.abs(cb.matrix - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
+        assert np.abs(det.program_channel(h, rng) - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
 
-    def test_wrapper_matches_detector(self, luo, rng):
-        cfg = desk_cfg()
-        params = detnet.init_params(cfg, rng)
-        h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        cb = crossbar.program_channel_crossbar(h, luo, rng)
-        y = rng.standard_normal(12)
-        x1, traj1 = crossbar.hardware_forward(cfg, params, cb, y, spec=luo)
-        det = crossbar.HardwareDetector(cfg, params, luo)
-        x2, traj2 = det.forward(cb, y)
-        assert np.array_equal(x1, x2)
-        assert len(traj1) == len(traj2) == cfg.L
+    def test_spec_override_programs_at_that_gamma(self, rng):
+        det = crossbar.HardwareDetector(detnet.init_params(desk_cfg(), rng), luo_at(0.02))
+        h = np.clip(rng.standard_normal((12, 8)), -3, 3)
+        exact = det.program_channel(h, rng, spec=luo_at(0.0))
+        assert np.abs(exact - h).max() <= 3.0 / (2 * 150) + 1e-12
+        assert np.abs(det.program_channel(h, rng) - h).max() > 3.0 / (2 * 150)

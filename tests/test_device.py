@@ -153,6 +153,34 @@ class TestProgramMatrix:
         assert result.latency_per_row[0] == pytest.approx(luo.dt_w * luo.n_p)
         assert result.total_latency == pytest.approx(luo.dt_w * luo.n_p)
 
+    def test_noise_matches_law(self, luo, rng):
+        # realized minus the quantized target has variance 3 gamma^2 N_p |h|,
+        # with |h| the quantized magnitude; the normalized residual's sample
+        # variance over 10^4 cells has relative std sqrt(2 / 10^4) = 1.4%, so
+        # the 5% tolerance sits above 3 sigma
+        h = np.clip(rng.standard_normal((100, 100)), -3, 3)
+        result = device.program_matrix(h, luo, rng)
+        step = luo.g_range / luo.n_p / device.map_coefficient(luo)
+        h_q = np.sign(h) * result.pulse_counts * step
+        on = result.pulse_counts > 0
+        z = (result.realized(luo) - h_q)[on] / np.sqrt(
+            3 * luo.gamma**2 * luo.n_p * np.abs(h_q[on]))
+        assert z.size >= 9_800
+        assert abs(z.var() - 1) < 0.05
+        assert abs(z.mean()) < 3 / np.sqrt(z.size)
+
+    def test_cells_without_pulses_stay_exact(self, luo, rng):
+        # zero-pulse cells at the start, between pulsed cells and at the end
+        # take the empty-segment path of the per-cell noise sum
+        h = np.array([[0.0, 1.2, 0.0, 0.0, -0.8, 0.004],
+                      [2.5, -0.003, 0.0, 1.0, 0.0, 0.0]])
+        for _ in range(20):
+            result = device.program_matrix(h, luo, rng)
+            zero = result.pulse_counts == 0
+            assert zero.sum() == 8
+            assert np.all(result.realized(luo)[zero] == 0.0)
+            assert np.all(result.realized(luo)[~zero] != h[~zero])
+
     def test_rejects_non_matrix(self, luo, rng):
         with pytest.raises(ValueError):
             device.program_matrix(np.zeros(5), luo, rng)

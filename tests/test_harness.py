@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from immimo import baselines, config, detnet, harness, mimo
+from immimo import baselines, config, crossbar, detnet, device, harness, mimo
 from immimo.mimo import MimoConfig
 
 TINY = (
@@ -101,6 +101,22 @@ class TestSweep:
             harness.run_ber_sweep(exp, detectors=["zf", "mystery"])
         with pytest.raises(config.ConfigError):
             harness.run_ber_sweep(exp, detectors=["detnet"])
+
+
+class TestHardwareReuse:
+    def test_one_program_per_trial_per_gamma_and_one_forward_per_wave(
+            self, exp, params, monkeypatch):
+        programs, forwards = [], []
+        program_matrix = device.program_matrix
+        forward = crossbar.HardwareDetector.forward
+        monkeypatch.setattr(device, "program_matrix",
+                            lambda *a, **k: programs.append(1) or program_matrix(*a, **k))
+        monkeypatch.setattr(crossbar.HardwareDetector, "forward",
+                            lambda *a, **k: forwards.append(1) or forward(*a, **k))
+        result = harness.run_ber_sweep(exp, detectors=["detnet-hw"], params=params)
+        assert len(result.rows) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
+        assert len(programs) == sum(r.trials for r in result.rows)
+        assert len(forwards) == sum(-(-r.trials // harness.WAVE) for r in result.rows)
 
 
 class TestStoppingRule:
