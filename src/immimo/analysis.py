@@ -1,4 +1,4 @@
-"""Closed-form performance models with Monte Carlo containment checks.
+"""Closed-form performance models.
 
 Implemented evaluators:
 
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detnet
 from . import device as dev
-from . import mimo
 
 SINGULARITY_TOL = 1e-9
 
@@ -54,14 +52,6 @@ class BoundInputs:
     sigma_n: float
     varpi1: float
     varpi2: float
-
-    @classmethod
-    def from_params(cls, params, config, spec, sigma_n):
-        return cls(
-            n_t=config.n_t, n_r=config.n_r, L=params.L, S=params.S,
-            n_p=spec.n_p, gamma=spec.gamma, sigma_n=sigma_n,
-            varpi1=float(params.alpha1.max()), varpi2=float(params.alpha2.max()),
-        )
 
 
 @dataclass
@@ -128,51 +118,6 @@ def eval_bound(inputs):
         phi=float(phi), tau=float(tau), xi=float(xi), omega=float(omega),
         gamma_cap=float(gamma_cap), bound=float(bound),
     )
-
-
-@dataclass
-class ContainmentReport:
-    mean_error: float
-    bound: float
-
-    @property
-    def ratio(self):
-        return self.mean_error / self.bound if self.bound else np.inf
-
-    CSV_HEADER = "mean_error,bound,ratio"
-
-    def csv_row(self):
-        return f"{self.mean_error:.12g},{self.bound:.12g},{self.ratio:.12g}"
-
-
-def check_bound_containment(inputs, params, config, trials, rng):
-    """Monte Carlo E||e_L|| against the closed-form bound.
-
-    e_L is the output difference between the detector run on the perturbed
-    pair (H + dH, y0 + n) and on the clean pair (H, y0), with dH drawn from
-    the programming-noise law and n from the channel-noise law.
-    """
-    if abs(float(params.alpha1.max()) - inputs.varpi1) > 1e-12 or abs(
-        float(params.alpha2.max()) - inputs.varpi2
-    ) > 1e-12:
-        raise ValueError("bound inputs do not match the trained alpha maxima")
-    noise_spec = dev.DeviceSpec(
-        g_on=27.5e-6, g_off=1e-6, n_p=inputs.n_p,
-        gamma=inputs.gamma, dt_w=1e-9,
-    )
-    norms = np.empty(trials)
-    for t in range(trials):
-        h = mimo.to_real(mimo.generate_channel(config, rng))
-        bits = mimo.random_bits(config, rng)[0]
-        x = mimo.modulate(bits, config).real
-        y0 = h @ x
-        dh = dev.sample_dh_matrix(h, noise_spec, rng)
-        n = inputs.sigma_n * rng.standard_normal(y0.shape)
-        clean, _ = detnet.ideal_forward(params, h, y0)
-        noisy, _ = detnet.ideal_forward(params, h + dh, y0 + n)
-        norms[t] = np.linalg.norm(noisy[-1] - clean[-1])
-    report = eval_bound(inputs)
-    return ContainmentReport(mean_error=float(norms.mean()), bound=report.bound)
 
 
 def programming_latency_bound(n_t, n_r, spec):

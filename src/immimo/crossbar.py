@@ -40,7 +40,13 @@ class HardwareDetector:
         spec = spec or self.spec
         return dev.program_matrix(h_real, spec, rng).realized(spec)
 
-    def forward(self, h_realized, y):
-        """Final-block estimate x_L; shapes broadcast as in ideal_forward."""
-        trajectory, _ = detnet.ideal_forward(self.params, h_realized, y)
+    def forward(self, h_realized, ys):
+        """Final-block estimate x_L (..., n_vec, 2n_t) for every received vector.
+
+        Vectors are rows, as in :func:`immimo.detnet.ideal_forward`: the
+        realized channels are (..., 2n_r, 2n_t) and ys is (..., n_vec, 2n_r),
+        so a wave's W channels and all their vectors run in one call; a
+        single vector is passed as y[None].
+        """
+        trajectory, _ = detnet.ideal_forward(self.params, h_realized, ys)
         return trajectory[-1]

@@ -15,8 +15,11 @@ The training loss sums squared errors over blocks with logarithmic weights
 w_k = ln(k), which zeroes block 1 and damps unstable early-block errors.
 ln(k+1) is available as an alternative that keeps block 1 in the loss.
 
-All functions here are pure numpy and accept a leading batch dimension on
-H (..., 2n_r, 2n_t) and y (..., 2n_r).
+All functions here are pure numpy and take one layout, vectors as rows: a
+stack of channels H (..., 2n_r, 2n_t) and the vectors received through them,
+ys (..., n_vec, 2n_r), one row per vector.  Then H^T y is ys @ H and H^T H x
+is x @ H^T H, each one stacked product, and the dense layers act on all N
+rows at once as (N, d) @ (d, S) products.  A single vector is ys = y[None].
 """
 
 from dataclasses import dataclass
@@ -94,43 +97,59 @@ def init_params(config, rng):
     )
 
 
-def _bmv(m, v):
-    """Matrix-vector product broadcast over leading batch dims."""
-    return (m @ v[..., None])[..., 0]
+def _fused_output(params):
+    """W2 over W3 and b2 over b3, so x_k and a_k come from one product."""
+    return (np.concatenate([params.w2, params.w3], axis=1),
+            np.concatenate([params.b2, params.b3], axis=1))
 
 
-def ideal_forward(params, h_real, y):
+def ideal_forward(params, h_real, ys):
     """Run all L blocks in exact arithmetic.
 
-    Returns (trajectory, cache): trajectory is the list [x_1, ..., x_L]; the
-    cache retains everything backprop needs (block inputs, ReLU masks, the
-    Gram products).
+    Vectors are rows: h_real is (..., 2n_r, 2n_t) and ys is (..., n_vec, 2n_r),
+    n_vec received vectors per channel, so a single vector is passed as y[None].
+    Returns (trajectory, cache): trajectory is the list [x_1, ..., x_L], each of
+    shape (..., n_vec, 2n_t); the cache retains what backprop needs: the Gram
+    products, and for every block its H^T H x_{k-1}, its input u_k = [s_k;
+    a_{k-1}] and its rectified output z_k, stacked over blocks with the N
+    vectors as rows, e.g. u (L, N, 2n_t + a_size).
     """
     h_real = np.asarray(h_real, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hty = _bmv(np.swapaxes(h_real, -1, -2), y)
-    hth = np.swapaxes(h_real, -1, -2) @ h_real
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim < h_real.ndim:
+        raise ValueError(
+            f"ys {ys.shape} has fewer dims than h {h_real.shape}; "
+            "vectors are rows, pass one vector as y[None]"
+        )
+    hty = ys @ h_real
+    hth = np.ascontiguousarray(np.swapaxes(h_real, -1, -2)) @ h_real
+    n_rows = int(np.prod(hty.shape[:-1], dtype=np.int64))
+    L, x_dim = params.L, params.x_dim
+    w23, b23 = _fused_output(params)
+    hthxs = np.empty((L,) + hty.shape)
+    us = np.empty((L, n_rows, x_dim + params.a_size))
+    zs = np.empty((L, n_rows, params.S))
+    xas = np.empty((L, n_rows, x_dim + params.a_size))  # [x_k, a_k]
 
-    batch = y.shape[:-1]
-    x = np.zeros(batch + (params.x_dim,))
-    a = np.zeros(batch + (params.a_size,))
-
+    x = np.zeros(hty.shape)
+    a = 0.0
     trajectory = []
-    blocks = []
-    for k in range(params.L):
-        hthx = _bmv(hth, x)
+    for k in range(L):
+        hthx = np.matmul(x, hth, out=hthxs[k])  # (H^T H x)^T = x^T H^T H
         s = x - params.alpha1[k] * hty + params.alpha2[k] * hthx
-        u = np.concatenate([s, a], axis=-1)
-        pre = u @ params.w1[k].T + params.b1[k]
-        mask = pre > 0
-        z = np.where(mask, pre, 0.0)
-        x_prev = x
-        x = z @ params.w2[k].T + params.b2[k]
-        a = z @ params.w3[k].T + params.b3[k]
+        us[k, :, :x_dim] = s.reshape(n_rows, x_dim)
+        us[k, :, x_dim:] = a
+        z = np.matmul(us[k], params.w1[k].T, out=zs[k])
+        z += params.b1[k]
+        np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
+        xa = np.matmul(z, w23[k].T, out=xas[k])
+        xa += b23[k]
+        x = xa[:, :x_dim].reshape(hty.shape)
+        a = xa[:, x_dim:]
         trajectory.append(x)
-        blocks.append({"x_prev": x_prev, "hthx": hthx, "u": u, "mask": mask, "z": z})
 
-    cache = {"hty": hty, "hth": hth, "blocks": blocks, "trajectory": trajectory}
+    cache = {"hty": hty, "hth": hth, "hthx": hthxs, "u": us, "z": zs,
+             "trajectory": trajectory}
     return trajectory, cache
 
 
@@ -147,6 +166,8 @@ def loss(trajectory, x_true, weighting="lnk"):
     """Batch-mean block-weighted squared error sum_k w_k ||x - x_k||^2."""
     w = loss_weights(len(trajectory), weighting)
     x_true = np.asarray(x_true, dtype=float)
+    if np.broadcast_shapes(trajectory[0].shape, x_true.shape) != trajectory[0].shape:
+        raise ValueError(f"x_true {x_true.shape} does not match x_k {trajectory[0].shape}")
     total = 0.0
     for k, x_k in enumerate(trajectory):
         err = x_k - x_true
@@ -154,52 +175,57 @@ def loss(trajectory, x_true, weighting="lnk"):
     return float(np.mean(total))
 
 
-def backward(params, cache, x_true, weighting="lnk"):
+def backward(params, cache, x_true, weighting="lnk", out=None):
     """Exact gradients of :func:`loss` w.r.t. every parameter array.
 
-    Returns a dict keyed like DetNetParams.as_dict().  Gradients flow through
-    x_k into the next block's linear combination and through a_k into the next
-    block's input, so the recursion runs from block L back to block 1.
+    Returns a dict keyed like DetNetParams.as_dict(); given `out`, a dict of
+    arrays of those shapes, the gradients are written into it instead.
+    Gradients flow through x_k into the next block's linear combination and
+    through a_k into the next block's input, so the recursion runs from block
+    L back to block 1.  It keeps the gradients w.r.t. each block's output,
+    pre-activation and s_k; the parameter gradients are then one stacked
+    product or sum over all blocks.
     """
     hty = cache["hty"]
     hth = cache["hth"]
-    blocks = cache["blocks"]
+    us, zs = cache["u"], cache["z"]
     trajectory = cache["trajectory"]
     x_true = np.asarray(x_true, dtype=float)
-    L = params.L
+    L, x_dim = params.L, params.x_dim
     w = loss_weights(L, weighting)
-    batch = trajectory[0].shape[:-1]
-    n_batch = int(np.prod(batch)) if batch else 1
+    n_rows = us.shape[1]
+    w23, _ = _fused_output(params)
+    gxas = np.empty_like(us)  # dL/d[x_k, a_k]
+    gzs = np.empty_like(zs)   # dL/d(W1 u_k + b1)
+    gss = np.empty((L,) + hty.shape)  # dL/ds_k
 
-    grads = {k: np.zeros_like(getattr(params, k)) for k in PARAM_KEYS}
-    gx = np.zeros_like(trajectory[0])  # dL/dx_k, accumulated from later blocks
-    ga = np.zeros(batch + (params.a_size,))
-
-    def flat(arr):
-        return arr.reshape(n_batch, arr.shape[-1])
-
+    gx = np.zeros(hty.shape)  # dL/dx_k, accumulated from later blocks
+    ga = 0.0
     for k in range(L - 1, -1, -1):
-        blk = blocks[k]
-        gx = gx + (2.0 * w[k] / n_batch) * (trajectory[k] - x_true)
-
-        gz = gx @ params.w2[k] + ga @ params.w3[k]
-        grads["w2"][k] = flat(gx).T @ flat(blk["z"])
-        grads["b2"][k] = flat(gx).sum(axis=0)
-        grads["w3"][k] = flat(ga).T @ flat(blk["z"])
-        grads["b3"][k] = flat(ga).sum(axis=0)
-
-        gpre = np.where(blk["mask"], gz, 0.0)
-        grads["w1"][k] = flat(gpre).T @ flat(blk["u"])
-        grads["b1"][k] = flat(gpre).sum(axis=0)
-
-        gu = gpre @ params.w1[k]
-        gs = gu[..., : params.x_dim]
-        ga = gu[..., params.x_dim:]
-
-        grads["alpha1"][k] = -float(np.sum(gs * hty))
-        grads["alpha2"][k] = float(np.sum(gs * blk["hthx"]))
-
+        gx = gx + (2.0 * w[k] / n_rows) * (trajectory[k] - x_true)
+        gxas[k, :, :x_dim] = gx.reshape(n_rows, x_dim)
+        gxas[k, :, x_dim:] = ga
+        gz = np.matmul(gxas[k], w23[k], out=gzs[k])
+        gz *= zs[k] > 0  # through the rectifier: z > 0 exactly where pre > 0
+        gu = gz @ params.w1[k]
+        gs = gss[k]
+        gs[...] = gu[:, :x_dim].reshape(hty.shape)
+        ga = gu[:, x_dim:]
         # s_k = x_{k-1} - alpha1 H^T y + alpha2 H^T H x_{k-1}; H^T H symmetric
-        gx = gs + params.alpha2[k] * _bmv(hth, gs)
+        gx = gs + params.alpha2[k] * (gs @ hth)
 
+    grads = out if out is not None else {
+        k: np.empty_like(getattr(params, k)) for k in PARAM_KEYS
+    }
+    np.matmul(gzs.transpose(0, 2, 1), us, out=grads["w1"])
+    gzs.sum(axis=1, out=grads["b1"])
+    gw23 = gxas.transpose(0, 2, 1) @ zs
+    grads["w2"][...] = gw23[:, :x_dim]
+    grads["w3"][...] = gw23[:, x_dim:]
+    gb23 = gxas.sum(axis=1)
+    grads["b2"][...] = gb23[:, :x_dim]
+    grads["b3"][...] = gb23[:, x_dim:]
+    per_block = tuple(range(1, gss.ndim))
+    grads["alpha1"][...] = -np.sum(gss * hty, axis=per_block)
+    grads["alpha2"][...] = np.sum(gss * cache["hthx"], axis=per_block)
     return grads

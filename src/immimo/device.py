@@ -98,22 +98,6 @@ def map_coefficient(spec):
     return spec.g_range / 3.0
 
 
-def target_pair(h_entry, spec):
-    """Target (g_plus, g_minus) and conductance change for one channel entry.
-
-    Only one cell of the pair moves away from G_off; a zero entry programs
-    neither.  Returns ((g_plus, g_minus), target_dg).
-    """
-    mu = map_coefficient(spec)
-    h = float(np.clip(h_entry, -H_CLIP, H_CLIP))
-    target_dg = mu * abs(h)
-    if h > 0:
-        return (spec.g_off + target_dg, spec.g_off), target_dg
-    if h < 0:
-        return (spec.g_off, spec.g_off + target_dg), target_dg
-    return (spec.g_off, spec.g_off), 0.0
-
-
 def pulse_count(target_dg, spec):
     """Open-loop pulse count: round(target_dg * N_p / (G_on - G_off))."""
     target_dg = np.asarray(target_dg, dtype=float)
@@ -123,61 +107,19 @@ def pulse_count(target_dg, spec):
     return n if n.ndim else int(n)
 
 
-def program_cell(target_dg, spec, rng, clip=False):
-    """Apply a pulse train toward target_dg; returns (achieved_dg, n_pulses).
-
-    Every pulse contributes (G_on - G_off)/N_p plus an independent Gaussian
-    C2C draw.  By default the result is NOT clipped to the physical range so
-    Monte Carlo statistics match the unclipped Gaussian law; pass clip=True
-    for physical saturation studies.
-    """
-    n = pulse_count(target_dg, spec)
-    achieved = n * spec.g_range / spec.n_p
-    if n > 0 and spec.gamma > 0:
-        achieved += rng.normal(0.0, spec.sigma_dg, size=n).sum()
-    if clip:
-        achieved = float(np.clip(achieved, 0.0, spec.g_range))
-    return achieved, n
-
-
-def sample_dh(h_entry, spec, rng):
-    """Closed-form draw of the channel perturbation dh for one entry.
+def sample_dh_matrix(h_real, spec, rng):
+    """Closed-form draw of the channel perturbation dH, entry by entry.
 
     Fast path for training-time noise injection: dh | h ~ N(0, 3 gamma^2 N_p
-    |h|), with |h| saturated at 3 to mirror the conductance-range clip of the
-    pulse-train path.
+    |h|) for every entry of a matrix (or batch of matrices), with |h|
+    saturated at 3 to mirror the conductance-range clip of the pulse-train
+    path.
     """
-    h = min(abs(float(h_entry)), H_CLIP)
-    if h == 0.0 or spec.gamma == 0.0:
-        return 0.0
-    return rng.normal(0.0, np.sqrt(3.0 * spec.gamma**2 * spec.n_p * h))
-
-
-def sample_dh_matrix(h_real, spec, rng):
-    """Vectorized :func:`sample_dh` over a matrix (or batch of matrices)."""
     h = np.minimum(np.abs(np.asarray(h_real, dtype=float)), H_CLIP)
     if spec.gamma == 0.0:
         return np.zeros_like(h)
     std = np.sqrt(3.0 * spec.gamma**2 * spec.n_p * h)
     return rng.standard_normal(h.shape) * std
-
-
-def simulate_dh_pulse_train(h_entry, spec, rng, trials):
-    """Monte Carlo oracle for the dh law: literal pulse-train accumulation.
-
-    Programs the same entry `trials` times and returns the array of realized
-    dh = (achieved_dg - target_dg)/mu.  Quantization of the pulse count shows
-    up as a deterministic offset, C2C noise as the spread.
-    """
-    mu = map_coefficient(spec)
-    (gp, gm), target_dg = target_pair(h_entry, spec)
-    del gp, gm
-    n = pulse_count(target_dg, spec)
-    base = n * spec.g_range / spec.n_p - target_dg
-    if n == 0 or spec.gamma == 0.0:
-        return np.full(trials, base / mu)
-    noise = rng.normal(0.0, spec.sigma_dg, size=(trials, n)).sum(axis=1)
-    return (base + noise) / mu
 
 
 @dataclass

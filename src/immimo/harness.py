@@ -165,7 +165,7 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, program_k
         return (np.stack([o.x_hat_real for o in outs]),
                 sum(o.node_count for o in outs))
     if detector == "detnet":
-        trajectory, _ = detnet.ideal_forward(params, h[:, None], ys)
+        trajectory, _ = detnet.ideal_forward(params, h, ys)
         return trajectory[-1], None
     if detector == HW_DETECTOR:
         # the one reprogramming event per channel realization, each from its
@@ -174,7 +174,7 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, program_k
             hw_det.program_channel(h_t, np.random.default_rng(key), spec=hw_spec)
             for h_t, key in zip(h, program_keys)
         ])
-        return hw_det.forward(h_hw[:, None], ys), None
+        return hw_det.forward(h_hw, ys), None
     raise UnknownDetector(detector)
 
 

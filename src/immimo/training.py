@@ -50,31 +50,53 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam over a dict of parameter arrays."""
+    """Standard Adam over one flat parameter buffer, updated in place.
+
+    The update is elementwise, so running it once over the flat buffer gives
+    the same numbers as running it array by array; the moment buffers and
+    the two scratch arrays are allocated once, on the first step.
+    """
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, p, g):
+        """One update of the flat buffer p from its gradient g."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+            self._num, self._den = np.empty_like(p), np.empty_like(p)
+        m, v, num, den = self.m, self.v, self._num, self._den
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for key, p in params.items():
-            g = grads[key]
-            if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-                self.v[key] = np.zeros_like(p)
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-            p -= self.lr * (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + self.eps)
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        m *= self.beta1
+        np.multiply(1 - self.beta1, g, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(1 - self.beta2, g, out=num)
+        num *= g
+        v += num
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=num)
+        num *= self.lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        p -= num
 
 
 def draw_batch(config, train_cfg, spec, rng):
-    """One epoch's training samples: (x, H, y_in = y0 + n, H_in = H + dH)."""
+    """One epoch's training samples as rows, one vector per channel.
+
+    Returns (x (B, 1, 2n_t), H_in = H + dH (B, 2n_r, 2n_t),
+    y_in = y0 + n (B, 1, 2n_r)) for batch size B.
+    """
     b = train_cfg.batch_size
     bits = mimo.random_bits(config, rng, count=b)
     x = mimo.modulate(bits, config).real
@@ -97,14 +119,32 @@ def draw_batch(config, train_cfg, spec, rng):
         dh = dev.sample_dh_matrix(h, noise_spec, rng)
     else:
         dh = 0.0
-    return x, h + dh, y0 + n
+    return x[:, None], h + dh, (y0 + n)[:, None]
+
+
+def _views(buf, like):
+    """Views into the flat buffer `buf`, shaped like the arrays of `like`."""
+    views = {}
+    offset = 0
+    for key, arr in like.as_dict().items():
+        views[key] = buf[offset: offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return views
 
 
 def train(config, train_cfg, spec, rng, params=None):
-    """Adam-train the detector; returns (params, per-epoch mean loss)."""
+    """Adam-train the detector; returns (params, per-epoch mean loss).
+
+    Training works on a copy: a `params` passed in is left unchanged.
+    """
     if params is None:
         params = detnet.init_params(config, rng)
-    pdict = params.as_dict()
+    # parameters and gradients are views into two flat buffers, so that Adam
+    # updates every array in one pass
+    flat = np.concatenate([arr.ravel() for arr in params.as_dict().values()])
+    flat_grad = np.empty_like(flat)
+    grads = _views(flat_grad, params)
+    params = detnet.DetNetParams(**_views(flat, params))
     opt = Adam(train_cfg.lr)
     history = np.empty(train_cfg.epochs)
 
@@ -117,8 +157,8 @@ def train(config, train_cfg, spec, rng, params=None):
         if not math.isfinite(value):
             raise TrainingDiverged(f"loss became {value} at epoch {epoch}")
         history[epoch] = value
-        grads = detnet.backward(params, cache, x, train_cfg.loss_weighting)
-        opt.step(pdict, grads)
+        detnet.backward(params, cache, x, train_cfg.loss_weighting, out=grads)
+        opt.step(flat, flat_grad)
         # alphas map to resistor values; project back into the feasible set
         np.clip(params.alpha1, train_cfg.alpha_floor, None, out=params.alpha1)
         np.clip(params.alpha2, train_cfg.alpha_floor, None, out=params.alpha2)

@@ -37,9 +37,9 @@ class TestChannelBlock:
         h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
         h_hw = det.program_channel(h, rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
-        _, cache = detnet.ideal_forward(params, h_hw, y)
-        s = [blk["u"][..., : params.x_dim] for blk in cache["blocks"]]
-        return params, h_hw, y, cache, s
+        trajectory, cache = detnet.ideal_forward(params, h_hw, y)
+        s = [u[:, : params.x_dim] for u in cache["u"]]
+        return trajectory, h_hw, y, cache, s
 
     def test_cold_start_is_matched_filter(self, rng):
         _, h_hw, y, _, s = self._forward(rng, 0.1, 0.2)
@@ -47,16 +47,16 @@ class TestChannelBlock:
 
     def test_matches_dense_oracle(self, rng):
         # independent dense evaluation of the linear combination with H + dH
-        _, h_hw, y, cache, s = self._forward(rng, 0.07, 0.03)
+        trajectory, h_hw, y, _, s = self._forward(rng, 0.07, 0.03)
         for k in range(1, len(s)):
-            x_prev = cache["blocks"][k]["x_prev"]
+            x_prev = trajectory[k - 1]
             oracle = x_prev - 0.07 * y @ h_hw + 0.03 * (x_prev @ h_hw.T) @ h_hw
             assert np.abs(s[k] - oracle).max() < 1e-10
 
     def test_zero_gains_return_previous_estimate(self, rng):
-        _, _, _, cache, s = self._forward(rng, 1e-12, 1e-12)
+        trajectory, _, _, _, s = self._forward(rng, 1e-12, 1e-12)
         for k in range(1, len(s)):
-            assert np.allclose(s[k], cache["blocks"][k]["x_prev"], atol=1e-9)
+            assert np.allclose(s[k], trajectory[k - 1], atol=1e-9)
 
     def test_rejects_nonpositive_gains(self, luo, rng):
         # the gains are TIA feedback resistances, so they must stay positive
@@ -77,7 +77,7 @@ class TestNeuralBlock:
         h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
-        return params, trajectory, cache["blocks"]
+        return params, trajectory, cache
 
     def test_zero_w1_negative_bias(self, rng):
         def edit(p):
@@ -86,10 +86,10 @@ class TestNeuralBlock:
             p.b2[:] = rng.standard_normal(p.b2.shape)
             p.b3[:] = rng.standard_normal(p.b3.shape)
 
-        p, trajectory, blocks = self._forward(rng, edit)
-        assert all(np.all(blk["z"] == 0) for blk in blocks)
+        p, trajectory, cache = self._forward(rng, edit)
+        assert np.all(cache["z"] == 0)
         assert np.all(trajectory[0] == p.b2[0])
-        assert np.all(blocks[1]["u"][..., p.x_dim:] == p.b3[0])
+        assert np.all(cache["u"][1][:, p.x_dim:] == p.b3[0])
 
     def test_affine_region_matches_composition(self, rng):
         # large positive b1 keeps the rectifier in its linear region
@@ -99,27 +99,27 @@ class TestNeuralBlock:
             p.b2[:] = rng.standard_normal(p.b2.shape)
             p.b3[:] = rng.standard_normal(p.b3.shape)
 
-        p, trajectory, blocks = self._forward(rng, edit)
-        pre = blocks[0]["u"] @ p.w1[0].T + p.b1[0]
-        assert np.all(blocks[0]["mask"])
+        p, trajectory, cache = self._forward(rng, edit)
+        pre = cache["u"][0] @ p.w1[0].T + p.b1[0]
+        assert np.all(cache["z"][0] > 0)
         assert np.allclose(trajectory[0], pre @ p.w2[0].T + p.b2[0])
-        assert np.allclose(blocks[1]["u"][..., p.x_dim:], pre @ p.w3[0].T + p.b3[0])
+        assert np.allclose(cache["u"][1][:, p.x_dim:], pre @ p.w3[0].T + p.b3[0])
 
     def test_negative_preactivations_clamp_to_zero(self, rng):
         def edit(p):
             p.b1[:] = -1e3
 
-        _, _, blocks = self._forward(rng, edit)
-        for blk in blocks:
-            assert not np.any(blk["mask"])
-            assert np.all(blk["z"] == 0.0)
+        _, _, cache = self._forward(rng, edit)
+        for z in cache["z"]:
+            assert not np.any(z > 0)
+            assert np.all(z == 0.0)
 
     def test_dimension_mismatch(self, luo, rng):
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
         h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
         with pytest.raises(ValueError):
-            det.forward(h_hw, np.zeros(2 * cfg.n_r - 1))
+            det.forward(h_hw, np.zeros((1, 2 * cfg.n_r - 1)))
 
 
 class TestHardwareForward:
@@ -131,14 +131,14 @@ class TestHardwareForward:
         params.b2[:] = 0.5
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
         det = crossbar.HardwareDetector(params, luo)
-        x_l = det.forward(det.program_channel(h, rng), rng.standard_normal(12))
+        x_l = det.forward(det.program_channel(h, rng), rng.standard_normal((1, 12)))
         assert np.allclose(x_l, 0.5)
 
     def test_deterministic_given_crossbar_state(self, luo, rng):
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
         h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
-        y = rng.standard_normal(12)
+        y = rng.standard_normal((1, 12))
         assert np.array_equal(det.forward(h_hw, y), det.forward(h_hw, y))
 
     def test_matches_ideal_at_gamma_zero(self, rng):
@@ -148,7 +148,7 @@ class TestHardwareForward:
         worst = 0.0
         for _ in range(20):
             h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
-            y = rng.standard_normal(12)
+            y = rng.standard_normal((1, 12))
             x_hw = det.forward(det.program_channel(h, rng), y)
             x_ideal = detnet.ideal_forward(det.params, h, y)[0][-1]
             worst = max(worst, np.abs(x_hw - x_ideal).max())
@@ -164,7 +164,7 @@ class TestHardwareForward:
         h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
         assert len(calls) == 1
         for _ in range(14):  # one slot's worth of detections, no reprogramming
-            det.forward(h_hw, rng.standard_normal(12))
+            det.forward(h_hw, rng.standard_normal((1, 12)))
         assert len(calls) == 1
 
     def test_error_grows_with_gamma(self, rng):
@@ -177,7 +177,7 @@ class TestHardwareForward:
             loc_rng = np.random.default_rng(11)
             for _ in range(200):
                 h = mimo.to_real(mimo.generate_channel(cfg, loc_rng))
-                y = loc_rng.standard_normal(12)
+                y = loc_rng.standard_normal((1, 12))
                 x_hw = det.forward(det.program_channel(h, loc_rng), y)
                 x_id = detnet.ideal_forward(params, h, y)[0][-1]
                 acc.append(np.linalg.norm(x_hw - x_id))

@@ -12,11 +12,12 @@ def small_cfg(**kw):
 
 
 def random_instance(cfg, seed, sigma=0.3):
+    """One channel h, one vector x and its received y, as rows: y is (1, 2n_r)."""
     rng = np.random.default_rng(seed)
     h = mimo.to_real(mimo.generate_channel(cfg, rng))
     x = mimo.modulate(mimo.random_bits(cfg, rng)[0], cfg).real
     y = mimo.transmit(h, x, sigma, rng)
-    return h, x, y, rng
+    return h, x, y[None], rng
 
 
 class TestInit:
@@ -69,11 +70,36 @@ class TestForward:
             rng.standard_normal((5, cfg.n_r, cfg.n_t))
             + 1j * rng.standard_normal((5, cfg.n_r, cfg.n_t))
         )
-        ys = rng.standard_normal((5, 2 * cfg.n_r))
+        ys = rng.standard_normal((5, 3, 2 * cfg.n_r))
         batched, _ = detnet.ideal_forward(p, hs, ys)
         for i in range(5):
-            single, _ = detnet.ideal_forward(p, hs[i], ys[i])
-            assert np.allclose(batched[-1][i], single[-1], atol=1e-12)
+            for v in range(3):
+                single, _ = detnet.ideal_forward(p, hs[i], ys[i, v][None])
+                assert np.allclose(batched[-1][i, v], single[-1][0], atol=1e-12)
+
+    def test_nan_input_is_not_decided(self):
+        # the rectifier propagates NaN, so a corrupt y or H is never decided
+        cfg = small_cfg()
+        p = detnet.init_params(cfg, np.random.default_rng(1))
+        h, _, y, _ = random_instance(cfg, 6)
+        y_bad = y.copy()
+        y_bad[0, 1] = np.nan
+        h_bad = h.copy()
+        h_bad[2, 0] = np.nan
+        for h_in, y_in in ((h, np.full_like(y, np.nan)), (h, y_bad), (h_bad, y)):
+            trajectory, _ = detnet.ideal_forward(p, h_in, y_in)
+            assert not np.all(np.isfinite(trajectory[-1]))
+
+    def test_vectors_must_be_rows(self):
+        # a (B, 2n_r) y against a (B, 2n_r, 2n_t) stack would broadcast to (B, B, 2n_t)
+        cfg = small_cfg()
+        p = detnet.init_params(cfg, np.random.default_rng(1))
+        h, _, y, _ = stacked_instance(cfg, 2, (4,), 1)
+        with pytest.raises(ValueError, match="rows"):
+            detnet.ideal_forward(p, h, y[:, 0])
+        with pytest.raises(ValueError, match="rows"):
+            detnet.ideal_forward(p, h[0], y[0, 0])
+        assert detnet.ideal_forward(p, h, y)[0][-1].shape == (4, 1, 2 * cfg.n_t)
 
     def test_antenna_permutation_equivariance(self):
         # permuting complex antennas permutes both rails of s_1 consistently
@@ -118,9 +144,36 @@ class TestLoss:
         with pytest.raises(ValueError):
             detnet.loss_weights(3, "cubic")
 
+    def test_target_must_not_broadcast_the_rows(self):
+        # a (B, 2n_t) target against (B, 1, 2n_t) rows would compare every pair
+        with pytest.raises(ValueError):
+            detnet.loss([np.zeros((3, 1, 4))], np.zeros((3, 4)))
+        assert detnet.loss([np.zeros((3, 1, 4))], np.zeros(4)) == 0.0
 
-def finite_difference_check(cfg, seed, eps=1e-5, samples=40):
-    h, x, y, rng = random_instance(cfg, seed)
+
+def stacked_instance(cfg, seed, channels, n_vec, sigma=0.3):
+    """A stack of channels (*channels, 2n_r, 2n_t), each carrying n_vec rows."""
+    rng = np.random.default_rng(seed)
+    h_c = rng.standard_normal(channels + (cfg.n_r, cfg.n_t)) + 1j * rng.standard_normal(
+        channels + (cfg.n_r, cfg.n_t))
+    h = mimo.to_real(h_c / np.sqrt(2))
+    bits = mimo.random_bits(cfg, rng, count=int(np.prod(channels, dtype=int)) * n_vec)
+    x = mimo.modulate(bits, cfg).real.reshape(channels + (n_vec, 2 * cfg.n_t))
+    y = x @ np.swapaxes(h, -1, -2) + sigma * rng.standard_normal(
+        channels + (n_vec, 2 * cfg.n_r))
+    return h, x, y, rng
+
+
+def finite_difference_check(cfg, seed, eps=1e-5, samples=40, stack=None):
+    """Worst relative gap between backward() and central differences of loss().
+
+    stack=None is one channel and one vector; stack=(channels, n_vec) is a
+    stack of channels shaped `channels`, each with n_vec received vectors.
+    """
+    if stack is None:
+        h, x, y, rng = random_instance(cfg, seed)
+    else:
+        h, x, y, rng = stacked_instance(cfg, seed, *stack)
     p = detnet.init_params(cfg, rng)
     p.b1 += 0.05 * rng.standard_normal(p.b1.shape)  # avoid kinks exactly at 0
     trajectory, cache = detnet.ideal_forward(p, h, y)
@@ -150,6 +203,23 @@ class TestBackward:
     def test_finite_difference_agreement(self, seed):
         worst = finite_difference_check(small_cfg(), seed)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("channels, n_vec", [((), 5), ((3,), 4)])
+    def test_finite_difference_agreement_on_rows(self, channels, n_vec):
+        # several vectors through one channel, and a (W, n_vec) stack
+        worst = finite_difference_check(small_cfg(), 44, stack=(channels, n_vec))
+        assert worst < 1e-4
+
+    def test_out_receives_the_returned_gradients(self):
+        cfg = small_cfg()
+        h, x, y, rng = stacked_instance(cfg, 5, (2,), 3)
+        p = detnet.init_params(cfg, rng)
+        _, cache = detnet.ideal_forward(p, h, y)
+        grads = detnet.backward(p, cache, x)
+        out = {k: np.full_like(getattr(p, k), np.nan) for k in detnet.PARAM_KEYS}
+        assert detnet.backward(p, cache, x, out=out) is out
+        for key in detnet.PARAM_KEYS:
+            assert np.array_equal(out[key], grads[key])
 
     def test_zero_loss_zero_gradients(self):
         # zero weights and a zero target give an exactly-perfect trajectory
