@@ -35,10 +35,13 @@ class HardwareDetector:
         self.params = params
         self.spec = spec
 
-    def program_channel(self, h_real, rng, spec=None):
-        """Program H onto the channel arrays; returns the realized H + dH."""
-        spec = spec or self.spec
-        return dev.program_matrix(h_real, spec, rng).realized(spec)
+    def program_channel(self, h_real, rng):
+        """Program H onto the channel arrays; returns the ProgrammingResult.
+
+        The realized H + dH is result.realized(spec), at this detector's
+        spec or at any other gamma of the same device.
+        """
+        return dev.program_matrix(h_real, self.spec, rng)
 
     def forward(self, h_realized, ys):
         """Final-block estimate x_L (..., n_vec, 2n_t) for every received vector.

@@ -168,11 +168,10 @@ def loss(trajectory, x_true, weighting="lnk"):
     x_true = np.asarray(x_true, dtype=float)
     if np.broadcast_shapes(trajectory[0].shape, x_true.shape) != trajectory[0].shape:
         raise ValueError(f"x_true {x_true.shape} does not match x_k {trajectory[0].shape}")
-    total = 0.0
-    for k, x_k in enumerate(trajectory):
-        err = x_k - x_true
-        total += w[k] * np.sum(err * err, axis=-1)
-    return float(np.mean(total))
+    err = np.stack(trajectory)  # (L, ..., 2n_t)
+    err -= x_true
+    per_block = np.einsum("k...d,k...d->k...", err, err).reshape(len(trajectory), -1)
+    return float(np.mean(w @ per_block))
 
 
 def backward(params, cache, x_true, weighting="lnk", out=None):

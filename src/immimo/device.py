@@ -11,12 +11,17 @@ G_off + mu*|h|, and the partner cell stays at G_off.  Programming is open loop
 (no verify step): the accumulated per-pulse noise lands in the realized
 channel as dh with conditional variance 3 * gamma^2 * N_p * |h|.
 
+Programming is split along gamma: program_matrix counts the pulses and draws
+one unit Gaussian per pulse, and ProgrammingResult.realized scales the
+per-cell sums by sigma_dg.  One programming event can therefore be realized
+at every gamma of a noise sweep, with the same pulse draws at each.
+
 Rows are programmed sequentially; cells within a row are programmed in
 parallel, so a row costs dt_w times the largest pulse count in the row.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,55 +129,60 @@ def sample_dh_matrix(h_real, spec, rng):
 
 @dataclass
 class ProgrammingResult:
-    """Outcome of programming one real channel matrix."""
+    """Outcome of programming one real channel matrix, independent of gamma.
 
-    g_plus: np.ndarray
-    g_minus: np.ndarray
+    The pulse counts and the per-cell sums of unit-variance pulse noise fix
+    the realization; the C2C level only scales that noise, so one programming
+    can be realized at any gamma of a device that shares G_on, G_off and N_p.
+    """
+
+    h_clipped: np.ndarray
     pulse_counts: np.ndarray
+    unit_noise: np.ndarray       # per-cell sum of the N(0, 1) pulse draws
     latency_per_row: np.ndarray  # dt_w * max pulse count in each row
     total_latency: float         # sum over rows (rows are sequential)
 
     def realized(self, spec):
-        """Channel actually stored on the arrays: (G+ - G-)/mu = H + dH."""
-        return (self.g_plus - self.g_minus) / map_coefficient(spec)
+        """Channel actually stored on the arrays at spec's gamma: H + dH."""
+        achieved = (self.pulse_counts * (spec.g_range / spec.n_p)
+                    + spec.sigma_dg * self.unit_noise)
+        g_plus = np.where(self.h_clipped > 0, spec.g_off + achieved, spec.g_off)
+        g_minus = np.where(self.h_clipped < 0, spec.g_off + achieved, spec.g_off)
+        return (g_plus - g_minus) / map_coefficient(spec)
 
 
-def program_matrix(h_real, spec, rng, clip=False):
+def program_matrix(h_real, spec, rng):
     """Program every entry of a real matrix onto differential pairs.
 
-    Rows are written sequentially; all cells of a row receive their pulse
-    trains in parallel, so each row costs dt_w * max(n_pulses in row).
+    Draws one N(0, 1) value per pulse from rng, whatever spec's gamma, and
+    keeps their per-cell sums; ProgrammingResult.realized scales them by
+    sigma_dg.  Rows are written sequentially; all cells of a row receive
+    their pulse trains in parallel, so each row costs dt_w * max(n_pulses in
+    row).
     """
     h = np.asarray(h_real, dtype=float)
     if h.ndim != 2:
         raise ValueError("channel matrix must be 2-D")
     hc = np.clip(h, -H_CLIP, H_CLIP)
-    mu = map_coefficient(spec)
-    target_dg = mu * np.abs(hc)
-    counts = pulse_count(target_dg, spec)
+    counts = pulse_count(map_coefficient(spec) * np.abs(hc), spec)
 
-    achieved = counts * (spec.g_range / spec.n_p)
-    if spec.gamma > 0:
-        flat = counts.ravel()
-        total = int(flat.sum())
-        if total > 0:
-            # one draw per pulse, summed per cell: the literal pulse train
-            noise = rng.normal(0.0, spec.sigma_dg, size=total)
-            offsets = np.concatenate([[0], np.cumsum(flat)[:-1]])
-            # reduceat mishandles empty segments; clamp then zero them out
-            sums = np.add.reduceat(noise, np.minimum(offsets, total - 1))
-            sums[flat == 0] = 0.0
-            achieved = achieved + sums.reshape(counts.shape)
-    if clip:
-        achieved = np.clip(achieved, 0.0, spec.g_range)
+    unit_noise = np.zeros(counts.shape)
+    flat = counts.ravel()
+    total = int(flat.sum())
+    if total > 0:
+        # one draw per pulse, summed per cell: the literal pulse train
+        noise = rng.standard_normal(total)
+        offsets = np.concatenate([[0], np.cumsum(flat)[:-1]])
+        # reduceat mishandles empty segments; clamp then zero them out
+        sums = np.add.reduceat(noise, np.minimum(offsets, total - 1))
+        sums[flat == 0] = 0.0
+        unit_noise = sums.reshape(counts.shape)
 
-    g_plus = np.where(hc > 0, spec.g_off + achieved, spec.g_off)
-    g_minus = np.where(hc < 0, spec.g_off + achieved, spec.g_off)
     latency_per_row = spec.dt_w * counts.max(axis=1)
     return ProgrammingResult(
-        g_plus=g_plus,
-        g_minus=g_minus,
+        h_clipped=hc,
         pulse_counts=counts,
+        unit_noise=unit_noise,
         latency_per_row=latency_per_row,
         total_latency=float(latency_per_row.sum()),
     )

@@ -4,11 +4,12 @@ Reproducibility contract: trial t at SNR index i draws its channel H, its
 payload bits and its channel noise, in that order, from one RNG stream keyed
 on (seed, i, t).  Every detector, and every gamma, at that SNR reuses the same
 draws (common random numbers), so detector differences are paired and the
-sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw` programming
-noise comes from a second stream keyed on (seed, i, t, 1), which every gamma
-restarts, so adding or removing a detector or a gamma never changes another
-row.  Detectors that ignore gamma run once per SNR and their row is reported
-at every gamma.
+sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw` programs
+trial t's channel once: its pulse noise comes from a second stream keyed on
+(seed, i, t, 1), drawn once per trial and shared by every gamma, which only
+scales it.  Adding or removing a detector or a gamma therefore never changes
+another row.  Detectors that ignore gamma run once per SNR and their row is
+reported at every gamma.
 
 Trials run in waves of WAVE, drawn one wave at a time.  A BER point
 accumulates whole waves until it has at least `min_bits` bits AND
@@ -58,9 +59,10 @@ class SweepRow:
     """One BER point.
 
     wall_time_s is the detection-plus-demapping time of this row's
-    computation; the shared trial draws are attributed to no row.
-    mean_nodes is the sphere decoder's tree nodes per vector (None for other
-    detectors).
+    computation; the shared trial draws and channel programming are
+    attributed to no row.  mean_nodes is the sphere decoder's tree nodes per
+    vector and mean_pulses the programming pulses per channel realization
+    of detnet-hw (None for other detectors).
     """
 
     detector: str
@@ -72,6 +74,7 @@ class SweepRow:
     trials: int
     stop_reason: str  # "target" or "max_trials"
     mean_nodes: float | None = None
+    mean_pulses: float | None = None
 
     @property
     def ber(self):
@@ -92,7 +95,7 @@ class SweepResult:
 
     CSV_HEADER = (
         "detector,snr_db,gamma,bits,errors,ber,ci_lo,ci_hi,low_errors,wall_time_s,"
-        "trials,stop_reason,mean_nodes"
+        "trials,stop_reason,mean_nodes,mean_pulses"
     )
 
     def to_csv(self):
@@ -100,10 +103,11 @@ class SweepResult:
         for r in self.rows:
             lo, hi = r.ci
             nodes = "" if r.mean_nodes is None else f"{r.mean_nodes:.12g}"
+            pulses = "" if r.mean_pulses is None else f"{r.mean_pulses:.12g}"
             lines.append(
                 f"{r.detector},{r.snr_db:.12g},{r.gamma:.12g},{r.bits},{r.errors},"
                 f"{r.ber:.12g},{lo:.12g},{hi:.12g},{int(r.low_errors)},"
-                f"{r.wall_time_s:.6f},{r.trials},{r.stop_reason},{nodes}"
+                f"{r.wall_time_s:.6f},{r.trials},{r.stop_reason},{nodes},{pulses}"
             )
         return "\n".join(lines) + "\n"
 
@@ -116,6 +120,7 @@ class _Tally:
     errors: int = 0
     trials: int = 0
     nodes: int | None = None
+    pulses: int | None = None
     seconds: float = 0.0
     stop_reason: str | None = None
 
@@ -123,10 +128,14 @@ class _Tally:
         mean_nodes = None
         if self.nodes is not None:
             mean_nodes = self.nodes / (self.trials * vectors_per_trial)
+        mean_pulses = None
+        if self.pulses is not None:
+            mean_pulses = self.pulses / self.trials
         return SweepRow(
             detector=detector, snr_db=snr_db, gamma=gamma, bits=self.bits,
             errors=self.errors, wall_time_s=self.seconds, trials=self.trials,
             stop_reason=self.stop_reason, mean_nodes=mean_nodes,
+            mean_pulses=mean_pulses,
         )
 
 
@@ -151,8 +160,12 @@ def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
     return h, bits, ys
 
 
-def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, program_keys):
-    """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total."""
+def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, programs):
+    """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total.
+
+    programs holds the wave's programmed channels for detnet-hw, which
+    realizes them at hw_spec's gamma.
+    """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
             h, ys, cfg, sigma_n=sigma if detector == "mmse" else None
@@ -168,12 +181,7 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, program_k
         trajectory, _ = detnet.ideal_forward(params, h, ys)
         return trajectory[-1], None
     if detector == HW_DETECTOR:
-        # the one reprogramming event per channel realization, each from its
-        # own stream; then one forward over the wave's realized channels
-        h_hw = np.stack([
-            hw_det.program_channel(h_t, np.random.default_rng(key), spec=hw_spec)
-            for h_t, key in zip(h, program_keys)
-        ])
+        h_hw = np.stack([result.realized(hw_spec) for result in programs])
         return hw_det.forward(h_hw, ys), None
     raise UnknownDetector(detector)
 
@@ -222,12 +230,21 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
         while active and trial < sweep.max_trials:
             wave = range(trial, min(trial + WAVE, sweep.max_trials))
             h, bits, ys = _draw_wave(cfg, vectors, seed, s_idx, wave, sigma)
-            program_keys = [[int(seed), s_idx, t, 1] for t in wave]
+            programs = None
+            if any(det == HW_DETECTOR for (det, _), _ in active):
+                # the one reprogramming event per channel realization, each
+                # from its own stream and realized at every gamma
+                programs = [
+                    hw_det.program_channel(
+                        h_t, np.random.default_rng([int(seed), s_idx, t, 1]))
+                    for h_t, t in zip(h, wave)
+                ]
+                pulses = sum(int(result.pulse_counts.sum()) for result in programs)
             for (det, gamma), tally in active:
                 t0 = time.perf_counter()
                 x_hat, nodes = _detect_wave(
                     det, h, ys, sigma, cfg, params, hw_det, hw_specs.get(gamma),
-                    program_keys,
+                    programs,
                 )
                 errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
                 tally.seconds += time.perf_counter() - t0
@@ -236,6 +253,8 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
                 tally.trials += len(wave)
                 if nodes is not None:
                     tally.nodes = (tally.nodes or 0) + nodes
+                if det == HW_DETECTOR:
+                    tally.pulses = (tally.pulses or 0) + pulses
                 if tally.bits >= sweep.min_bits and tally.errors >= sweep.min_errors:
                     tally.stop_reason = "target"
             trial += len(wave)
@@ -358,7 +377,7 @@ def run_pipeline(exp, out_dir):
         for t in range(exp.latency.trials):
             h = mimo.to_real(mimo.generate_channel(cfg, rng))
             result = dev.program_matrix(h, spec, rng)
-            dh = result.realized(spec) - np.clip(h, -dev.H_CLIP, dev.H_CLIP)
+            dh = result.realized(spec) - result.h_clipped
             rows.append(
                 f"{t},{2.0 * result.total_latency:.12g},"
                 f"{int(result.pulse_counts.sum())},{np.std(dh):.12g}"

@@ -35,7 +35,7 @@ class TestChannelBlock:
         params.alpha2[:] = alpha2
         det = crossbar.HardwareDetector(params, luo_at(gamma))
         h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
-        h_hw = det.program_channel(h, rng)
+        h_hw = det.program_channel(h, rng).realized(det.spec)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
         s = [u[:, : params.x_dim] for u in cache["u"]]
@@ -74,7 +74,8 @@ class TestNeuralBlock:
         params = detnet.init_params(cfg, rng)
         edit(params)
         det = crossbar.HardwareDetector(params, luo_at(0.02))
-        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = det.program_channel(h, rng).realized(det.spec)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
         return params, trajectory, cache
@@ -117,7 +118,8 @@ class TestNeuralBlock:
     def test_dimension_mismatch(self, luo, rng):
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
-        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = det.program_channel(h, rng).realized(det.spec)
         with pytest.raises(ValueError):
             det.forward(h_hw, np.zeros((1, 2 * cfg.n_r - 1)))
 
@@ -131,13 +133,15 @@ class TestHardwareForward:
         params.b2[:] = 0.5
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
         det = crossbar.HardwareDetector(params, luo)
-        x_l = det.forward(det.program_channel(h, rng), rng.standard_normal((1, 12)))
+        h_hw = det.program_channel(h, rng).realized(det.spec)
+        x_l = det.forward(h_hw, rng.standard_normal((1, 12)))
         assert np.allclose(x_l, 0.5)
 
     def test_deterministic_given_crossbar_state(self, luo, rng):
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
-        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = det.program_channel(h, rng).realized(det.spec)
         y = rng.standard_normal((1, 12))
         assert np.array_equal(det.forward(h_hw, y), det.forward(h_hw, y))
 
@@ -149,7 +153,7 @@ class TestHardwareForward:
         for _ in range(20):
             h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
             y = rng.standard_normal((1, 12))
-            x_hw = det.forward(det.program_channel(h, rng), y)
+            x_hw = det.forward(det.program_channel(h, rng).realized(det.spec), y)
             x_ideal = detnet.ideal_forward(det.params, h, y)[0][-1]
             worst = max(worst, np.abs(x_hw - x_ideal).max())
         assert worst <= 1e-2
@@ -161,7 +165,8 @@ class TestHardwareForward:
                             lambda *a, **k: calls.append(1) or program_matrix(*a, **k))
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
-        h_hw = det.program_channel(mimo.to_real(mimo.generate_channel(cfg, rng)), rng)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = det.program_channel(h, rng).realized(det.spec)
         assert len(calls) == 1
         for _ in range(14):  # one slot's worth of detections, no reprogramming
             det.forward(h_hw, rng.standard_normal((1, 12)))
@@ -178,7 +183,7 @@ class TestHardwareForward:
             for _ in range(200):
                 h = mimo.to_real(mimo.generate_channel(cfg, loc_rng))
                 y = loc_rng.standard_normal((1, 12))
-                x_hw = det.forward(det.program_channel(h, loc_rng), y)
+                x_hw = det.forward(det.program_channel(h, loc_rng).realized(det.spec), y)
                 x_id = detnet.ideal_forward(params, h, y)[0][-1]
                 acc.append(np.linalg.norm(x_hw - x_id))
             diffs[gamma] = np.mean(acc)
@@ -188,11 +193,13 @@ class TestHardwareForward:
         spec = luo_at(0.0)
         det = crossbar.HardwareDetector(detnet.init_params(desk_cfg(), rng), spec)
         h = np.clip(rng.standard_normal((6, 4)), -3, 3)
-        assert np.abs(det.program_channel(h, rng) - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
+        h_hw = det.program_channel(h, rng).realized(spec)
+        assert np.abs(h_hw - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
 
     def test_spec_override_programs_at_that_gamma(self, rng):
         det = crossbar.HardwareDetector(detnet.init_params(desk_cfg(), rng), luo_at(0.02))
         h = np.clip(rng.standard_normal((12, 8)), -3, 3)
-        exact = det.program_channel(h, rng, spec=luo_at(0.0))
+        result = det.program_channel(h, rng)
+        exact = result.realized(luo_at(0.0))
         assert np.abs(exact - h).max() <= 3.0 / (2 * 150) + 1e-12
-        assert np.abs(det.program_channel(h, rng) - h).max() > 3.0 / (2 * 150)
+        assert np.abs(result.realized(det.spec) - h).max() > 3.0 / (2 * 150)

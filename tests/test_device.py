@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -249,6 +251,47 @@ class TestProgramMatrix:
     def test_rejects_non_matrix(self, luo, rng):
         with pytest.raises(ValueError):
             device.program_matrix(np.zeros(5), luo, rng)
+
+
+class TestRealizeAtGamma:
+    """One programming event, realized at several C2C levels of one device."""
+
+    H = np.array([[0.0, 1.2, -0.8, 3.4],
+                  [-2.9, 0.004, 0.5, -1.7],
+                  [2.2, 0.0, -0.3, 0.9]])
+
+    @staticmethod
+    def literal(h, spec, rng):
+        """Cell by cell in row order, the sum of N_p pulses of Delta + sigma_dg z."""
+        out = np.zeros(h.shape)
+        for idx, h_entry in np.ndenumerate(h):
+            _, target_dg = target_pair(h_entry, spec)
+            achieved, _ = program_cell(target_dg, spec, rng)
+            out[idx] = np.sign(h_entry) * achieved / device.map_coefficient(spec)
+        return out
+
+    def test_matches_literal_pulse_train_at_every_gamma(self, luo):
+        result = device.program_matrix(self.H, luo, np.random.default_rng(8))
+        for gamma in (0.01, 0.02, 0.04):
+            spec = replace(luo, gamma=gamma)
+            oracle_rng = np.random.default_rng(8)
+            oracle = self.literal(self.H, spec, oracle_rng)
+            assert np.abs(result.realized(spec) - oracle).max() <= 1e-14
+            # one draw per pulse, whatever the gamma: the streams stay in step
+            rng = np.random.default_rng(8)
+            device.program_matrix(self.H, replace(luo, gamma=0.0), rng)
+            assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_gamma_zero_is_the_quantized_channel(self, luo):
+        spec = replace(luo, gamma=0.0)
+        result = device.program_matrix(self.H, luo, np.random.default_rng(8))
+        assert np.any(result.unit_noise != 0)
+        q = result.pulse_counts * (spec.g_range / spec.n_p)
+        hc = np.clip(self.H, -device.H_CLIP, device.H_CLIP)
+        g_plus = np.where(hc > 0, spec.g_off + q, spec.g_off)
+        g_minus = np.where(hc < 0, spec.g_off + q, spec.g_off)
+        quantized = (g_plus - g_minus) / device.map_coefficient(spec)
+        assert np.array_equal(result.realized(spec), quantized)
 
 
 class TestProgrammingLatency:
