@@ -85,19 +85,6 @@ def candidate_matrix(config):
 _CANDIDATE_CACHE = {}
 
 
-def ml_detect_exhaustive(h_real, y, config):
-    """Exact argmin of ||y - Hx||^2 over the full constellation product set.
-
-    Ties go to the lexicographically smaller symbol-index tuple (argmin keeps
-    the first minimum and candidates are enumerated in that order).
-    """
-    x_cands = candidate_matrix(config)
-    resid = np.asarray(y, dtype=float)[:, None] - np.asarray(h_real, float) @ x_cands
-    metrics = np.sum(resid * resid, axis=0)
-    best = int(np.argmin(metrics))
-    return DetectorOutput(x_hat_real=x_cands[:, best].copy(), node_count=x_cands.shape[1])
-
-
 def ml_detect_batch(h_real, ys, config):
     """Exhaustive ML for many received vectors per channel.
 
@@ -118,7 +105,7 @@ def sphere_decode(h_real, y, config):
 
     y is one received vector (2n_r,) or several sharing the channel
     (n_vec, 2n_r); the QR factorization is computed once per call.  Returns
-    the same decisions as :func:`ml_detect_exhaustive`, in y's leading shape,
+    the same decisions as :func:`ml_detect_batch`, in y's leading shape,
     together with the total number of tree nodes visited.
     """
     h_real = np.asarray(h_real, dtype=float)

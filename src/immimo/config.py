@@ -52,12 +52,18 @@ class SweepConfig:
     symbols_per_slot: int = 14  # symbol vectors detected per channel slot
 
     def validate(self):
-        if not self.snr_db or not self.gammas:
-            raise ConfigError("sweep.snr_db and sweep.gammas must be nonempty")
+        if not (self.snr_db and self.gammas and self.detectors):
+            raise ConfigError(
+                "sweep.snr_db, sweep.gammas and sweep.detectors must be nonempty")
         if self.min_bits < MIN_BITS_FLOOR:
             raise ConfigError(f"sweep.min_bits must be >= {MIN_BITS_FLOOR}")
         if self.symbols_per_slot < 1 or self.max_trials < 1:
             raise ConfigError("sweep counts must be >= 1")
+        # a repeated grid value would emit two rows under one ber.csv key
+        for key in ("snr_db", "gammas", "detectors"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"sweep.{key} lists a value more than once")
 
 
 @dataclass
@@ -73,6 +79,10 @@ class LatencyConfig:
     t_adder_ns: float = 1.0
     t_relu_ns: float = 1.0
     trials: int = 20
+
+    def validate(self):
+        if self.trials < 1:
+            raise ConfigError("latency.trials must be >= 1")
 
 
 @dataclass
@@ -210,6 +220,7 @@ def build_config(sections):
     sweep.validate()
     bounds = BoundsConfig(**sections["bounds"])
     latency = LatencyConfig(**sections["latency"])
+    latency.validate()
     return ExperimentConfig(
         mimo=mimo_cfg,
         device=spec,

@@ -17,6 +17,9 @@ volt/ampere headroom is enforced.
 With exact weights and ideal peripherals the in-memory detector is exactly
 the software forward pass run on the realized channel H + dH, so detection
 programs the channel and then runs :func:`immimo.detnet.ideal_forward`.
+Programming only counts pulses; its C2C noise enters when the result is
+realized with one unit normal per cell, so a stack of channels is programmed
+in one call and realized at any gamma.
 """
 
 from . import device as dev
@@ -35,13 +38,14 @@ class HardwareDetector:
         self.params = params
         self.spec = spec
 
-    def program_channel(self, h_real, rng):
-        """Program H onto the channel arrays; returns the ProgrammingResult.
+    def program_channel(self, h_real):
+        """Program H, or a stack of channels, onto the channel arrays.
 
-        The realized H + dH is result.realized(spec), at this detector's
-        spec or at any other gamma of the same device.
+        Returns the ProgrammingResult; the realized H + dH is
+        result.realized(spec, z), at this detector's spec or at any other
+        gamma of the same device, with z one unit normal per cell.
         """
-        return dev.program_matrix(h_real, self.spec, rng)
+        return dev.program_matrix(h_real, self.spec)
 
     def forward(self, h_realized, ys):
         """Final-block estimate x_L (..., n_vec, 2n_t) for every received vector.

@@ -65,9 +65,6 @@ class DetNetParams:
     def as_dict(self):
         return {k: getattr(self, k) for k in PARAM_KEYS}
 
-    def copy(self):
-        return DetNetParams(**{k: getattr(self, k).copy() for k in PARAM_KEYS})
-
     def validate(self):
         for k in PARAM_KEYS:
             if not np.all(np.isfinite(getattr(self, k))):

@@ -11,10 +11,14 @@ G_off + mu*|h|, and the partner cell stays at G_off.  Programming is open loop
 (no verify step): the accumulated per-pulse noise lands in the realized
 channel as dh with conditional variance 3 * gamma^2 * N_p * |h|.
 
-Programming is split along gamma: program_matrix counts the pulses and draws
-one unit Gaussian per pulse, and ProgrammingResult.realized scales the
-per-cell sums by sigma_dg.  One programming event can therefore be realized
-at every gamma of a noise sweep, with the same pulse draws at each.
+The C2C draws of a cell's n pulses are independent, so their sum is exactly
+N(0, n * sigma_dg^2): the noise of a programmed cell is sigma_dg * sqrt(n) * z
+for one unit normal z per cell.  Programming is therefore split in two.
+program_matrix is deterministic: it clips the channel, counts the pulses and
+times the rows, and draws nothing.  ProgrammingResult.realized takes the
+cells' unit normals and forms the stored channel at a given gamma, so one
+programming event, with one set of draws, can be realized at every gamma of
+a noise sweep.
 
 Rows are programmed sequentially; cells within a row are programmed in
 parallel, so a row costs dt_w times the largest pulse count in the row.
@@ -29,6 +33,17 @@ import numpy as np
 # leaves 0.27% of Gaussian entries outside the representable range and a
 # physical cell cannot exceed G_on.
 H_CLIP = 3.0
+
+
+def check_gamma(gamma):
+    """Reject a C2C level outside [0, 0.06]; warn above the typical 0.05."""
+    if not (0 <= gamma <= 0.06):
+        raise ValueError("gamma outside supported range [0, 0.06]")
+    if gamma > 0.05:
+        warnings.warn(
+            f"gamma={gamma} exceeds the typical C2C range (0, 0.05)",
+            stacklevel=3,
+        )
 
 
 @dataclass
@@ -46,13 +61,7 @@ class DeviceSpec:
             raise ValueError("need g_on > g_off > 0")
         if self.n_p < 1:
             raise ValueError("n_p must be >= 1")
-        if not (0 <= self.gamma <= 0.06):
-            raise ValueError("gamma outside supported range [0, 0.06]")
-        if self.gamma > 0.05:
-            warnings.warn(
-                f"gamma={self.gamma} exceeds the typical C2C range (0, 0.05)",
-                stacklevel=2,
-            )
+        check_gamma(self.gamma)
         if self.dt_w <= 0:
             raise ValueError("dt_w must be positive")
 
@@ -129,60 +138,48 @@ def sample_dh_matrix(h_real, spec, rng):
 
 @dataclass
 class ProgrammingResult:
-    """Outcome of programming one real channel matrix, independent of gamma.
+    """Outcome of programming a real channel matrix, or a stack of them.
 
-    The pulse counts and the per-cell sums of unit-variance pulse noise fix
-    the realization; the C2C level only scales that noise, so one programming
-    can be realized at any gamma of a device that shares G_on, G_off and N_p.
+    Independent of gamma and of any draw: the pulse counts fix the quantized
+    channel and the latencies, and realized() adds the C2C noise at any gamma
+    of a device that shares G_on, G_off and N_p.
     """
 
     h_clipped: np.ndarray
     pulse_counts: np.ndarray
-    unit_noise: np.ndarray       # per-cell sum of the N(0, 1) pulse draws
     latency_per_row: np.ndarray  # dt_w * max pulse count in each row
-    total_latency: float         # sum over rows (rows are sequential)
+    total_latency: float         # sum over every row (rows are sequential)
 
-    def realized(self, spec):
-        """Channel actually stored on the arrays at spec's gamma: H + dH."""
+    def realized(self, spec, z):
+        """Channel actually stored on the arrays at spec's gamma: H + dH.
+
+        z holds one N(0, 1) draw per cell, in h's shape; a cell's n pulses
+        add sigma_dg * sqrt(n) * z, so cells without pulses stay exact.
+        """
         achieved = (self.pulse_counts * (spec.g_range / spec.n_p)
-                    + spec.sigma_dg * self.unit_noise)
+                    + spec.sigma_dg * np.sqrt(self.pulse_counts) * z)
         g_plus = np.where(self.h_clipped > 0, spec.g_off + achieved, spec.g_off)
         g_minus = np.where(self.h_clipped < 0, spec.g_off + achieved, spec.g_off)
         return (g_plus - g_minus) / map_coefficient(spec)
 
 
-def program_matrix(h_real, spec, rng):
-    """Program every entry of a real matrix onto differential pairs.
+def program_matrix(h_real, spec):
+    """Program every entry of a real matrix, or a stack (..., rows, cols).
 
-    Draws one N(0, 1) value per pulse from rng, whatever spec's gamma, and
-    keeps their per-cell sums; ProgrammingResult.realized scales them by
-    sigma_dg.  Rows are written sequentially; all cells of a row receive
-    their pulse trains in parallel, so each row costs dt_w * max(n_pulses in
-    row).
+    Counts the open-loop pulses of every cell; draws nothing.  Rows are
+    written sequentially; all cells of a row receive their pulse trains in
+    parallel, so each row costs dt_w * max(n_pulses in row), and a stack
+    costs the sum over all its rows.
     """
     h = np.asarray(h_real, dtype=float)
-    if h.ndim != 2:
-        raise ValueError("channel matrix must be 2-D")
+    if h.ndim < 2:
+        raise ValueError("channel must be a matrix or a stack of matrices")
     hc = np.clip(h, -H_CLIP, H_CLIP)
     counts = pulse_count(map_coefficient(spec) * np.abs(hc), spec)
-
-    unit_noise = np.zeros(counts.shape)
-    flat = counts.ravel()
-    total = int(flat.sum())
-    if total > 0:
-        # one draw per pulse, summed per cell: the literal pulse train
-        noise = rng.standard_normal(total)
-        offsets = np.concatenate([[0], np.cumsum(flat)[:-1]])
-        # reduceat mishandles empty segments; clamp then zero them out
-        sums = np.add.reduceat(noise, np.minimum(offsets, total - 1))
-        sums[flat == 0] = 0.0
-        unit_noise = sums.reshape(counts.shape)
-
-    latency_per_row = spec.dt_w * counts.max(axis=1)
+    latency_per_row = spec.dt_w * counts.max(axis=-1)
     return ProgrammingResult(
         h_clipped=hc,
         pulse_counts=counts,
-        unit_noise=unit_noise,
         latency_per_row=latency_per_row,
         total_latency=float(latency_per_row.sum()),
     )
@@ -193,13 +190,13 @@ def total_programming_latency(config, spec, rng):
 
     The Gram-product path stores two copies of H programmed back to back and
     dominates the matched-filter path (programmed concurrently), so
-    T_p = 2 * T_m.
+    T_p = 2 * T_m.  Latency depends on the pulse counts alone, so only the
+    channel is drawn from rng.
     """
     from . import mimo
 
     h = mimo.to_real(mimo.generate_channel(config, rng))
-    result = program_matrix(h, spec, rng)
-    return 2.0 * result.total_latency
+    return 2.0 * program_matrix(h, spec).total_latency
 
 
 def row_latency_bound(n_t, spec):

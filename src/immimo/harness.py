@@ -1,15 +1,15 @@
 """Experiment orchestration: seeded sweeps, pipelines, CSV emission.
 
 Reproducibility contract: trial t at SNR index i draws its channel H, its
-payload bits and its channel noise, in that order, from one RNG stream keyed
-on (seed, i, t).  Every detector, and every gamma, at that SNR reuses the same
-draws (common random numbers), so detector differences are paired and the
-sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw` programs
-trial t's channel once: its pulse noise comes from a second stream keyed on
-(seed, i, t, 1), drawn once per trial and shared by every gamma, which only
-scales it.  Adding or removing a detector or a gamma therefore never changes
-another row.  Detectors that ignore gamma run once per SNR and their row is
-reported at every gamma.
+payload bits, its channel noise and then one unit normal per cell of the
+real channel for the programming noise, in that order, from one RNG stream
+keyed on (seed, i, t).  Every detector, and every gamma, at that SNR reuses
+the same draws (common random numbers), so detector differences are paired
+and the sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw`
+programs a wave's channels once, and every gamma realizes that programming
+with the same unit normals, which gamma only scales.  Adding or removing a
+detector or a gamma therefore never changes another row.  Detectors that
+ignore gamma run once per SNR and their row is reported at every gamma.
 
 Trials run in waves of WAVE, drawn one wave at a time.  A BER point
 accumulates whole waves until it has at least `min_bits` bits AND
@@ -146,7 +146,11 @@ def _trial_rng(seed, snr_index, trial_index):
 
 
 def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
-    """Stacked draws of one wave: H (W, 2n_r, 2n_t), bits, ys (W, vectors, 2n_r)."""
+    """Stacked draws of one wave.
+
+    Returns H (W, 2n_r, 2n_t), bits, ys (W, vectors, 2n_r) and the
+    programming noise's unit normals z (W, 2n_r, 2n_t).
+    """
     rngs = [_trial_rng(seed, snr_index, t) for t in trials]
     h_complex = []
     bits = []
@@ -157,14 +161,14 @@ def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
     bits = np.stack(bits)
     x = mimo.modulate(bits, cfg).real
     ys = np.stack([mimo.transmit(h[i], x[i], sigma, rng) for i, rng in enumerate(rngs)])
-    return h, bits, ys
+    z = np.stack([rng.standard_normal(h.shape[1:]) for rng in rngs])
+    return h, bits, ys, z
 
 
-def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, programs):
+def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
     """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total.
 
-    programs holds the wave's programmed channels for detnet-hw, which
-    realizes them at hw_spec's gamma.
+    For detnet-hw, h is the realized channel H + dH stored on the arrays.
     """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
@@ -181,8 +185,7 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det, hw_spec, programs)
         trajectory, _ = detnet.ideal_forward(params, h, ys)
         return trajectory[-1], None
     if detector == HW_DETECTOR:
-        h_hw = np.stack([result.realized(hw_spec) for result in programs])
-        return hw_det.forward(h_hw, ys), None
+        return hw_det.forward(h, ys), None
     raise UnknownDetector(detector)
 
 
@@ -229,23 +232,16 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
         trial = 0
         while active and trial < sweep.max_trials:
             wave = range(trial, min(trial + WAVE, sweep.max_trials))
-            h, bits, ys = _draw_wave(cfg, vectors, seed, s_idx, wave, sigma)
-            programs = None
+            h, bits, ys, z = _draw_wave(cfg, vectors, seed, s_idx, wave, sigma)
             if any(det == HW_DETECTOR for (det, _), _ in active):
-                # the one reprogramming event per channel realization, each
-                # from its own stream and realized at every gamma
-                programs = [
-                    hw_det.program_channel(
-                        h_t, np.random.default_rng([int(seed), s_idx, t, 1]))
-                    for h_t, t in zip(h, wave)
-                ]
-                pulses = sum(int(result.pulse_counts.sum()) for result in programs)
+                # the one reprogramming event per channel realization, for
+                # the whole wave, realized at every gamma
+                program = hw_det.program_channel(h)
+                pulses = int(program.pulse_counts.sum())
             for (det, gamma), tally in active:
                 t0 = time.perf_counter()
-                x_hat, nodes = _detect_wave(
-                    det, h, ys, sigma, cfg, params, hw_det, hw_specs.get(gamma),
-                    programs,
-                )
+                h_det = program.realized(hw_specs[gamma], z) if det == HW_DETECTOR else h
+                x_hat, nodes = _detect_wave(det, h_det, ys, sigma, cfg, params, hw_det)
                 errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
                 tally.seconds += time.perf_counter() - t0
                 tally.bits += bits.size
@@ -376,8 +372,8 @@ def run_pipeline(exp, out_dir):
         rows = []
         for t in range(exp.latency.trials):
             h = mimo.to_real(mimo.generate_channel(cfg, rng))
-            result = dev.program_matrix(h, spec, rng)
-            dh = result.realized(spec) - result.h_clipped
+            result = dev.program_matrix(h, spec)
+            dh = result.realized(spec, rng.standard_normal(h.shape)) - result.h_clipped
             rows.append(
                 f"{t},{2.0 * result.total_latency:.12g},"
                 f"{int(result.pulse_counts.sum())},{np.std(dh):.12g}"

@@ -174,13 +174,6 @@ def to_real(h_complex):
     return np.concatenate([top, bottom], axis=-2)
 
 
-def to_complex(h_real):
-    """Inverse of :func:`to_real` (top blocks are authoritative)."""
-    n_r2, n_t2 = h_real.shape
-    n_r, n_t = n_r2 // 2, n_t2 // 2
-    return h_real[:n_r, :n_t] + 1j * h_real[n_r:, :n_t]
-
-
 def embed_vector(v_complex):
     return np.concatenate([v_complex.real, v_complex.imag], axis=-1)
 
@@ -260,15 +253,6 @@ def demodulate(x_hat_real, config):
     idx = np.argmin(d, axis=-1)
     bits = bit_table[idx]
     return bits.reshape(bits.shape[:-2] + (-1,))
-
-
-def ber(bits_tx, bits_rx):
-    """Fraction of differing bits; raises on length mismatch."""
-    bits_tx = np.asarray(bits_tx)
-    bits_rx = np.asarray(bits_rx)
-    if bits_tx.shape != bits_rx.shape:
-        raise ValueError("bit vectors differ in shape")
-    return float(np.mean(bits_tx != bits_rx))
 
 
 def sigma_from_snr(snr_db):

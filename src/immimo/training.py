@@ -47,6 +47,8 @@ class TrainConfig:
         lo, hi = self.snr_train_range_db
         if lo > hi:
             raise ValueError("snr_train_range_db must be (low, high)")
+        detnet.loss_weights(1, self.loss_weighting)  # rejects an unknown name
+        dev.check_gamma(self.gamma_train)
 
 
 class Adam:

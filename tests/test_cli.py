@@ -9,10 +9,10 @@ SWEEP = (
 )
 
 
-def run(tmp_path, text, capsys):
+def run(tmp_path, text, capsys, mode="eval-ber"):
     path = tmp_path / "x.cfg"
     path.write_text(text)
-    code = cli.main(["eval-ber", "--config", str(path), "--out", str(tmp_path / "out")])
+    code = cli.main([mode, "--config", str(path), "--out", str(tmp_path / "out")])
     return code, capsys.readouterr().err
 
 
@@ -76,6 +76,28 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
     code, err = run(tmp_path, SWEEP + line + "\n", capsys)
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, "config error: line 7: unknown key")
+
+
+@pytest.mark.parametrize("mode,line,message", [
+    ("train", "train.weighting = foo", "train section: unknown loss weighting 'foo'"),
+    ("train", "train.gamma = 0.1", "train section: gamma outside"),
+    ("train", "train.gamma = -0.5", "train section: gamma outside"),
+    ("latency", "latency.trials = 0", "latency.trials must be >= 1"),
+    ("latency", "latency.trials = -2", "latency.trials must be >= 1"),
+    ("eval-ber", "sweep.snr_db = 6, 6", "sweep.snr_db lists a value more than once"),
+    ("eval-ber", "sweep.gammas = 0, 0.02, 0", "sweep.gammas lists a value more than once"),
+    ("eval-ber", "sweep.detectors = zf, mmse, zf",
+     "sweep.detectors lists a value more than once"),
+    ("eval-ber", "sweep.detectors =", "sweep.snr_db, sweep.gammas and sweep.detectors"),
+], ids=["weighting", "gamma-high", "gamma-negative", "trials-zero", "trials-negative",
+        "snr-repeat", "gamma-repeat", "detector-repeat", "no-detector"])
+def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message):
+    # SWEEP without its snr_db line, so that each case sets its key once
+    base = SWEEP.replace("sweep.snr_db = 10\n", "")
+    code, err = run(tmp_path, base + line + "\n", capsys, mode=mode)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, f"config error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -25,6 +25,11 @@ def luo_at(gamma):
     return device.DeviceSpec(g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=gamma, dt_w=0.63e-9)
 
 
+def realize(det, h, rng, spec=None):
+    """Program h onto det's channel arrays and realize it, z drawn from rng."""
+    return det.program_channel(h).realized(spec or det.spec, rng.standard_normal(h.shape))
+
+
 class TestChannelBlock:
     """s_k = x_{k-1} - alpha1 H^T y + alpha2 H^T H x_{k-1} on the realized channel."""
 
@@ -35,7 +40,7 @@ class TestChannelBlock:
         params.alpha2[:] = alpha2
         det = crossbar.HardwareDetector(params, luo_at(gamma))
         h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
-        h_hw = det.program_channel(h, rng).realized(det.spec)
+        h_hw = realize(det, h, rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
         s = [u[:, : params.x_dim] for u in cache["u"]]
@@ -75,7 +80,7 @@ class TestNeuralBlock:
         edit(params)
         det = crossbar.HardwareDetector(params, luo_at(0.02))
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        h_hw = det.program_channel(h, rng).realized(det.spec)
+        h_hw = realize(det, h, rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
         return params, trajectory, cache
@@ -119,7 +124,7 @@ class TestNeuralBlock:
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        h_hw = det.program_channel(h, rng).realized(det.spec)
+        h_hw = realize(det, h, rng)
         with pytest.raises(ValueError):
             det.forward(h_hw, np.zeros((1, 2 * cfg.n_r - 1)))
 
@@ -133,7 +138,7 @@ class TestHardwareForward:
         params.b2[:] = 0.5
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
         det = crossbar.HardwareDetector(params, luo)
-        h_hw = det.program_channel(h, rng).realized(det.spec)
+        h_hw = realize(det, h, rng)
         x_l = det.forward(h_hw, rng.standard_normal((1, 12)))
         assert np.allclose(x_l, 0.5)
 
@@ -141,7 +146,7 @@ class TestHardwareForward:
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        h_hw = det.program_channel(h, rng).realized(det.spec)
+        h_hw = realize(det, h, rng)
         y = rng.standard_normal((1, 12))
         assert np.array_equal(det.forward(h_hw, y), det.forward(h_hw, y))
 
@@ -153,7 +158,7 @@ class TestHardwareForward:
         for _ in range(20):
             h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
             y = rng.standard_normal((1, 12))
-            x_hw = det.forward(det.program_channel(h, rng).realized(det.spec), y)
+            x_hw = det.forward(realize(det, h, rng), y)
             x_ideal = detnet.ideal_forward(det.params, h, y)[0][-1]
             worst = max(worst, np.abs(x_hw - x_ideal).max())
         assert worst <= 1e-2
@@ -166,7 +171,7 @@ class TestHardwareForward:
         cfg = desk_cfg()
         det = crossbar.HardwareDetector(detnet.init_params(cfg, rng), luo)
         h = mimo.to_real(mimo.generate_channel(cfg, rng))
-        h_hw = det.program_channel(h, rng).realized(det.spec)
+        h_hw = realize(det, h, rng)
         assert len(calls) == 1
         for _ in range(14):  # one slot's worth of detections, no reprogramming
             det.forward(h_hw, rng.standard_normal((1, 12)))
@@ -183,7 +188,7 @@ class TestHardwareForward:
             for _ in range(200):
                 h = mimo.to_real(mimo.generate_channel(cfg, loc_rng))
                 y = loc_rng.standard_normal((1, 12))
-                x_hw = det.forward(det.program_channel(h, loc_rng).realized(det.spec), y)
+                x_hw = det.forward(realize(det, h, loc_rng), y)
                 x_id = detnet.ideal_forward(params, h, y)[0][-1]
                 acc.append(np.linalg.norm(x_hw - x_id))
             diffs[gamma] = np.mean(acc)
@@ -193,13 +198,14 @@ class TestHardwareForward:
         spec = luo_at(0.0)
         det = crossbar.HardwareDetector(detnet.init_params(desk_cfg(), rng), spec)
         h = np.clip(rng.standard_normal((6, 4)), -3, 3)
-        h_hw = det.program_channel(h, rng).realized(spec)
+        h_hw = realize(det, h, rng, spec)
         assert np.abs(h_hw - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
 
     def test_spec_override_programs_at_that_gamma(self, rng):
         det = crossbar.HardwareDetector(detnet.init_params(desk_cfg(), rng), luo_at(0.02))
         h = np.clip(rng.standard_normal((12, 8)), -3, 3)
-        result = det.program_channel(h, rng)
-        exact = result.realized(luo_at(0.0))
+        result = det.program_channel(h)
+        z = rng.standard_normal(h.shape)
+        exact = result.realized(luo_at(0.0), z)
         assert np.abs(exact - h).max() <= 3.0 / (2 * 150) + 1e-12
-        assert np.abs(result.realized(det.spec) - h).max() > 3.0 / (2 * 150)
+        assert np.abs(result.realized(det.spec, z) - h).max() > 3.0 / (2 * 150)

@@ -105,9 +105,13 @@ class TestDrawBatch:
         assert np.allclose(y_in, x @ np.swapaxes(h_in, -1, -2), atol=1e-8)
 
 
+def copy_params(params):
+    return detnet.DetNetParams(**{k: v.copy() for k, v in params.as_dict().items()})
+
+
 def reference_train(config, train_cfg, spec, rng, params):
     """The training loop over separate arrays with the per-key oracle Adam."""
-    params = params.copy()
+    params = copy_params(params)
     pdict = params.as_dict()
     opt = DictAdam(train_cfg.lr)
     history = []
@@ -158,7 +162,7 @@ class TestTrain:
     def test_does_not_mutate_the_params_passed_in(self, luo):
         cfg = small_cfg()
         start = detnet.init_params(cfg, np.random.default_rng(10))
-        before = start.copy()
+        before = copy_params(start)
         trained, _ = training.train(cfg, small_train(), luo, np.random.default_rng(11),
                                     params=start)
         for key in detnet.PARAM_KEYS:
