@@ -1,7 +1,8 @@
 """Deep-unfolded MIMO detection on behavioral memristor crossbar arrays.
 
 Subpackages:
-    mimo       complex MIMO system model (channels, modulation, AWGN, demapping)
+    mimo       MIMO system model on real rails (complex channel draw and its
+               real embedding, modulation, AWGN, nearest-level demapping)
     device     pulse-programmed memristor behavior and programming latency
     crossbar   hardware detector: program the channel arrays, then run the
                forward pass on the realized channel H + dH

@@ -7,7 +7,6 @@ real rails and shrinks its radius at every leaf, so it returns exactly the
 exhaustive-ML decision while visiting far fewer nodes at high SNR.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,22 +61,25 @@ ML_GUARD = 10**6
 
 
 def candidate_matrix(config):
-    """All M^n_t transmit vectors as real columns, lex order by symbol index.
+    """All M^n_t transmit vectors as real columns, shape (2n_t, M^n_t).
 
-    Cached per (n_t, modulation) since enumeration is the expensive part.
+    Columns follow the payloads in bit-lexicographic order: antenna 0 varies
+    slowest, and each antenna runs through its (I, Q) level pairs with Q
+    fastest, so argmin ties go to the smaller bit pattern.  Cached per
+    (n_t, modulation) since enumeration is the expensive part.
     """
     key = (config.n_t, config.modulation)
     cached = _CANDIDATE_CACHE.get(key)
     if cached is not None:
         return cached
-    points, _ = mimo.constellation_points(config)
-    m = len(points)
+    m = 2**config.modulation.bits_per_symbol
     if m**config.n_t > ML_GUARD:
         raise ValueError(
             f"exhaustive search space {m}^{config.n_t} exceeds guard {ML_GUARD}"
         )
-    combos = np.array(list(itertools.product(points, repeat=config.n_t)))
-    x_real = np.concatenate([combos.real, combos.imag], axis=1).T  # (2n_t, M^n_t)
+    n_bits = config.bits_per_vector
+    payloads = (np.arange(2**n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
+    x_real = mimo.modulate(payloads, config).T
     _CANDIDATE_CACHE[key] = x_real
     return x_real
 

@@ -51,15 +51,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        exp = load_config(args.config)
-        exp.mode = args.command
+        overrides = {}
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a nonnegative integer")
-            exp.seed = args.seed
+            overrides["seed"] = str(args.seed)
         if args.preset is not None:
-            exp.device = dev.device_preset(args.preset)
-    except (ConfigError, OSError, KeyError, ValueError) as exc:
+            overrides["device.preset"] = args.preset
+        exp = load_config(args.config, overrides)
+        exp.mode = args.command
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

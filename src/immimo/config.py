@@ -83,6 +83,9 @@ class LatencyConfig:
     def validate(self):
         if self.trials < 1:
             raise ConfigError("latency.trials must be >= 1")
+        for key in ("t_array_ns", "t_adder_ns", "t_relu_ns"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"latency.{key} must be >= 0")
 
 
 @dataclass
@@ -158,8 +161,19 @@ _SCHEMA = {
 }
 
 
-def parse_config(text):
-    """Parse config text into an ExperimentConfig; strict about keys."""
+def _parse_value(key, raw):
+    kind = _SCHEMA[key][2]
+    if isinstance(kind, tuple):
+        return _parse_list(key, raw, kind[1])
+    return _parse_scalar(key, raw, kind)
+
+
+def parse_config(text, overrides=None):
+    """Parse config text into an ExperimentConfig; strict about keys.
+
+    `overrides` maps keys to raw value text, as on a config line; each
+    replaces the file's value, if any, before the config is built.
+    """
     sections = {"root": {}, "mimo": {}, "device": {}, "train": {},
                 "sweep": {}, "bounds": {}, "latency": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -171,20 +185,19 @@ def parse_config(text):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        section, attr, kind = _SCHEMA[key]
+        section, attr, _ = _SCHEMA[key]
         if attr in sections[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if isinstance(kind, tuple):
-            value = _parse_list(key, raw, kind[1])
-        else:
-            value = _parse_scalar(key, raw, kind)
-        sections[section][attr] = value
+        sections[section][attr] = _parse_value(key, raw)
+    for key, raw in (overrides or {}).items():
+        section, attr, _ = _SCHEMA[key]
+        sections[section][attr] = _parse_value(key, raw)
     return build_config(sections)
 
 
-def load_config(path):
+def load_config(path, overrides=None):
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def build_config(sections):
@@ -192,6 +205,9 @@ def build_config(sections):
     mode = root.get("mode", "eval-ber")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    seed = root.get("seed", 0)
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
 
     mimo_kw = dict(sections["mimo"])
     mimo_kw.setdefault("n_t", 4)
@@ -228,7 +244,7 @@ def build_config(sections):
         sweep=sweep,
         bounds=bounds,
         latency=latency,
-        seed=root.get("seed", 0),
+        seed=seed,
         mode=mode,
         params_path=root.get("params_path"),
     )

@@ -159,7 +159,7 @@ def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
         bits.append(mimo.random_bits(cfg, rng, count=vectors))
     h = mimo.to_real(np.stack(h_complex))
     bits = np.stack(bits)
-    x = mimo.modulate(bits, cfg).real
+    x = mimo.modulate(bits, cfg)
     ys = np.stack([mimo.transmit(h[i], x[i], sigma, rng) for i, rng in enumerate(rngs)])
     z = np.stack([rng.standard_normal(h.shape[1:]) for rng in rngs])
     return h, bits, ys, z
@@ -282,6 +282,9 @@ def run_pipeline(exp, out_dir):
 
     Returns the list of files written.
     """
+    if exp.mode in ("latency", "flops") and exp.mimo.n_t < 2:
+        # the row latency bound divides by ln n_t
+        raise ConfigError(f"{exp.mode} mode needs mimo.n_t >= 2")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -300,9 +303,7 @@ def run_pipeline(exp, out_dir):
 
     elif exp.mode == "eval-ber":
         params = None
-        if any(d in ("detnet", "detnet-hw") for d in exp.sweep.detectors):
-            if not exp.params_path:
-                raise ConfigError("eval.params required for deep detectors")
+        if exp.params_path:
             try:
                 params, _ = training.load_params(exp.params_path, expected_config=cfg)
             except (OSError, KeyError, ValueError) as exc:

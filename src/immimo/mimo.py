@@ -1,16 +1,17 @@
-"""Complex MIMO system model and its real-valued embedding.
+"""MIMO system model on real rails.
 
-The link is y~ = H~ x~ + n~ with H~ an N_r x N_t complex matrix whose real and
-imaginary parts are i.i.d. standard normal (so E|h~_ij|^2 = 2), x~ a vector of
-constellation symbols normalized to unit expected power, and n~ circularly
-symmetric Gaussian noise with per-real-dimension standard deviation sigma_n.
-
-Everything downstream works on the real embedding
+The physical link is y~ = H~ x~ + n~ with H~ an N_r x N_t complex matrix whose
+real and imaginary parts are i.i.d. standard normal (so E|h~_ij|^2 = 2), x~ a
+vector of constellation symbols normalized to unit expected power, and n~
+circularly symmetric Gaussian noise with per-real-dimension standard deviation
+sigma_n.  Complex numbers appear only in the channel draw and its embedding
 
     y = H x + n,   H = [[Re H~, -Im H~], [Im H~, Re H~]],
 
 which doubles all dimensions and keeps matrix products consistent with the
-complex model.
+complex model.  Symbols exist only as the 2n_t real rails x = [Re x~; Im x~]:
+modulation writes them, and decisions and demapping read them rail by rail,
+since QPSK and 16QAM are products of one per-rail amplitude alphabet.
 
 SNR convention: with unit transmit power and E|h~_ij|^2 = 2,
 E||H~ x~||^2 / E||n~||^2 = 1 / sigma_n^2, so sigma_n = 10^(-snr_db/20).
@@ -64,22 +65,28 @@ class MimoConfig:
         return self.n_t * self.modulation.bits_per_symbol
 
 
-@dataclass
-class SymbolVector:
-    """A transmitted vector in all three representations."""
-
-    bits: np.ndarray          # payload, length n_t * log2(M)
-    complex_symbols: np.ndarray  # length n_t, scaled constellation points
-    real: np.ndarray          # length 2*n_t, [Re; Im]
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
-# Unscaled per-rail amplitude levels in bit-lexicographic order.  Gray coded:
-# adjacent levels differ in one bit.  Bit pattern 0...0 maps to the most
-# positive level, which for BPSK gives the "bit 0 -> +1" sign convention.
+# Unscaled per-rail amplitude levels in bit-lexicographic order, and the rail
+# bits each level carries: row i of the bit table is i in binary, most
+# significant bit first.  Gray coded: adjacent levels differ in one bit.  Bit
+# pattern 0...0 maps to the most positive level, which for BPSK gives the
+# "bit 0 -> +1" sign convention.
 _RAIL_LEVELS = {
-    Modulation.BPSK: np.array([1.0, -1.0]),                  # bits: 0, 1
-    Modulation.QPSK: np.array([1.0, -1.0]),                  # per rail: 0, 1
-    Modulation.QAM16: np.array([3.0, 1.0, -3.0, -1.0]),      # bits: 00,01,10,11
+    Modulation.BPSK: np.array([1.0, -1.0]),
+    Modulation.QPSK: np.array([1.0, -1.0]),
+    Modulation.QAM16: np.array([3.0, 1.0, -3.0, -1.0]),
+}
+_RAIL_BITS = {
+    mod: _frozen(np.array(table, dtype=np.int8))
+    for mod, table in (
+        (Modulation.BPSK, [[0], [1]]),
+        (Modulation.QPSK, [[0], [1]]),
+        (Modulation.QAM16, [[0, 0], [0, 1], [1, 0], [1, 1]]),
+    )
 }
 
 # Mean symbol energy of the unscaled complex constellation.
@@ -89,11 +96,6 @@ _E_AVG = {Modulation.BPSK: 1.0, Modulation.QPSK: 2.0, Modulation.QAM16: 10.0}
 def constellation_scale(config):
     """Scale factor applied to every constellation point so E||x~||^2 = 1."""
     return 1.0 / np.sqrt(config.n_t * _E_AVG[config.modulation])
-
-
-def _frozen(array):
-    array.flags.writeable = False
-    return array
 
 
 def rail_alphabets(config):
@@ -119,44 +121,6 @@ def rail_alphabets(config):
 _ALPHABET_CACHE = {}
 
 
-def constellation_points(config):
-    """All scaled complex constellation points and their bit labels.
-
-    Points are ordered lexicographically by bit pattern (I bits first, then Q
-    bits), so an argmin over this ordering breaks distance ties toward the
-    lexicographically smaller label.  Both arrays are read-only and cached per
-    (n_t, modulation).
-    """
-    key = (config.n_t, config.modulation)
-    cached = _POINTS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    mod = config.modulation
-    i_levels = _RAIL_LEVELS[mod] * constellation_scale(config)
-    if mod is Modulation.BPSK:
-        points = i_levels.astype(complex)
-        bits = np.array([[0], [1]], dtype=np.int8)
-    else:
-        n_rail_bits = mod.bits_per_symbol // 2
-        m_rail = len(i_levels)
-        points = []
-        bits = []
-        for bi in range(m_rail):
-            for bq in range(m_rail):
-                points.append(i_levels[bi] + 1j * i_levels[bq])
-                label = [(bi >> (n_rail_bits - 1 - k)) & 1 for k in range(n_rail_bits)]
-                label += [(bq >> (n_rail_bits - 1 - k)) & 1 for k in range(n_rail_bits)]
-                bits.append(label)
-        points = np.array(points)
-        bits = np.array(bits, dtype=np.int8)
-    cached = (_frozen(points), _frozen(bits))
-    _POINTS_CACHE[key] = cached
-    return cached
-
-
-_POINTS_CACHE = {}
-
-
 def generate_channel(config, rng):
     """Draw an n_r x n_t Rayleigh-fading matrix, CN(0, 2) per entry."""
     shape = (config.n_r, config.n_t)
@@ -174,48 +138,34 @@ def to_real(h_complex):
     return np.concatenate([top, bottom], axis=-2)
 
 
-def embed_vector(v_complex):
-    return np.concatenate([v_complex.real, v_complex.imag], axis=-1)
-
-
-def unembed_vector(v_real):
-    n = v_real.shape[-1] // 2
-    return v_real[..., :n] + 1j * v_real[..., n:]
-
-
-def _rail_bits_to_level(bits, mod):
-    """Map per-rail bit groups to unscaled amplitude levels, Gray coded."""
-    levels = _RAIL_LEVELS[mod]
-    if mod is Modulation.QAM16:
-        idx = 2 * bits[..., 0] + bits[..., 1]
-    else:
-        idx = bits[..., 0]
-    return levels[idx]
-
-
 def modulate(bits, config):
-    """Map a payload bit vector to a unit-power symbol vector.
+    """Map payload bits to unit-power symbols on the real rails.
 
-    Bits are consumed per antenna: for QPSK [b_I, b_Q], for 16QAM
-    [b_I1, b_I0, b_Q1, b_Q0].  Raises on a wrong-length payload.
+    Bits are consumed per antenna: for BPSK [b], for QPSK [b_I, b_Q], for
+    16QAM [b_I1, b_I0, b_Q1, b_Q0].  Returns shape (..., 2n_t): in-phase
+    rails first, then quadrature rails (0 for BPSK).  Raises on a
+    wrong-length payload.
     """
     bits = np.asarray(bits, dtype=np.int8)
     expected = config.bits_per_vector
     if bits.shape[-1] != expected:
         raise ValueError(f"expected {expected} bits, got {bits.shape[-1]}")
-    mod = config.modulation
-    scale = constellation_scale(config)
-    per_sym = mod.bits_per_symbol
-    grouped = bits.reshape(bits.shape[:-1] + (config.n_t, per_sym))
-    if mod is Modulation.BPSK:
-        sym = _rail_bits_to_level(grouped, mod).astype(complex)
-    else:
-        half = per_sym // 2
-        i_part = _rail_bits_to_level(grouped[..., :half], mod)
-        q_part = _rail_bits_to_level(grouped[..., half:], mod)
-        sym = i_part + 1j * q_part
-    sym = sym * scale
-    return SymbolVector(bits=bits, complex_symbols=sym, real=embed_vector(sym))
+    lead = bits.shape[:-1]
+    n_bits = _RAIL_BITS[config.modulation].shape[1]
+    # (..., n_t, rails per antenna, bits per rail) -> level index per rail
+    grouped = bits.reshape(lead + (config.n_t, -1, n_bits))
+    idx = grouped @ (1 << np.arange(n_bits - 1, -1, -1))
+    return _level_rails(np.swapaxes(idx, -1, -2).reshape(lead + (-1,)), config)
+
+
+def _level_rails(idx, config):
+    """Rails (..., 2n_t) at levels idx on the leading, bit-carrying rails.
+
+    The rails past idx's width, BPSK's quadrature rails, are 0.
+    """
+    rails = np.zeros(idx.shape[:-1] + (2 * config.n_t,))
+    rails[..., :idx.shape[-1]] = rail_alphabets(config)[0][idx]
+    return rails
 
 
 def transmit(h_real, x_real, sigma_n, rng):
@@ -226,33 +176,33 @@ def transmit(h_real, x_real, sigma_n, rng):
     return y0 + sigma_n * rng.standard_normal(y0.shape)
 
 
-def decide_rails(x_real, config):
-    """Snap each real rail to its nearest alphabet value.
+def _nearest_levels(x_real, config):
+    """Index of the nearest level on each bit-carrying rail.
 
-    Ties break toward the lexicographically smaller bit pattern because the
-    alphabets are stored in bit-lexicographic order and argmin keeps the
-    first minimum.
+    Every such rail shares one alphabet, so one argmin covers them all.  Ties
+    break toward the lexicographically smaller bit pattern because the
+    levels are stored in bit-lexicographic order and argmin keeps the first
+    minimum.
     """
-    x_real = np.asarray(x_real, dtype=float)
-    alphabets = rail_alphabets(config)
-    out = np.empty_like(x_real)
-    for i, alpha in enumerate(alphabets):
-        d = np.abs(x_real[..., i, None] - alpha[None, :])
-        out[..., i] = alpha[np.argmin(d, axis=-1)]
-    return out
+    # BPSK's quadrature rails carry no bits and are always decided as 0
+    n_rails = config.n_t if config.modulation is Modulation.BPSK else 2 * config.n_t
+    x = np.asarray(x_real, dtype=float)[..., :n_rails]
+    return np.argmin(np.abs(x[..., None] - rail_alphabets(config)[0]), axis=-1)
+
+
+def decide_rails(x_real, config):
+    """Snap each real rail to its nearest alphabet value."""
+    return _level_rails(_nearest_levels(x_real, config), config)
 
 
 def demodulate(x_hat_real, config):
-    """Nearest-constellation decision followed by Gray demapping to bits."""
-    x_hat_real = np.asarray(x_hat_real, dtype=float)
-    points, bit_table = constellation_points(config)
-    sym = unembed_vector(x_hat_real)
-    # distances to every constellation point; argmin's first-hit rule gives
-    # the lexicographically smaller bit pattern on exact ties
-    d = np.abs(sym[..., None] - points)
-    idx = np.argmin(d, axis=-1)
-    bits = bit_table[idx]
-    return bits.reshape(bits.shape[:-2] + (-1,))
+    """Nearest-level decision on every rail followed by Gray demapping to bits."""
+    idx = _nearest_levels(x_hat_real, config)
+    bits = _RAIL_BITS[config.modulation][idx]  # (..., rails, bits per rail)
+    # rails run [I_0..I_{n_t-1}, Q_0..Q_{n_t-1}]; the payload runs per antenna
+    lead = bits.shape[:-2]
+    bits = np.swapaxes(bits.reshape(lead + (-1, config.n_t, bits.shape[-1])), -2, -3)
+    return bits.reshape(lead + (-1,))
 
 
 def sigma_from_snr(snr_db):

@@ -10,7 +10,7 @@ clamped to stay strictly positive because they map to physical resistances.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class TrainConfig:
     # 1000 epochs when enabled
     lr_decay: bool = False
     alpha_floor: float = 1e-6
-    log_every: int = 0  # print mean loss every N epochs (0 = silent)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -101,7 +100,7 @@ def draw_batch(config, train_cfg, spec, rng):
     """
     b = train_cfg.batch_size
     bits = mimo.random_bits(config, rng, count=b)
-    x = mimo.modulate(bits, config).real
+    x = mimo.modulate(bits, config)
     h_c = rng.standard_normal((b, config.n_r, config.n_t)) + 1j * rng.standard_normal(
         (b, config.n_r, config.n_t)
     )
@@ -114,11 +113,7 @@ def draw_batch(config, train_cfg, spec, rng):
     n = sigma[:, None] * rng.standard_normal(y0.shape)
 
     if train_cfg.gamma_train > 0:
-        noise_spec = dev.DeviceSpec(
-            g_on=spec.g_on, g_off=spec.g_off, n_p=spec.n_p,
-            gamma=train_cfg.gamma_train, dt_w=spec.dt_w,
-        )
-        dh = dev.sample_dh_matrix(h, noise_spec, rng)
+        dh = dev.sample_dh_matrix(h, replace(spec, gamma=train_cfg.gamma_train), rng)
     else:
         dh = 0.0
     return x[:, None], h + dh, (y0 + n)[:, None]
@@ -164,9 +159,6 @@ def train(config, train_cfg, spec, rng, params=None):
         # alphas map to resistor values; project back into the feasible set
         np.clip(params.alpha1, train_cfg.alpha_floor, None, out=params.alpha1)
         np.clip(params.alpha2, train_cfg.alpha_floor, None, out=params.alpha2)
-        if train_cfg.log_every and (epoch + 1) % train_cfg.log_every == 0:
-            recent = history[max(0, epoch - train_cfg.log_every + 1): epoch + 1]
-            print(f"epoch {epoch + 1}: mean loss {recent.mean():.5f}")
 
     return params, history
 

@@ -17,7 +17,7 @@ def cfg(mod="qpsk", n_t=4, n_r=6):
 def noiseless_instance(c, rng):
     h = mimo.to_real(mimo.generate_channel(c, rng))
     bits = mimo.random_bits(c, rng)[0]
-    x = mimo.modulate(bits, c).real
+    x = mimo.modulate(bits, c)
     return h, x, h @ x
 
 
@@ -116,7 +116,7 @@ class TestMl:
         best, best_d = None, np.inf
         for b0 in (0, 1):
             for b1 in (0, 1):
-                x = mimo.modulate([b0, b1], c).real
+                x = mimo.modulate([b0, b1], c)
                 d = np.sum((y - h @ x) ** 2)
                 if d < best_d:
                     best, best_d = x, d
@@ -169,7 +169,7 @@ class TestSphereDecoder:
         for _ in range(60):
             h = mimo.to_real(mimo.generate_channel(c, rng))
             bits = mimo.random_bits(c, rng)[0]
-            x = mimo.modulate(bits, c).real
+            x = mimo.modulate(bits, c)
             y = mimo.transmit(h, x, 0.4, rng)
             sd = baselines.sphere_decode(h, y, c)
             ml = ml_detect_exhaustive(h, y, c)
@@ -214,7 +214,7 @@ class TestDetectorOrdering:
         for _ in range(1200):
             h = mimo.to_real(mimo.generate_channel(c, rng))
             bits = mimo.random_bits(c, rng, count=14)
-            x = mimo.modulate(bits, c).real
+            x = mimo.modulate(bits, c)
             ys = mimo.transmit(h, x, sigma, rng)
             for name, soft in (
                 ("zf", baselines.linear_soft_batch(h, ys, c)),

@@ -15,7 +15,7 @@ def random_instance(cfg, seed, sigma=0.3):
     """One channel h, one vector x and its received y, as rows: y is (1, 2n_r)."""
     rng = np.random.default_rng(seed)
     h = mimo.to_real(mimo.generate_channel(cfg, rng))
-    x = mimo.modulate(mimo.random_bits(cfg, rng)[0], cfg).real
+    x = mimo.modulate(mimo.random_bits(cfg, rng)[0], cfg)
     y = mimo.transmit(h, x, sigma, rng)
     return h, x, y[None], rng
 
@@ -158,7 +158,7 @@ def stacked_instance(cfg, seed, channels, n_vec, sigma=0.3):
         channels + (cfg.n_r, cfg.n_t))
     h = mimo.to_real(h_c / np.sqrt(2))
     bits = mimo.random_bits(cfg, rng, count=int(np.prod(channels, dtype=int)) * n_vec)
-    x = mimo.modulate(bits, cfg).real.reshape(channels + (n_vec, 2 * cfg.n_t))
+    x = mimo.modulate(bits, cfg).reshape(channels + (n_vec, 2 * cfg.n_t))
     y = x @ np.swapaxes(h, -1, -2) + sigma * rng.standard_normal(
         channels + (n_vec, 2 * cfg.n_r))
     return h, x, y, rng

@@ -232,7 +232,7 @@ class TestBatchedSphereDecoder:
             for _ in range(15):
                 h = mimo.to_real(mimo.generate_channel(c, rng))
                 bits = mimo.random_bits(c, rng, count=7)
-                ys = mimo.transmit(h, mimo.modulate(bits, c).real,
+                ys = mimo.transmit(h, mimo.modulate(bits, c),
                                    mimo.sigma_from_snr(snr), rng)
                 batch = baselines.sphere_decode(h, ys, c)
                 singles = [baselines.sphere_decode(h, y, c) for y in ys]
