@@ -63,12 +63,6 @@ class BoundReport:
     gamma_cap: float
     bound: float
 
-    CSV_HEADER = "phi,tau,xi,omega,gamma_cap,bound"
-
-    def csv_row(self):
-        vals = [self.phi, self.tau, self.xi, self.omega, self.gamma_cap, self.bound]
-        return ",".join(f"{v:.12g}" for v in vals)
-
 
 def eval_bound(inputs):
     """Evaluate the detection-error upper bound from its closed forms.
@@ -144,14 +138,6 @@ class ComplexityReport:
     adders: int
     relu_circuits: int
 
-    CSV_HEADER = "memristors,inverters,tias,adders,relu_circuits"
-
-    def csv_row(self):
-        return (
-            f"{self.memristors},{self.inverters},{self.tias},"
-            f"{self.adders},{self.relu_circuits}"
-        )
-
 
 def hardware_complexity(config):
     """Component counts for the full detector circuit.
@@ -191,32 +177,19 @@ def throughput(flops, symbols, latency):
     return flops * symbols / latency
 
 
-@dataclass
-class FlopCount:
-    """Per-operation FLOP tally walking the actual forward-pass structure.
-
-    Counting convention: an (m x n) mat-vec costs m*n multiplies and m*(n-1)
-    adds; adding a bias costs m adds; a scalar gain on a length-n vector costs
-    n multiplies; a vector sum costs n adds; the rectifier is not a FLOP.
-    """
-
-    channel_setup: int  # H^T H and H^T y, computed once per channel
-    per_block: int      # (H^T H)x, gains, sums, and the three dense layers
-    L: int
-
-    @property
-    def total(self):
-        return self.channel_setup + self.L * self.per_block
-
-
 def _matvec_flops(m, n, bias=False):
     return m * n + m * (n - 1) + (m if bias else 0)
 
 
 def count_forward_flops(config):
-    """Operation counter over the forward pass; oracle for the FLOPs formula.
+    """FLOPs of one forward pass, counted over its actual structure.
 
-    With a_size = 4 n_t the tally reproduces the closed-form expression
+    This is the oracle for the FLOPs formula.  Counting convention: an
+    (m x n) mat-vec costs m*n multiplies and m*(n-1) adds; adding a bias
+    costs m adds; a scalar gain on a length-n vector costs n multiplies; a
+    vector sum costs n adds; the rectifier is not a FLOP.
+
+    With a_size = 4 n_t the count reproduces the closed-form expression
     exactly, constant term included; other widths change the dense-layer
     term and the delta is visible by comparing against flops_per_symbol().
     """
@@ -233,5 +206,5 @@ def count_forward_flops(config):
     block += _matvec_flops(s, cols + a, bias=True)
     block += _matvec_flops(cols, s, bias=True)
     block += _matvec_flops(a, s, bias=True)
-    return FlopCount(channel_setup=setup, per_block=block, L=L)
+    return setup + L * block
 

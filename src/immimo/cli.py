@@ -12,17 +12,18 @@ Subcommands map onto pipeline modes:
 
 Common flags override config values: --seed, --preset, --out.
 Exit codes: 0 success, 2 configuration error (a one-line message, never a
-traceback), 3 numeric failure.
+traceback; a `bounds` run whose config puts the bound outside its phi > 1
+regime is one), 3 numeric failure (training divergence, a rank-deficient
+channel, floating-point error).
 """
 
 import argparse
 import sys
 
-from . import analysis
 from . import device as dev
 from .baselines import RankDeficientChannel
 from .config import ConfigError, load_config
-from .harness import UnknownDetector, run_pipeline
+from .harness import run_pipeline
 from .training import TrainingDiverged
 
 EXIT_OK = 0
@@ -64,11 +65,11 @@ def main(argv=None):
 
     try:
         outputs = run_pipeline(exp, args.out)
-    except (ConfigError, UnknownDetector) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDiverged, analysis.BoundRegimeError, RankDeficientChannel,
-            FloatingPointError, ArithmeticError) as exc:
+    except (TrainingDiverged, RankDeficientChannel, FloatingPointError,
+            ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     for path in outputs:

@@ -25,6 +25,7 @@ Device parameters may be given explicitly (device.g_on_us, device.g_off_us,
 device.n_p, device.gamma, device.dt_w_ns); explicit keys override the preset.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import device as dev
@@ -32,6 +33,10 @@ from . import mimo
 from . import training
 
 MODES = ("train", "eval-ber", "bounds", "latency", "complexity", "flops", "program-sim")
+
+KNOWN_DETECTORS = ("zf", "mmse", "ml", "sd", "detnet", "detnet-hw")
+# the only detector whose output depends on the programming-noise level gamma
+HW_DETECTOR = "detnet-hw"
 
 # BER points reported from fewer bits than this are statistically meaningless
 MIN_BITS_FLOOR = 10_000
@@ -64,6 +69,18 @@ class SweepConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ConfigError(f"sweep.{key} lists a value more than once")
+        unknown = [d for d in self.detectors if d not in KNOWN_DETECTORS]
+        if unknown:
+            raise ConfigError(
+                f"sweep.detectors: unknown {', '.join(unknown)}; known: "
+                f"{', '.join(KNOWN_DETECTORS)}")
+        # only detnet-hw reads gamma; other detectors report one row at each
+        if HW_DETECTOR in self.detectors:
+            for gamma in self.gammas:
+                try:
+                    dev.check_gamma(gamma)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.gammas: {exc}") from exc
 
 
 @dataclass
@@ -109,9 +126,12 @@ def _parse_scalar(key, raw, kind):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def _parse_list(key, raw, kind):
@@ -224,11 +244,8 @@ def build_config(sections):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"device section: {exc}") from exc
 
-    train_kw = dict(sections["train"])
-    lo = train_kw.pop("snr_low_db", 8.0)
-    hi = train_kw.pop("snr_high_db", 13.0)
     try:
-        train_cfg = training.TrainConfig(snr_train_range_db=(lo, hi), **train_kw)
+        train_cfg = training.TrainConfig(**sections["train"])
     except ValueError as exc:
         raise ConfigError(f"train section: {exc}") from exc
 
@@ -289,8 +306,8 @@ def config_echo(cfg):
         f"train.epochs = {t.epochs}",
         f"train.batch_size = {t.batch_size}",
         f"train.lr = {t.lr!r}",
-        f"train.snr_low_db = {t.snr_train_range_db[0]!r}",
-        f"train.snr_high_db = {t.snr_train_range_db[1]!r}",
+        f"train.snr_low_db = {t.snr_low_db!r}",
+        f"train.snr_high_db = {t.snr_high_db!r}",
         f"train.gamma = {t.gamma_train!r}",
         f"train.weighting = {t.loss_weighting}",
         f"train.lr_decay = {str(t.lr_decay).lower()}",

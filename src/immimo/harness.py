@@ -9,19 +9,25 @@ and the sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw`
 programs a wave's channels once, and every gamma realizes that programming
 with the same unit normals, which gamma only scales.  Adding or removing a
 detector or a gamma therefore never changes another row.  Detectors that
-ignore gamma run once per SNR and their row is reported at every gamma.
+ignore gamma run once per SNR and their row is copied to every gamma.
 
-Trials run in waves of WAVE, drawn one wave at a time.  A BER point
-accumulates whole waves until it has at least `min_bits` bits AND
-`min_errors` bit errors (confidence at low BER), capped at `max_trials`
-channel realizations; each detector stops on its own.  Every emitted row
-carries a Wilson 95% interval, a flag for points with fewer than 10 errors,
-the trials run and why the point stopped.
+Trials run in waves of WAVE, drawn one wave at a time.  A BER point, one
+SweepRow, adds whole waves to its totals until it has at least `min_bits`
+bits AND `min_errors` bit errors (confidence at low BER), capped at
+`max_trials` channel realizations; each detector stops on its own.  Every
+emitted row carries a Wilson 95% interval, a flag for points with fewer than
+10 errors, the trials run, why the point stopped and the means derived from
+its totals.
+
+Artifacts: every mode writes one CSV table plus manifest.json (`train` also
+its checkpoint).  A mode builds its table as records, dicts of column ->
+value, and csv_text alone formats them, so each artifact's columns are
+stated once, where its record is built.
 """
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,18 +35,32 @@ import numpy as np
 from . import __version__, analysis, baselines, crossbar, detnet
 from . import device as dev
 from . import mimo, training
-from .config import ConfigError, config_echo
+from .config import HW_DETECTOR, ConfigError, config_echo
 
 # trials per wave; stopping rules are evaluated only at wave boundaries
 WAVE = 8
 
-KNOWN_DETECTORS = ("zf", "mmse", "ml", "sd", "detnet", "detnet-hw")
-# the only detector whose output depends on the programming-noise level gamma
-HW_DETECTOR = "detnet-hw"
 
+def csv_text(records):
+    """One CSV table from a nonempty list of dicts, column -> value.
 
-class UnknownDetector(Exception):
-    pass
+    The first record's keys, in order, are the header.  Floats, numpy floats
+    included, are written as .12g, bools as 0/1, None as an empty cell and
+    any other value with str().
+    """
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return f"{value:.12g}"
+        return str(value)
+
+    header = list(records[0])
+    lines = [",".join(header)]
+    lines += [",".join(cell(r[key]) for key in header) for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def wilson_interval(errors, bits, z=1.959964):
@@ -56,87 +76,58 @@ def wilson_interval(errors, bits, z=1.959964):
 
 @dataclass
 class SweepRow:
-    """One BER point.
+    """One BER point: the totals of the waves run for it, and its ber.csv row.
 
-    wall_time_s is the detection-plus-demapping time of this row's
-    computation; the shared trial draws and channel programming are
-    attributed to no row.  mean_nodes is the sphere decoder's tree nodes per
-    vector and mean_pulses the programming pulses per channel realization
-    of detnet-hw (None for other detectors).
+    The sweep adds each wave it runs for this point to the totals: bits,
+    errors, trials, vectors detected and wall_time_s, plus the sphere
+    decoder's tree nodes for `sd` and the programming pulses for detnet-hw
+    (None for other detectors).  wall_time_s is the detection-plus-demapping
+    time of this row's computation; the shared trial draws and channel
+    programming are attributed to no row.  The means derive from the totals:
+    mean_nodes is tree nodes per vector, mean_pulses programming pulses per
+    channel realization.
     """
 
     detector: str
     snr_db: float
-    gamma: float
-    bits: int
-    errors: int
-    wall_time_s: float
-    trials: int
-    stop_reason: str  # "target" or "max_trials"
-    mean_nodes: float | None = None
-    mean_pulses: float | None = None
+    gamma: float | None
+    bits: int = 0
+    errors: int = 0
+    trials: int = 0
+    vectors: int = 0
+    wall_time_s: float = 0.0
+    nodes: int | None = None
+    pulses: int | None = None
+    stop_reason: str | None = None  # "target" or "max_trials" once stopped
 
     @property
-    def ber(self):
-        return self.errors / self.bits if self.bits else 0.0
+    def mean_nodes(self):
+        return None if self.nodes is None else self.nodes / self.vectors
 
     @property
-    def ci(self):
-        return wilson_interval(self.errors, self.bits)
+    def mean_pulses(self):
+        return None if self.pulses is None else self.pulses / self.trials
 
-    @property
-    def low_errors(self):
-        return self.errors < 10
+    def record(self):
+        """This row's ber.csv record.
+
+        It adds the BER, its Wilson 95% interval and a flag for fewer than 10
+        errors to the totals, and keeps the wall time to the microsecond.
+        """
+        lo, hi = wilson_interval(self.errors, self.bits)
+        return {
+            "detector": self.detector, "snr_db": self.snr_db, "gamma": self.gamma,
+            "bits": self.bits, "errors": self.errors, "ber": self.errors / self.bits,
+            "ci_lo": lo, "ci_hi": hi, "low_errors": self.errors < 10,
+            "wall_time_s": f"{self.wall_time_s:.6f}", "trials": self.trials,
+            "stop_reason": self.stop_reason, "mean_nodes": self.mean_nodes,
+            "mean_pulses": self.mean_pulses,
+        }
 
 
 @dataclass
 class SweepResult:
     rows: list
-
-    CSV_HEADER = (
-        "detector,snr_db,gamma,bits,errors,ber,ci_lo,ci_hi,low_errors,wall_time_s,"
-        "trials,stop_reason,mean_nodes,mean_pulses"
-    )
-
-    def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lo, hi = r.ci
-            nodes = "" if r.mean_nodes is None else f"{r.mean_nodes:.12g}"
-            pulses = "" if r.mean_pulses is None else f"{r.mean_pulses:.12g}"
-            lines.append(
-                f"{r.detector},{r.snr_db:.12g},{r.gamma:.12g},{r.bits},{r.errors},"
-                f"{r.ber:.12g},{lo:.12g},{hi:.12g},{int(r.low_errors)},"
-                f"{r.wall_time_s:.6f},{r.trials},{r.stop_reason},{nodes},{pulses}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
-class _Tally:
-    """Running totals of one detector (one gamma, for detnet-hw) at one SNR."""
-
-    bits: int = 0
-    errors: int = 0
-    trials: int = 0
-    nodes: int | None = None
-    pulses: int | None = None
-    seconds: float = 0.0
-    stop_reason: str | None = None
-
-    def row(self, detector, snr_db, gamma, vectors_per_trial):
-        mean_nodes = None
-        if self.nodes is not None:
-            mean_nodes = self.nodes / (self.trials * vectors_per_trial)
-        mean_pulses = None
-        if self.pulses is not None:
-            mean_pulses = self.pulses / self.trials
-        return SweepRow(
-            detector=detector, snr_db=snr_db, gamma=gamma, bits=self.bits,
-            errors=self.errors, wall_time_s=self.seconds, trials=self.trials,
-            stop_reason=self.stop_reason, mean_nodes=mean_nodes,
-            mean_pulses=mean_pulses,
-        )
 
 
 def _trial_rng(seed, snr_index, trial_index):
@@ -184,12 +175,10 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
     if detector == "detnet":
         trajectory, _ = detnet.ideal_forward(params, h, ys)
         return trajectory[-1], None
-    if detector == HW_DETECTOR:
-        return hw_det.forward(h, ys), None
-    raise UnknownDetector(detector)
+    return hw_det.forward(h, ys), None
 
 
-def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
+def run_ber_sweep(exp, params=None):
     """Monte Carlo BER over (detector, snr_db, gamma) grid points.
 
     Deep detectors require trained params.  Each trial is one channel
@@ -199,11 +188,7 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
     """
     cfg = exp.mimo
     sweep = exp.sweep
-    detectors = list(detectors or sweep.detectors)
-    seed = exp.seed if rng_seed is None else rng_seed
-    for det in detectors:
-        if det not in KNOWN_DETECTORS:
-            raise UnknownDetector(f"{det!r}; known: {KNOWN_DETECTORS}")
+    detectors = sweep.detectors
     if any(d in ("detnet", HW_DETECTOR) for d in detectors) and params is None:
         raise ConfigError("deep detectors need trained params (eval.params)")
 
@@ -211,10 +196,7 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
     hw_specs = {}
     if HW_DETECTOR in detectors:
         hw_det = crossbar.HardwareDetector(params, exp.device)
-        try:
-            hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
-        except ValueError as exc:
-            raise ConfigError(f"sweep.gammas: {exc}") from exc
+        hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
 
     # one lane per detector; detnet-hw gets one per gamma
     lanes = [
@@ -223,62 +205,67 @@ def run_ber_sweep(exp, detectors=None, params=None, rng_seed=None):
         for gamma in (sweep.gammas if det == HW_DETECTOR else (None,))
     ]
     vectors = sweep.symbols_per_slot
-    tallies = []
+    points = []
     for s_idx, snr in enumerate(sweep.snr_db):
         sigma = mimo.sigma_from_snr(snr)
-        point = {lane: _Tally() for lane in lanes}
-        tallies.append(point)
-        active = list(point.items())
+        point = {(det, gamma): SweepRow(det, snr, gamma) for det, gamma in lanes}
+        points.append(point)
+        active = list(point.values())
         trial = 0
         while active and trial < sweep.max_trials:
             wave = range(trial, min(trial + WAVE, sweep.max_trials))
-            h, bits, ys, z = _draw_wave(cfg, vectors, seed, s_idx, wave, sigma)
-            if any(det == HW_DETECTOR for (det, _), _ in active):
+            h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, wave, sigma)
+            if any(row.detector == HW_DETECTOR for row in active):
                 # the one reprogramming event per channel realization, for
                 # the whole wave, realized at every gamma
                 program = hw_det.program_channel(h)
                 pulses = int(program.pulse_counts.sum())
-            for (det, gamma), tally in active:
+            for row in active:
                 t0 = time.perf_counter()
-                h_det = program.realized(hw_specs[gamma], z) if det == HW_DETECTOR else h
-                x_hat, nodes = _detect_wave(det, h_det, ys, sigma, cfg, params, hw_det)
+                hw = row.detector == HW_DETECTOR
+                h_det = program.realized(hw_specs[row.gamma], z) if hw else h
+                x_hat, nodes = _detect_wave(row.detector, h_det, ys, sigma, cfg,
+                                            params, hw_det)
                 errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
-                tally.seconds += time.perf_counter() - t0
-                tally.bits += bits.size
-                tally.errors += errors
-                tally.trials += len(wave)
+                row.wall_time_s += time.perf_counter() - t0
+                row.bits += bits.size
+                row.errors += errors
+                row.trials += len(wave)
+                row.vectors += len(wave) * vectors
                 if nodes is not None:
-                    tally.nodes = (tally.nodes or 0) + nodes
-                if det == HW_DETECTOR:
-                    tally.pulses = (tally.pulses or 0) + pulses
-                if tally.bits >= sweep.min_bits and tally.errors >= sweep.min_errors:
-                    tally.stop_reason = "target"
+                    row.nodes = (row.nodes or 0) + nodes
+                if hw:
+                    row.pulses = (row.pulses or 0) + pulses
+                if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
+                    row.stop_reason = "target"
             trial += len(wave)
-            active = [(lane, t) for lane, t in active if t.stop_reason is None]
-        for _, tally in active:
-            tally.stop_reason = "max_trials"
+            active = [row for row in active if row.stop_reason is None]
+        for row in active:
+            row.stop_reason = "max_trials"
 
+    # a gamma-insensitive detector's row is reported at every gamma
     rows = [
-        tallies[s_idx][(det, gamma if det == HW_DETECTOR else None)].row(
-            det, snr, gamma, vectors)
+        point[(det, gamma)] if det == HW_DETECTOR
+        else replace(point[(det, None)], gamma=gamma)
         for det in detectors
-        for s_idx, snr in enumerate(sweep.snr_db)
+        for point in points
         for gamma in sweep.gammas
     ]
     return SweepResult(rows=rows)
 
 
-def _write(path, text):
-    Path(path).write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def _csv(header, rows):
-    return "\n".join([header] + rows) + "\n"
+def _latency_pair(exp):
+    """(programming-latency bound, computation latency) of exp, in seconds."""
+    cfg, lat = exp.mimo, exp.latency
+    bound = analysis.programming_latency_bound(cfg.n_t, cfg.n_r, exp.device)
+    t_c = analysis.computation_latency(
+        cfg.L, lat.t_array_ns * 1e-9, lat.t_adder_ns * 1e-9, lat.t_relu_ns * 1e-9
+    )
+    return bound, t_c
 
 
 def run_pipeline(exp, out_dir):
-    """Dispatch one experiment mode; writes CSV artifacts plus a manifest.
+    """Dispatch one experiment mode; writes its CSV plus a manifest.
 
     Returns the list of files written.
     """
@@ -298,8 +285,8 @@ def run_pipeline(exp, out_dir):
         ckpt = out / "params.npz"
         training.save_params(ckpt, params, cfg)
         outputs.append(str(ckpt))
-        rows = [f"{i},{v:.12g}" for i, v in enumerate(history, start=1)]
-        outputs.append(_write(out / "loss_history.csv", _csv("epoch,mean_loss", rows)))
+        name = "loss_history.csv"
+        records = [{"epoch": i, "mean_loss": v} for i, v in enumerate(history, start=1)]
 
     elif exp.mode == "eval-ber":
         params = None
@@ -308,85 +295,67 @@ def run_pipeline(exp, out_dir):
                 params, _ = training.load_params(exp.params_path, expected_config=cfg)
             except (OSError, KeyError, ValueError) as exc:
                 raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
-        result = run_ber_sweep(exp, params=params)
-        outputs.append(_write(out / "ber.csv", result.to_csv()))
+        name = "ber.csv"
+        records = [row.record() for row in run_ber_sweep(exp, params=params).rows]
 
     elif exp.mode == "bounds":
+        b = exp.bounds
         inputs = analysis.BoundInputs(
             n_t=cfg.n_t, n_r=cfg.n_r, L=cfg.L, S=cfg.S, n_p=spec.n_p,
-            gamma=spec.gamma, sigma_n=exp.bounds.sigma_n,
-            varpi1=exp.bounds.varpi1, varpi2=exp.bounds.varpi2,
+            gamma=spec.gamma, sigma_n=b.sigma_n, varpi1=b.varpi1, varpi2=b.varpi2,
         )
-        report = analysis.eval_bound(inputs)
-        outputs.append(
-            _write(out / "bounds.csv",
-                   _csv(analysis.BoundReport.CSV_HEADER, [report.csv_row()]))
-        )
+        try:
+            report = analysis.eval_bound(inputs)
+        except analysis.BoundRegimeError as exc:
+            # phi = 2 varpi2 (sqrt(n_t) + sqrt(n_r))^2 must exceed 1
+            raise ConfigError(f"bounds.varpi2 = {b.varpi2!r}: {exc}") from exc
+        name = "bounds.csv"
+        records = [asdict(report)]
 
     elif exp.mode == "latency":
-        lat = exp.latency
-        bound = analysis.programming_latency_bound(cfg.n_t, cfg.n_r, spec)
+        bound, t_c = _latency_pair(exp)
         sims = [
-            dev.total_programming_latency(cfg, spec, rng) for _ in range(lat.trials)
+            dev.total_programming_latency(cfg, spec, rng) for _ in range(exp.latency.trials)
         ]
-        t_c = analysis.computation_latency(
-            cfg.L, lat.t_array_ns * 1e-9, lat.t_adder_ns * 1e-9, lat.t_relu_ns * 1e-9
-        )
-        row = (
-            f"{bound:.12g},{np.mean(sims):.12g},{np.max(sims):.12g},"
-            f"{t_c:.12g},{bound + t_c:.12g}"
-        )
-        outputs.append(
-            _write(out / "latency.csv",
-                   _csv("t_p_bound_s,t_p_sim_mean_s,t_p_sim_max_s,t_c_s,t_total_bound_s",
-                        [row]))
-        )
+        name = "latency.csv"
+        records = [{
+            "t_p_bound_s": bound, "t_p_sim_mean_s": np.mean(sims),
+            "t_p_sim_max_s": np.max(sims), "t_c_s": t_c, "t_total_bound_s": bound + t_c,
+        }]
 
     elif exp.mode == "complexity":
-        report = analysis.hardware_complexity(cfg)
-        outputs.append(
-            _write(out / "complexity.csv",
-                   _csv(analysis.ComplexityReport.CSV_HEADER, [report.csv_row()]))
-        )
+        name = "complexity.csv"
+        records = [asdict(analysis.hardware_complexity(cfg))]
 
     elif exp.mode == "flops":
         flops = analysis.flops_per_symbol(cfg)
-        counted = analysis.count_forward_flops(cfg)
-        bound = analysis.programming_latency_bound(cfg.n_t, cfg.n_r, spec)
-        lat = exp.latency
-        t_c = analysis.computation_latency(
-            cfg.L, lat.t_array_ns * 1e-9, lat.t_adder_ns * 1e-9, lat.t_relu_ns * 1e-9
-        )
-        total_latency = bound + t_c
-        tput = analysis.throughput(flops, exp.sweep.symbols_per_slot, total_latency)
-        row = (
-            f"{flops},{counted.total},{exp.sweep.symbols_per_slot},"
-            f"{total_latency:.12g},{tput:.12g}"
-        )
-        outputs.append(
-            _write(out / "flops.csv",
-                   _csv("flops_per_symbol,flops_counted,symbols,latency_s,throughput_flops",
-                        [row]))
-        )
+        symbols = exp.sweep.symbols_per_slot
+        bound, t_c = _latency_pair(exp)
+        latency = bound + t_c
+        name = "flops.csv"
+        records = [{
+            "flops_per_symbol": flops, "flops_counted": analysis.count_forward_flops(cfg),
+            "symbols": symbols, "latency_s": latency,
+            "throughput_flops": analysis.throughput(flops, symbols, latency),
+        }]
 
     elif exp.mode == "program-sim":
-        rows = []
+        name = "program_sim.csv"
+        records = []
         for t in range(exp.latency.trials):
             h = mimo.to_real(mimo.generate_channel(cfg, rng))
             result = dev.program_matrix(h, spec)
             dh = result.realized(spec, rng.standard_normal(h.shape)) - result.h_clipped
-            rows.append(
-                f"{t},{2.0 * result.total_latency:.12g},"
-                f"{int(result.pulse_counts.sum())},{np.std(dh):.12g}"
-            )
-        outputs.append(
-            _write(out / "program_sim.csv",
-                   _csv("trial,t_p_s,total_pulses,dh_std", rows))
-        )
+            records.append({
+                "trial": t, "t_p_s": 2.0 * result.total_latency,
+                "total_pulses": int(result.pulse_counts.sum()), "dh_std": np.std(dh),
+            })
 
     else:
         raise ConfigError(f"unknown mode {exp.mode!r}")
 
+    (out / name).write_text(csv_text(records), encoding="utf-8")
+    outputs.append(str(out / name))
     manifest = {
         "version": f"immimo-{__version__}",
         "mode": exp.mode,
@@ -395,5 +364,6 @@ def run_pipeline(exp, out_dir):
         "wall_clock_s": round(time.perf_counter() - started, 6),
         "config": config_echo(exp),
     }
-    _write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+                                       encoding="utf-8")
     return outputs

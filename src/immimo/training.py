@@ -30,7 +30,8 @@ class TrainConfig:
     epochs: int = 3000
     batch_size: int = 128
     lr: float = 8e-4
-    snr_train_range_db: tuple = (8.0, 13.0)
+    snr_low_db: float = 8.0
+    snr_high_db: float = 13.0
     gamma_train: float = 0.02
     loss_weighting: str = "lnk"
     # constant learning rate by default; the decay multiplies by 0.97 every
@@ -43,9 +44,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        lo, hi = self.snr_train_range_db
-        if lo > hi:
-            raise ValueError("snr_train_range_db must be (low, high)")
+        if self.snr_low_db > self.snr_high_db:
+            raise ValueError("snr_low_db must be <= snr_high_db")
         detnet.loss_weights(1, self.loss_weighting)  # rejects an unknown name
         dev.check_gamma(self.gamma_train)
 
@@ -107,7 +107,7 @@ def draw_batch(config, train_cfg, spec, rng):
     h = mimo.to_real(h_c)
     y0 = (h @ x[..., None])[..., 0]
 
-    lo, hi = train_cfg.snr_train_range_db
+    lo, hi = train_cfg.snr_low_db, train_cfg.snr_high_db
     snr = np.full(b, lo) if lo == hi else rng.uniform(lo, hi, size=b)
     sigma = mimo.sigma_from_snr(snr)
     n = sigma[:, None] * rng.standard_normal(y0.shape)

@@ -88,7 +88,7 @@ class TestFlops:
     @pytest.mark.parametrize("n_t,n_r", [(4, 6), (8, 8), (2, 3), (16, 32)])
     def test_counter_matches_closed_form(self, n_t, n_r):
         c = MimoConfig(n_t=n_t, n_r=n_r)
-        assert analysis.count_forward_flops(c).total == analysis.flops_per_symbol(c)
+        assert analysis.count_forward_flops(c) == analysis.flops_per_symbol(c)
 
 
 class TestCheckpoint:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from immimo import analysis, cli, config, detnet, harness, mimo, training
+from immimo import cli, config, detnet, mimo, training
 
 SWEEP = (
     "mimo.n_t = 2\nmimo.n_r = 3\nmimo.l = 2\nmimo.s = 8\n"
@@ -71,6 +71,7 @@ def test_gamma_out_of_range_exits_2(tmp_path, capsys):
     code, err = run(tmp_path, text, capsys)
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, "config error: sweep.gammas: gamma outside")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gamma_is_not_checked_without_detnet_hw(tmp_path, capsys):
@@ -101,9 +102,19 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
     ("latency", "latency.t_array_ns = -1", "latency.t_array_ns must be >= 0"),
     ("flops", "latency.t_adder_ns = -0.5", "latency.t_adder_ns must be >= 0"),
     ("latency", "latency.t_relu_ns = -2", "latency.t_relu_ns must be >= 0"),
+    ("eval-ber", "sweep.snr_db = nan, 10", "key 'sweep.snr_db': 'nan' is not a finite number"),
+    ("latency", "latency.t_array_ns = nan", "key 'latency.t_array_ns': 'nan' is not a finite"),
+    ("bounds", "bounds.sigma_n = nan", "key 'bounds.sigma_n': 'nan' is not a finite"),
+    ("eval-ber", "sweep.gammas = 0, inf", "key 'sweep.gammas': 'inf' is not a finite"),
+    ("train", "train.lr = -inf", "key 'train.lr': '-inf' is not a finite"),
+    ("bounds", "bounds.varpi2 = Infinity", "key 'bounds.varpi2': 'Infinity' is not a finite"),
+    ("eval-ber", "sweep.detectors = zf, mystery, sd",
+     "sweep.detectors: unknown mystery; known: zf, mmse, ml, sd, detnet, detnet-hw"),
 ], ids=["weighting", "gamma-high", "gamma-negative", "trials-zero", "trials-negative",
         "snr-repeat", "gamma-repeat", "detector-repeat", "no-detector", "seed-negative",
-        "t-array-negative", "t-adder-negative", "t-relu-negative"])
+        "t-array-negative", "t-adder-negative", "t-relu-negative", "snr-nan",
+        "t-array-nan", "sigma-n-nan", "gamma-inf", "lr-minus-inf", "varpi2-infinity",
+        "detector-unknown"])
 def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message):
     # SWEEP without its snr_db line, so that each case sets its key once
     base = SWEEP.replace("sweep.snr_db = 10\n", "")
@@ -117,6 +128,13 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     code, err = run(tmp_path, SWEEP + "sweep.detectors = zf\n", capsys, flags=["--seed", "-1"])
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, "config error: seed must be a nonnegative integer")
+
+
+def test_bound_outside_its_regime_exits_2(tmp_path, capsys):
+    # at n_t 2, n_r 3 the default varpi2 = 0.05 gives phi = 0.99 <= 1
+    code, err = run(tmp_path, SWEEP, capsys, mode="bounds")
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, "config error: bounds.varpi2 = 0.05: phi=0.989898 <= 1")
 
 
 @pytest.mark.parametrize("mode", ["latency", "flops"])
@@ -143,11 +161,12 @@ def test_preset_flag_keeps_explicit_device_keys(tmp_path, capsys):
 # the CSV each mode writes, and its header
 MODE_CSV = {
     "train": ("loss_history.csv", "epoch,mean_loss"),
-    "eval-ber": ("ber.csv", harness.SweepResult.CSV_HEADER),
-    "bounds": ("bounds.csv", analysis.BoundReport.CSV_HEADER),
+    "eval-ber": ("ber.csv", "detector,snr_db,gamma,bits,errors,ber,ci_lo,ci_hi,low_errors,"
+                            "wall_time_s,trials,stop_reason,mean_nodes,mean_pulses"),
+    "bounds": ("bounds.csv", "phi,tau,xi,omega,gamma_cap,bound"),
     "latency": ("latency.csv",
                 "t_p_bound_s,t_p_sim_mean_s,t_p_sim_max_s,t_c_s,t_total_bound_s"),
-    "complexity": ("complexity.csv", analysis.ComplexityReport.CSV_HEADER),
+    "complexity": ("complexity.csv", "memristors,inverters,tias,adders,relu_circuits"),
     "flops": ("flops.csv",
               "flops_per_symbol,flops_counted,symbols,latency_s,throughput_flops"),
     "program-sim": ("program_sim.csv", "trial,t_p_s,total_pulses,dh_std"),
@@ -179,6 +198,26 @@ def test_every_mode_runs_end_to_end(tmp_path, capsys, monkeypatch, mode, flags):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["mode"] == mode
     assert config.parse_config(manifest["config"]) == used[0]
+
+
+# the whole CSV of each draw-free mode at 4x6 with the default preset and keys
+PINNED_CSV = {
+    "bounds": ("bounds.csv", "phi,tau,xi,omega,gamma_cap,bound\n"
+               "1.97979589711,6.28788606139,2.53351273743,0.0012651087948,"
+               "195221335.85,197439031.652\n"),
+    "complexity": ("complexity.csv", "memristors,inverters,tias,adders,relu_circuits\n"
+                   "67136,1592,1108,960,640\n"),
+    "flops": ("flops.csv", "flops_per_symbol,flops_counted,symbols,latency_s,"
+              "throughput_flops\n64616,64616,14,1.78786218271e-06,505980834960\n"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_CSV))
+def test_draw_free_mode_writes_its_pinned_csv(tmp_path, capsys, mode):
+    code, err = run(tmp_path, "mimo.n_t = 4\nmimo.n_r = 6\n", capsys, mode=mode)
+    assert (code, err) == (cli.EXIT_OK, "")
+    name, text = PINNED_CSV[mode]
+    assert (tmp_path / "out" / name).read_text() == text
 
 
 def test_threads_flag_is_gone(tmp_path):

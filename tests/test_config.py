@@ -96,6 +96,13 @@ def test_echo_keeps_sections_the_old_echo_dropped():
     assert "threads" not in echo
 
 
+def test_echo_writes_every_key_once():
+    # the round trip misses a dropped key whenever it holds its default value
+    cfg = config.parse_config("eval.params = ckpt/params.npz\n")
+    keys = [line.split(" = ")[0] for line in config.config_echo(cfg).splitlines()]
+    assert sorted(keys) == sorted(set(config._SCHEMA) - {"device.preset"})
+
+
 def test_only_whole_lines_are_comments():
     cfg = config.parse_config(
         "# a comment line\n   # an indented one\nseed = 3\n"

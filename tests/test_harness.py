@@ -34,8 +34,16 @@ def by_key(result):
     return {(r.detector, r.snr_db, r.gamma): r for r in result.rows}
 
 
+def ber_csv(result):
+    return harness.csv_text([r.record() for r in result.rows])
+
+
 def without_wall_time(csv_text):
     return [line.split(",")[:9] + line.split(",")[10:] for line in csv_text.splitlines()]
+
+
+def only(exp, *detectors):
+    return replace(exp, sweep=replace(exp.sweep, detectors=list(detectors)))
 
 
 def counts(row):
@@ -45,10 +53,10 @@ def counts(row):
 class TestSweep:
     def test_same_seed_same_csv(self, exp, params, full):
         again = harness.run_ber_sweep(exp, params=params)
-        assert without_wall_time(again.to_csv()) == without_wall_time(full.to_csv())
+        assert without_wall_time(ber_csv(again)) == without_wall_time(ber_csv(full))
 
     def test_other_seed_other_draws(self, exp, params, full):
-        other = harness.run_ber_sweep(exp, params=params, rng_seed=6)
+        other = harness.run_ber_sweep(replace(exp, seed=6), params=params)
         assert [r.errors for r in other.rows] != [r.errors for r in full.rows]
 
     def test_row_order_and_columns(self, exp, full):
@@ -56,7 +64,7 @@ class TestSweep:
         assert [(r.detector, r.snr_db, r.gamma) for r in full.rows] == [
             (d, snr, g) for d in s.detectors for snr in s.snr_db for g in s.gammas
         ]
-        header = full.to_csv().splitlines()[0].split(",")
+        header = ber_csv(full).splitlines()[0].split(",")
         assert header[-4:] == ["trials", "stop_reason", "mean_nodes", "mean_pulses"]
         for r in full.rows:
             assert r.bits == r.trials * s.symbols_per_slot * exp.mimo.bits_per_vector
@@ -69,6 +77,22 @@ class TestSweep:
             for g in exp.sweep.gammas:
                 sd, ml = rows[("sd", snr, g)], rows[("ml", snr, g)]
                 assert (sd.bits, sd.errors, sd.trials) == (ml.bits, ml.errors, ml.trials)
+
+    def test_mean_nodes_counts_tree_nodes_per_vector(self, exp, monkeypatch):
+        nodes = []
+        sphere_decode = baselines.sphere_decode
+
+        def counted(*args):
+            out = sphere_decode(*args)
+            nodes.append(out.node_count)
+            return out
+
+        monkeypatch.setattr(baselines, "sphere_decode", counted)
+        one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], detectors=["sd"]))
+        rows = harness.run_ber_sweep(one).rows
+        assert len(nodes) == rows[0].trials  # one call per channel
+        for r in rows:
+            assert r.mean_nodes == sum(nodes) / (r.trials * exp.sweep.symbols_per_slot)
 
     def test_gamma_insensitive_rows_repeat_across_gammas(self, exp, full):
         rows = by_key(full)
@@ -85,23 +109,24 @@ class TestSweep:
         ["sd"], ["detnet-hw"], ["zf", "detnet"], ["mmse", "ml"],
     ])
     def test_row_independent_of_other_detectors(self, exp, params, full, subset):
-        alone = harness.run_ber_sweep(exp, detectors=subset, params=params)
+        alone = harness.run_ber_sweep(only(exp, *subset), params=params)
         rows = by_key(full)
         for r in alone.rows:
             assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
 
     def test_hw_row_independent_of_other_gammas(self, exp, params, full):
         one = replace(exp, sweep=replace(exp.sweep, gammas=[0.02]))
-        alone = harness.run_ber_sweep(one, detectors=["detnet-hw"], params=params)
+        alone = harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
         rows = by_key(full)
         for r in alone.rows:
             assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
 
     def test_unknown_detector_and_missing_params(self, exp):
-        with pytest.raises(harness.UnknownDetector):
-            harness.run_ber_sweep(exp, detectors=["zf", "mystery"])
-        with pytest.raises(config.ConfigError):
-            harness.run_ber_sweep(exp, detectors=["detnet"])
+        with pytest.raises(config.ConfigError, match="sweep.detectors: unknown mystery"):
+            config.parse_config(TINY.replace("zf, mmse, ml, sd, detnet, detnet-hw",
+                                             "zf, mystery"))
+        with pytest.raises(config.ConfigError, match="deep detectors need trained params"):
+            harness.run_ber_sweep(only(exp, "detnet"))
 
 
 # (detector, snr_db, gamma, errors, trials) of every row of the TINY sweep at
@@ -145,7 +170,7 @@ class TestHardwareReuse:
         # at 4 dB gamma 0 reaches 768 errors after 24 trials and gamma 0.02
         # after 32; the programming runs while any gamma still needs the wave
         one = replace(exp, sweep=replace(exp.sweep, min_bits=1, min_errors=768))
-        result = harness.run_ber_sweep(one, detectors=["detnet-hw"], params=params)
+        result = harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
         assert len(result.rows) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
         drawn = {snr: max(r.trials for r in result.rows if r.snr_db == snr)
                  for snr in exp.sweep.snr_db}
@@ -156,7 +181,7 @@ class TestHardwareReuse:
         assert len(forwards) == sum(-(-r.trials // harness.WAVE) for r in result.rows)
 
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
-        result = harness.run_ber_sweep(exp, detectors=["detnet-hw"], params=params)
+        result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
         for snr_index, snr in enumerate(exp.sweep.snr_db):
             rows = [r for r in result.rows if r.snr_db == snr]
             pulses = []
@@ -173,7 +198,7 @@ class TestHardwareReuse:
 class TestStoppingRule:
     def sweep(self, exp, **kw):
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[0.0], **kw))
-        return harness.run_ber_sweep(one, detectors=["zf"]).rows[0]
+        return harness.run_ber_sweep(only(one, "zf")).rows[0]
 
     def test_stops_at_first_wave_boundary_past_the_targets(self, exp):
         bits_per_trial = exp.sweep.symbols_per_slot * exp.mimo.bits_per_vector  # 56
@@ -196,6 +221,26 @@ class TestStoppingRule:
     def test_cap_ends_a_partial_wave(self, exp):
         row = self.sweep(exp, min_bits=10**9, min_errors=1, max_trials=13)
         assert (row.trials, row.stop_reason) == (13, "max_trials")
+
+
+class TestCsvText:
+    def test_floats_python_and_numpy_as_12g(self):
+        text = harness.csv_text([{"a": 1 / 3, "b": np.float64(2e-7), "c": np.float32(0.1),
+                                  "d": 1e20, "e": 6.0}])
+        assert text == "a,b,c,d,e\n0.333333333333,2e-07,0.10000000149,1e+20,6\n"
+
+    def test_bools_as_0_1_and_none_as_empty(self):
+        text = harness.csv_text([{"a": True, "b": False, "c": np.bool_(True),
+                                  "d": np.bool_(False), "e": None}])
+        assert text == "a,b,c,d,e\n1,0,1,0,\n"
+
+    def test_ints_and_strings_as_written(self):
+        text = harness.csv_text([{"n": 12345678901234, "s": "target", "m": np.int64(-3)}])
+        assert text == "n,s,m\n12345678901234,target,-3\n"
+
+    def test_first_record_orders_the_columns(self):
+        text = harness.csv_text([{"z": 1, "a": 2}, {"a": 3, "z": 4}])
+        assert text == "z,a\n1,2\n4,3\n"
 
 
 class TestWilson:

@@ -100,7 +100,7 @@ class TestDrawBatch:
     def test_received_rows_carry_the_noiseless_product(self, luo):
         # at a very high training SNR, y_in is H x up to tiny noise
         cfg = small_cfg()
-        tc = small_train(gamma_train=0.0, snr_train_range_db=(200.0, 200.0))
+        tc = small_train(gamma_train=0.0, snr_low_db=200.0, snr_high_db=200.0)
         x, h_in, y_in = training.draw_batch(cfg, tc, luo, np.random.default_rng(4))
         assert np.allclose(y_in, x @ np.swapaxes(h_in, -1, -2), atol=1e-8)
 
