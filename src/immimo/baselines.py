@@ -4,7 +4,11 @@ All detectors work on the real-valued model y = Hx + n with per-rail
 constellation alphabets from :mod:`immimo.mimo`.  The sphere decoder runs a
 QR-based depth-first search with Schnorr-Euchner enumeration over the 2n_t
 real rails and shrinks its radius at every leaf, so it returns exactly the
-exhaustive-ML decision while visiting far fewer nodes at high SNR.
+exhaustive-ML decision while visiting far fewer nodes at high SNR.  It takes
+a whole stack of channels per call: one numpy pass runs the search's first
+descent, to the Babai point, for every vector, and settles the vectors whose
+search would stop right there; only the rest are searched in Python.  Its
+node count is the search's either way.
 """
 
 import math
@@ -102,33 +106,98 @@ def ml_detect_batch(h_real, ys, config):
     return x_cands.T[best]
 
 
-def sphere_decode(h_real, y, config):
-    """Depth-first sphere decoder with Schnorr-Euchner enumeration.
+# A vector is settled when every second-best sibling's partial metric exceeds
+# its Babai metric by this relative margin; the exact search would then prune
+# every sibling, so the Babai point is its decision.
+SETTLE_MARGIN = 1e-9
 
-    y is one received vector (2n_r,) or several sharing the channel
-    (n_vec, 2n_r); the QR factorization is computed once per call.  Returns
-    the same decisions as :func:`ml_detect_batch`, in y's leading shape,
-    together with the total number of tree nodes visited.
+
+def sphere_decode(h_real, ys, config):
+    """Sphere decoder with Schnorr-Euchner enumeration for many channels.
+
+    h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
+    same leading shape, or ys is one vector (2n_r,).  Returns the same
+    decisions as :func:`ml_detect_batch`, in ys's leading shape, together
+    with the total number of tree nodes the depth-first search visits.
+
+    One stacked QR factors every channel.  The search's first leaf is the
+    Babai (successive-interference-cancellation) point, so one numpy pass
+    runs that first descent for every vector at once and also takes, at each
+    level, the partial metric of the second-best sibling.  A vector is
+    settled when all of those exceed its Babai metric by SETTLE_MARGIN: the
+    search would prune every sibling after the first leaf, so the decision
+    is the Babai point and the node count is sum over levels of
+    min(2, |alphabet|).  Only unsettled vectors run the depth-first search,
+    from the same R and reduced targets, so decisions and node counts equal
+    a per-vector search's.
     """
     h_real = np.asarray(h_real, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n_rails = h_real.shape[1]
+    ys = np.asarray(ys, dtype=float)
+    n_rails = h_real.shape[-1]
     q, r = np.linalg.qr(h_real)
-    diag = np.abs(np.diag(r))
-    if np.any(diag < 1e-12 * diag.max()):
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(diag < 1e-12 * diag.max(axis=-1, keepdims=True)):
         raise RankDeficientChannel("QR exposed a numerically zero pivot")
-    # the search runs on Python floats: per-node numpy scalar arithmetic
-    # costs more than the arithmetic itself at these sizes
-    y_red = np.atleast_2d(y) @ q
-    rows = r.tolist()
-    alphabets = [a.tolist() for a in mimo.rail_alphabets(config)]
+    y_red = np.atleast_2d(ys) @ q  # (..., n_vec, 2n_t)
+    out_shape = y_red.shape[:-2] + ys.shape[-2:-1] + (n_rails,)
+    r = np.broadcast_to(r, y_red.shape[:-2] + r.shape[-2:]).reshape(-1, n_rails, n_rails)
+    targets = y_red.reshape(r.shape[0], -1, n_rails)
+    alphabets = mimo.rail_alphabets(config)
 
+    # first descent for every vector; (channel, vector) arrays, with the
+    # per-node arithmetic in the search's order so that both agree bitwise
+    x = np.empty(targets.shape)
+    partial = np.zeros(targets.shape[:2])
+    sibling = np.full(targets.shape[:2], math.inf)
+    for level in range(n_rails - 1, -1, -1):
+        upper = targets[..., level]
+        for j in range(level + 1, n_rails):
+            upper = upper - r[:, level, j, None] * x[..., j]
+        pivot = r[:, level, level, None]
+        alpha = alphabets[level]
+        if len(alpha) > 1:
+            # Schnorr-Euchner order as in the search: nearest first, ties in
+            # alphabet order, and two-point rails swap only when strictly closer
+            dist = np.abs(alpha - (upper / pivot)[..., None])
+            if len(alpha) == 2:
+                first = (dist[..., 1] < dist[..., 0]).astype(np.intp)
+                second = 1 - first
+            else:
+                order = np.argsort(dist, axis=-1, kind="stable")
+                first, second = order[..., 0], order[..., 1]
+            inc = upper - pivot * alpha[second]
+            sibling = np.minimum(sibling, partial + inc * inc)
+            x[..., level] = alpha[first]
+        else:
+            x[..., level] = alpha[0]
+        inc = upper - pivot * x[..., level]
+        partial = partial + inc * inc
+    settled = sibling > partial * (1.0 + SETTLE_MARGIN)
+    node_count = int(np.count_nonzero(settled)) * sum(min(2, len(a)) for a in alphabets)
+
+    alphabets = [a.tolist() for a in alphabets]
+    for c, v in np.argwhere(~settled):
+        x[c, v], nodes = _search(r[c].tolist(), alphabets, targets[c, v].tolist())
+        node_count += nodes
+    return DetectorOutput(x_hat_real=x.reshape(out_shape), node_count=node_count)
+
+
+def _search(rows, alphabets, target):
+    """Exact depth-first search for one reduced target over one channel's R.
+
+    rows is R as nested lists, alphabets the per-rail candidate lists.  The
+    search runs on Python floats: per-node numpy scalar arithmetic costs more
+    than the arithmetic itself at these sizes.  The radius shrinks at every
+    leaf, so the result is the ML decision.  Returns it, as a list of rail
+    values, and the number of tree nodes visited.
+    """
+    n_rails = len(rows)
     x_work = [0.0] * n_rails
     best_x = list(x_work)
     best_metric = math.inf
     node_count = 0
 
-    def descend(level, partial, target):
+    def descend(level, partial):
         nonlocal best_metric, best_x, node_count
         row = rows[level]
         # interference-cancelled target for this rail
@@ -140,8 +209,7 @@ def sphere_decode(h_real, y, config):
         # Schnorr-Euchner: try candidates closest to the unconstrained
         # solution first so the radius shrinks as early as possible; ties
         # keep alphabet order.  The swap gives the order sorted() would for
-        # two-point rails (BPSK, QPSK) without a sort per node, which takes
-        # about 13% off the reference QPSK sweep.
+        # two-point rails (BPSK, QPSK) without a sort per node.
         alpha = alphabets[level]
         if len(alpha) == 2:
             if abs(alpha[1] - center) < abs(alpha[0] - center):
@@ -157,15 +225,10 @@ def sphere_decode(h_real, y, config):
                 break
             x_work[level] = value
             if level:
-                descend(level - 1, metric, target)
+                descend(level - 1, metric)
             else:
                 best_metric = metric
                 best_x = list(x_work)
 
-    decisions = []
-    for target in y_red.tolist():
-        best_metric = math.inf
-        descend(n_rails - 1, 0.0, target)
-        decisions.append(best_x)
-    x_hat = np.array(decisions).reshape(y.shape[:-1] + (n_rails,))
-    return DetectorOutput(x_hat_real=x_hat, node_count=node_count)
+    descend(n_rails - 1, 0.0)
+    return best_x, node_count

@@ -25,7 +25,7 @@ parallel, so a row costs dt_w times the largest pulse count in the row.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +84,16 @@ class DeviceSpec:
             gamma=gamma,
             dt_w=dt_w_ns * 1e-9,
         )
+
+    def at_gamma(self, gamma):
+        """This spec at C2C level gamma, range-checked but not warned about.
+
+        The config parse checks every gamma a run uses and warns once about
+        a level above 0.05; a spec derived for that level does not warn again.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return replace(self, gamma=gamma)
 
 
 # Published device characterizations.  The first device reports different C2C

@@ -26,6 +26,7 @@ stated once, where its record is built.
 """
 
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -169,9 +170,8 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
     if detector == "ml":
         return baselines.ml_detect_batch(h, ys, cfg), None
     if detector == "sd":
-        outs = [baselines.sphere_decode(h_t, ys_t, cfg) for h_t, ys_t in zip(h, ys)]
-        return (np.stack([o.x_hat_real for o in outs]),
-                sum(o.node_count for o in outs))
+        out = baselines.sphere_decode(h, ys, cfg)
+        return out.x_hat_real, out.node_count
     if detector == "detnet":
         trajectory, _ = detnet.ideal_forward(params, h, ys)
         return trajectory[-1], None
@@ -196,7 +196,7 @@ def run_ber_sweep(exp, params=None):
     hw_specs = {}
     if HW_DETECTOR in detectors:
         hw_det = crossbar.HardwareDetector(params, exp.device)
-        hw_specs = {g: replace(exp.device, gamma=g) for g in sweep.gammas}
+        hw_specs = {g: exp.device.at_gamma(g) for g in sweep.gammas}
 
     # one lane per detector; detnet-hw gets one per gamma
     lanes = [
@@ -254,6 +254,16 @@ def run_ber_sweep(exp, params=None):
     return SweepResult(rows=rows)
 
 
+def environment():
+    """The Python, numpy and BLAS versions a run used, for its manifest."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
 def _latency_pair(exp):
     """(programming-latency bound, computation latency) of exp, in seconds."""
     cfg, lat = exp.mimo, exp.latency
@@ -273,18 +283,14 @@ def run_pipeline(exp, out_dir):
         # the row latency bound divides by ln n_t
         raise ConfigError(f"{exp.mode} mode needs mimo.n_t >= 2")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     rng = np.random.default_rng(exp.seed)
     cfg = exp.mimo
     spec = exp.device
-    outputs = []
+    checkpoint = None
 
     if exp.mode == "train":
-        params, history = training.train(cfg, exp.train, spec, rng)
-        ckpt = out / "params.npz"
-        training.save_params(ckpt, params, cfg)
-        outputs.append(str(ckpt))
+        checkpoint, history = training.train(cfg, exp.train, spec, rng)
         name = "loss_history.csv"
         records = [{"epoch": i, "mean_loss": v} for i, v in enumerate(history, start=1)]
 
@@ -354,6 +360,13 @@ def run_pipeline(exp, out_dir):
     else:
         raise ConfigError(f"unknown mode {exp.mode!r}")
 
+    # made only now, so that a user error found while running the mode
+    # leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    if checkpoint is not None:
+        training.save_params(out / "params.npz", checkpoint, cfg)
+        outputs.append(str(out / "params.npz"))
     (out / name).write_text(csv_text(records), encoding="utf-8")
     outputs.append(str(out / name))
     manifest = {
@@ -363,6 +376,7 @@ def run_pipeline(exp, out_dir):
         "outputs": [Path(o).name for o in outputs],
         "wall_clock_s": round(time.perf_counter() - started, 6),
         "config": config_echo(exp),
+        "environment": environment(),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")

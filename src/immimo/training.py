@@ -10,7 +10,7 @@ clamped to stay strictly positive because they map to physical resistances.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def draw_batch(config, train_cfg, spec, rng):
     n = sigma[:, None] * rng.standard_normal(y0.shape)
 
     if train_cfg.gamma_train > 0:
-        dh = dev.sample_dh_matrix(h, replace(spec, gamma=train_cfg.gamma_train), rng)
+        dh = dev.sample_dh_matrix(h, spec.at_gamma(train_cfg.gamma_train), rng)
     else:
         dh = 0.0
     return x[:, None], h + dh, (y0 + n)[:, None]

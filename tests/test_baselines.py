@@ -227,3 +227,126 @@ class TestDetectorOrdering:
             total += bits.size
         assert total >= 100_000
         assert errs["ml"] <= errs["mmse"] <= errs["zf"]
+
+
+def payload(x_hat, c):
+    """The decided bits of one vector as an integer, first bit most significant."""
+    return int("".join(str(int(b)) for b in mimo.demodulate(x_hat, c)), 2)
+
+
+# Per-vector node counts and decided payloads of the depth-first search with
+# Schnorr-Euchner order, one vector per call, for 3 channels x 4 vectors per
+# SNR drawn from default_rng(100 + case index) as in TestPinnedSearch.
+PINNED = {
+    ("qpsk", 4, 6): {
+        0.0: ([17, 38, 16, 28, 43, 92, 37, 16, 59, 24, 103, 42],
+              [183, 169, 71, 4, 170, 189, 16, 34, 190, 28, 153, 68]),
+        6.0: ([17, 29, 17, 24, 26, 19, 22, 19, 19, 20, 44, 35],
+              [159, 137, 159, 72, 183, 19, 72, 221, 241, 131, 106, 245]),
+        14.0: ([16, 16, 16, 16, 16, 16, 16, 16, 23, 19, 16, 16],
+               [143, 107, 69, 137, 1, 231, 70, 85, 42, 36, 96, 179]),
+        30.0: ([16] * 12,
+               [214, 246, 231, 55, 61, 153, 136, 142, 101, 147, 80, 172]),
+    },
+    ("bpsk", 4, 6): {
+        0.0: ([12, 12, 12, 12, 17, 12, 12, 16, 12, 12, 13, 17],
+              [14, 14, 8, 7, 7, 2, 13, 3, 11, 6, 4, 6]),
+        6.0: ([12, 12, 12, 12, 12, 15, 12, 12, 12, 12, 12, 12],
+              [15, 15, 12, 8, 3, 8, 1, 13, 0, 0, 15, 2]),
+        14.0: ([12] * 12, [9, 11, 14, 12, 9, 11, 6, 0, 6, 8, 6, 11]),
+        30.0: ([12] * 12, [0, 6, 0, 3, 7, 1, 1, 6, 15, 12, 6, 7]),
+    },
+    ("qam16", 2, 3): {
+        0.0: ([8, 19, 17, 10, 17, 8, 96, 15, 19, 22, 8, 38],
+              [92, 157, 97, 83, 186, 50, 21, 226, 154, 11, 178, 33]),
+        6.0: ([8, 8, 14, 8, 23, 12, 16, 18, 8, 8, 8, 8],
+              [56, 94, 240, 186, 150, 218, 199, 146, 130, 242, 80, 243]),
+        14.0: ([8, 8, 8, 8, 8, 8, 8, 8, 11, 8, 8, 8],
+               [182, 71, 99, 121, 178, 153, 91, 95, 75, 210, 84, 119]),
+        30.0: ([8] * 12,
+               [115, 62, 111, 134, 55, 105, 130, 219, 217, 110, 242, 254]),
+    },
+}
+
+
+class TestPinnedSearch:
+    """The decoder's exact decisions and node counts, vector by vector.
+
+    A settled vector costs min(2, |alphabet|) nodes per level: 16 for 4x6
+    QPSK, 12 for 4x6 BPSK (its quadrature rails hold one value) and 8 for
+    2x3 16QAM.  Any other count comes from a search past the Babai point.
+    """
+
+    @pytest.mark.parametrize("index", range(len(PINNED)))
+    def test_nodes_and_decisions_per_vector(self, index):
+        (mod, n_t, n_r), pinned = list(PINNED.items())[index]
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        rng = np.random.default_rng(100 + index)
+        for snr, (nodes, payloads) in pinned.items():
+            got_nodes, got_payloads = [], []
+            for _ in range(3):
+                h = mimo.to_real(mimo.generate_channel(c, rng))
+                bits = mimo.random_bits(c, rng, count=4)
+                ys = mimo.transmit(h, mimo.modulate(bits, c), mimo.sigma_from_snr(snr), rng)
+                for y in ys:
+                    out = baselines.sphere_decode(h, y, c)
+                    got_nodes.append(out.node_count)
+                    got_payloads.append(payload(out.x_hat_real, c))
+            assert (got_nodes, got_payloads) == (nodes, payloads), snr
+
+    def test_noiseless_vector_settles_at_the_sent_point(self):
+        c = cfg()
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            h, x, y = noiseless_instance(c, rng)
+            out = baselines.sphere_decode(h, y, c)
+            assert np.array_equal(out.x_hat_real, x)
+            assert out.node_count == 16
+
+    # R = H (upper triangular with a positive diagonal, so Q = I).  Rail 3
+    # decides 0.5, which leaves rail 2's center at exactly 0.0, on the QPSK
+    # decision boundary: the search tries alphabet order (+0.5 first), and the
+    # tie sends the vector past the Babai point.
+    BOUNDARY_H = np.array([
+        [2.0, 0.5, 0.5, 0.25], [0.0, 1.0, 0.5, 0.5], [0.0, 0.0, 1.0, 0.5],
+        [0.0, 0.0, 0.0, 2.0],
+    ])
+
+    @pytest.mark.parametrize("y,nodes,x_hat", [
+        ([0.3, -0.2, 0.25, 1.1], 12, [0.5, -0.5, -0.5, 0.5]),
+        ([0.3, 0.2, 0.25, 1.1], 14, [0.5, -0.5, -0.5, 0.5]),
+        ([-0.6, 0.4, 0.25, 1.1], 12, [-0.5, 0.5, -0.5, 0.5]),
+    ])
+    def test_center_on_a_decision_boundary(self, y, nodes, x_hat):
+        c = cfg(n_t=2, n_r=2)
+        out = baselines.sphere_decode(self.BOUNDARY_H, np.array(y), c)
+        assert (out.node_count, out.x_hat_real.tolist()) == (nodes, x_hat)
+        assert out.x_hat_real.tolist() == baselines.ml_detect_batch(
+            self.BOUNDARY_H, np.array([y]), c)[0].tolist()
+
+
+class TestStackedSphereDecoder:
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("qpsk", 4, 6), ("bpsk", 4, 6), ("qam16", 2, 3),
+    ])
+    def test_stack_equals_per_channel_calls(self, mod, n_t, n_r):
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        rng = np.random.default_rng(12)
+        for snr in (0.0, 6.0, 14.0, 30.0):
+            h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(8)])
+            bits = mimo.random_bits(c, rng, count=8 * 14).reshape(8, 14, -1)
+            ys = np.stack([mimo.transmit(h[w], mimo.modulate(bits[w], c),
+                                         mimo.sigma_from_snr(snr), rng) for w in range(8)])
+            stacked = baselines.sphere_decode(h, ys, c)
+            singles = [baselines.sphere_decode(h[w], ys[w], c) for w in range(8)]
+            assert stacked.x_hat_real.shape == (8, 14, 2 * n_t)
+            assert np.array_equal(stacked.x_hat_real,
+                                  np.stack([s.x_hat_real for s in singles]))
+            assert stacked.node_count == sum(s.node_count for s in singles)
+
+    def test_one_rank_deficient_channel_in_a_stack_raises(self, rng):
+        c = cfg(n_t=2, n_r=3)
+        h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(4)])
+        h[2, :, 3] = h[2, :, 1]
+        with pytest.raises(baselines.RankDeficientChannel):
+            baselines.sphere_decode(h, rng.standard_normal((4, 5, 6)), c)

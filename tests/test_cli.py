@@ -146,6 +146,29 @@ def test_single_antenna_latency_bound_exits_2(tmp_path, capsys, mode):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode,text", [
+    # at n_t 2, n_r 3 the default varpi2 = 0.05 puts phi below 1
+    pytest.param("bounds", SWEEP, id="bound-regime"),
+    pytest.param("eval-ber", SWEEP + "sweep.detectors = detnet\neval.params = {tmp}/none.npz\n",
+                 id="missing-params"),
+])
+def test_user_error_while_running_leaves_no_output_directory(tmp_path, capsys, mode, text):
+    code, err = run(tmp_path, text.format(tmp=tmp_path), capsys, mode=mode)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, "config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_the_environment(tmp_path, capsys):
+    code, err = run(tmp_path, SWEEP, capsys, mode="complexity")
+    assert (code, err) == (cli.EXIT_OK, "")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert sorted(env) == ["blas", "numpy", "python"]
+    assert env["numpy"] == np.__version__
+    assert all(isinstance(v, str) and v for v in env.values())
+
+
 def test_preset_flag_keeps_explicit_device_keys(tmp_path, capsys):
     text = SWEEP + "sweep.detectors = zf\nseed = 4\ndevice.gamma = 0.01\n"
     code, err = run(tmp_path, text, capsys, mode="latency",

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -90,7 +91,8 @@ class TestSweep:
         monkeypatch.setattr(baselines, "sphere_decode", counted)
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], detectors=["sd"]))
         rows = harness.run_ber_sweep(one).rows
-        assert len(nodes) == rows[0].trials  # one call per channel
+        # one call per wave
+        assert len(nodes) == math.ceil(rows[0].trials / harness.WAVE)
         for r in rows:
             assert r.mean_nodes == sum(nodes) / (r.trials * exp.sweep.symbols_per_slot)
 
@@ -155,6 +157,24 @@ class TestGolden:
     def test_errors_and_trials_of_every_row_are_pinned(self, full):
         assert [(r.detector, r.snr_db, r.gamma, r.errors, r.trials)
                 for r in full.rows] == GOLDEN
+
+
+class TestGammaWarning:
+    """A gamma in (0.05, 0.06] is warned about once, where it is parsed."""
+
+    def test_sweep_gamma_warns_once(self, params):
+        text = (TINY.replace("sweep.gammas = 0, 0.02", "sweep.gammas = 0.055")
+                .replace("zf, mmse, ml, sd, detnet, detnet-hw", "detnet-hw"))
+        with pytest.warns(UserWarning, match="typical C2C range") as record:
+            harness.run_ber_sweep(config.parse_config(text), params=params)
+        assert len(record) == 1
+
+    def test_training_gamma_warns_once(self, tmp_path):
+        text = ("mode = train\nmimo.n_t = 2\nmimo.n_r = 3\nmimo.l = 2\nmimo.s = 8\n"
+                "train.epochs = 3\ntrain.batch_size = 4\ntrain.gamma = 0.055\n")
+        with pytest.warns(UserWarning, match="typical C2C range") as record:
+            harness.run_pipeline(config.parse_config(text), tmp_path / "out")
+        assert len(record) == 1
 
 
 class TestHardwareReuse:
