@@ -10,7 +10,10 @@ Subcommands map onto pipeline modes:
     immimo flops        --config x.cfg --out results/
     immimo program-sim  --config x.cfg --out results/
 
-Common flags override config values: --seed, --preset, --out.
+The subcommand is the run's `mode`: it is passed to the config parse as the
+`mode` override, so it replaces any `mode` line of the file and every check
+that depends on the mode runs there.  The other flags override config values
+the same way (--seed, --preset) or name the output directory (--out).
 Exit codes: 0 success, 2 configuration error (a one-line message, never a
 traceback; a `bounds` run whose config puts the bound outside its phi > 1
 regime is one), 3 numeric failure (training divergence, a rank-deficient
@@ -22,7 +25,7 @@ import sys
 
 from . import device as dev
 from .baselines import RankDeficientChannel
-from .config import ConfigError, load_config
+from .config import MODES, ConfigError, load_config
 from .harness import run_pipeline
 from .training import TrainingDiverged
 
@@ -37,8 +40,7 @@ def build_parser():
         description="crossbar-array MIMO detection simulator and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "eval-ber", "bounds", "latency", "complexity",
-                 "flops", "program-sim"):
+    for name in MODES:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="flat key=value config file")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -52,13 +54,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
+        overrides = {"mode": args.command}
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
         if args.preset is not None:
             overrides["device.preset"] = args.preset
         exp = load_config(args.config, overrides)
-        exp.mode = args.command
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

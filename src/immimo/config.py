@@ -6,6 +6,10 @@ a `#` anywhere else is part of the value, so paths such as `runs/a#1` keep it.
 Unknown keys are rejected with a line diagnostic so typos cannot silently fall
 back to defaults.
 
+Each key is stated once, as a row of `_SCHEMA` that drives the parse, the
+build of the sections and `config_echo`.  parse_config is the one gate of a
+run's inputs: every check, mode-dependent ones included, runs there.
+
 Example::
 
     mode = eval-ber
@@ -27,7 +31,9 @@ device.n_p, device.gamma, device.dt_w_ns); explicit keys override the preset.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
+from . import baselines
 from . import device as dev
 from . import mimo
 from . import training
@@ -89,6 +95,14 @@ class BoundsConfig:
     varpi2: float = 0.05
     sigma_n: float = mimo.sigma_from_snr(10.0)
 
+    def validate(self):
+        # the varpis are maxima of strictly positive step gains
+        for key in ("varpi1", "varpi2"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"bounds.{key} must be > 0")
+        if self.sigma_n < 0:
+            raise ConfigError("bounds.sigma_n must be >= 0")
+
 
 @dataclass
 class LatencyConfig:
@@ -134,23 +148,18 @@ def _parse_scalar(key, raw, kind):
     return value
 
 
-def _parse_list(key, raw, kind):
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    return [_parse_scalar(key, s, kind) for s in items]
-
-
-# key -> (target section, attribute, parser kind); None kind means str
+# key -> (target section, attribute, parser kind); a (list, kind) pair parses a
+# comma-separated list.  Rows are in config_echo's order.
 _SCHEMA = {
     "mode": ("root", "mode", str),
     "seed": ("root", "seed", int),
-    "eval.params": ("root", "params_path", str),
     "mimo.n_t": ("mimo", "n_t", int),
     "mimo.n_r": ("mimo", "n_r", int),
     "mimo.modulation": ("mimo", "modulation", str),
     "mimo.l": ("mimo", "L", int),
     "mimo.s": ("mimo", "S", int),
     "mimo.a_size": ("mimo", "a_size", int),
-    "device.preset": ("device", "preset", str),
+    "device.preset": ("device", "name", str),
     "device.g_on_us": ("device", "g_on_us", float),
     "device.g_off_us": ("device", "g_off_us", float),
     "device.n_p": ("device", "n_p", int),
@@ -178,13 +187,14 @@ _SCHEMA = {
     "latency.t_adder_ns": ("latency", "t_adder_ns", float),
     "latency.t_relu_ns": ("latency", "t_relu_ns", float),
     "latency.trials": ("latency", "trials", int),
+    "eval.params": ("root", "params_path", str),
 }
 
 
 def _parse_value(key, raw):
     kind = _SCHEMA[key][2]
     if isinstance(kind, tuple):
-        return _parse_list(key, raw, kind[1])
+        return [_parse_scalar(key, s.strip(), kind[1]) for s in raw.split(",") if s.strip()]
     return _parse_scalar(key, raw, kind)
 
 
@@ -194,8 +204,7 @@ def parse_config(text, overrides=None):
     `overrides` maps keys to raw value text, as on a config line; each
     replaces the file's value, if any, before the config is built.
     """
-    sections = {"root": {}, "mimo": {}, "device": {}, "train": {},
-                "sweep": {}, "bounds": {}, "latency": {}}
+    sections = {section: {} for section, _, _ in _SCHEMA.values()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -220,51 +229,42 @@ def load_config(path, overrides=None):
         return parse_config(fh.read(), overrides)
 
 
+# section -> builder from that section's keyword values
+_BUILDERS = {
+    "mimo": partial(mimo.MimoConfig, n_t=4, n_r=6),
+    "device": dev.device_preset,
+    "train": training.TrainConfig,
+    "sweep": SweepConfig,
+    "bounds": BoundsConfig,
+    "latency": LatencyConfig,
+}
+
+
 def build_config(sections):
-    root = sections["root"]
-    mode = root.get("mode", "eval-ber")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    seed = root.get("seed", 0)
-    if seed < 0:
+    built = {}
+    for section, build in _BUILDERS.items():
+        try:
+            built[section] = build(**sections[section])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{section} section: {exc}") from exc
+        # the sections defined here check themselves only when parsed, so
+        # that a library caller may derive one with dataclasses.replace
+        if hasattr(built[section], "validate"):
+            built[section].validate()
+    exp = ExperimentConfig(**built, **sections["root"])
+    if exp.mode not in MODES:
+        raise ConfigError(f"unknown mode {exp.mode!r}; expected one of {MODES}")
+    if exp.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-
-    mimo_kw = dict(sections["mimo"])
-    mimo_kw.setdefault("n_t", 4)
-    mimo_kw.setdefault("n_r", 6)
-    try:
-        mimo_cfg = mimo.MimoConfig(**mimo_kw)
-    except ValueError as exc:
-        raise ConfigError(f"mimo section: {exc}") from exc
-
-    dev_kw = dict(sections["device"])
-    preset = dev_kw.pop("preset", dev.DEFAULT_PRESET)
-    try:
-        spec = dev.device_preset(preset, **dev_kw)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"device section: {exc}") from exc
-
-    try:
-        train_cfg = training.TrainConfig(**sections["train"])
-    except ValueError as exc:
-        raise ConfigError(f"train section: {exc}") from exc
-
-    sweep = SweepConfig(**sections["sweep"])
-    sweep.validate()
-    bounds = BoundsConfig(**sections["bounds"])
-    latency = LatencyConfig(**sections["latency"])
-    latency.validate()
-    return ExperimentConfig(
-        mimo=mimo_cfg,
-        device=spec,
-        train=train_cfg,
-        sweep=sweep,
-        bounds=bounds,
-        latency=latency,
-        seed=seed,
-        mode=mode,
-        params_path=root.get("params_path"),
-    )
+    if exp.mode in ("latency", "flops") and exp.mimo.n_t < 2:
+        # the row latency bound divides by ln n_t
+        raise ConfigError(f"{exp.mode} mode needs mimo.n_t >= 2")
+    candidates = 2**exp.mimo.bits_per_vector
+    if "ml" in exp.sweep.detectors and candidates > baselines.ML_GUARD:
+        raise ConfigError(
+            f"sweep.detectors: ml would search {candidates} candidates per "
+            f"vector, above the guard of {baselines.ML_GUARD}")
+    return exp
 
 
 def _unit_text(value, scale):
@@ -281,51 +281,33 @@ def _unit_text(value, scale):
     return repr(value / scale)
 
 
+def _value_text(value, kind):
+    if isinstance(kind, tuple):
+        return ", ".join(_value_text(v, kind[1]) for v in value)
+    if kind is bool:
+        return str(value).lower()
+    if isinstance(value, mimo.Modulation):
+        return value.value
+    return repr(value) if kind is float else str(value)
+
+
 def config_echo(cfg):
     """Canonical text form of a parsed config, for run manifests.
 
+    One line per `_SCHEMA` key, in table order, but for device.preset, whose
+    values are written out, and an unset eval.params.
     parse_config(config_echo(cfg)) == cfg: floats are written with repr and
     device values in config units that scale back exactly.
     """
-    m, d, t, s = cfg.mimo, cfg.device, cfg.train, cfg.sweep
-    b, lat = cfg.bounds, cfg.latency
-    lines = [
-        f"mode = {cfg.mode}",
-        f"seed = {cfg.seed}",
-        f"mimo.n_t = {m.n_t}",
-        f"mimo.n_r = {m.n_r}",
-        f"mimo.modulation = {m.modulation.value}",
-        f"mimo.l = {m.L}",
-        f"mimo.s = {m.S}",
-        f"mimo.a_size = {m.a_size}",
-        f"device.g_on_us = {_unit_text(d.g_on, 1e-6)}",
-        f"device.g_off_us = {_unit_text(d.g_off, 1e-6)}",
-        f"device.n_p = {d.n_p}",
-        f"device.gamma = {d.gamma!r}",
-        f"device.dt_w_ns = {_unit_text(d.dt_w, 1e-9)}",
-        f"train.epochs = {t.epochs}",
-        f"train.batch_size = {t.batch_size}",
-        f"train.lr = {t.lr!r}",
-        f"train.snr_low_db = {t.snr_low_db!r}",
-        f"train.snr_high_db = {t.snr_high_db!r}",
-        f"train.gamma = {t.gamma_train!r}",
-        f"train.weighting = {t.loss_weighting}",
-        f"train.lr_decay = {str(t.lr_decay).lower()}",
-        f"sweep.snr_db = {', '.join(repr(v) for v in s.snr_db)}",
-        f"sweep.gammas = {', '.join(repr(v) for v in s.gammas)}",
-        f"sweep.detectors = {', '.join(s.detectors)}",
-        f"sweep.min_bits = {s.min_bits}",
-        f"sweep.min_errors = {s.min_errors}",
-        f"sweep.max_trials = {s.max_trials}",
-        f"sweep.symbols_per_slot = {s.symbols_per_slot}",
-        f"bounds.varpi1 = {b.varpi1!r}",
-        f"bounds.varpi2 = {b.varpi2!r}",
-        f"bounds.sigma_n = {b.sigma_n!r}",
-        f"latency.t_array_ns = {lat.t_array_ns!r}",
-        f"latency.t_adder_ns = {lat.t_adder_ns!r}",
-        f"latency.t_relu_ns = {lat.t_relu_ns!r}",
-        f"latency.trials = {lat.trials}",
-    ]
-    if cfg.params_path:
-        lines.append(f"eval.params = {cfg.params_path}")
+    lines = []
+    for key, (section, attr, kind) in _SCHEMA.items():
+        target = cfg if section == "root" else getattr(cfg, section)
+        if attr in dev.CONFIG_UNITS:
+            spec_field, scale = dev.CONFIG_UNITS[attr]
+            text = _unit_text(getattr(target, spec_field), scale)
+        elif key != "device.preset" and getattr(target, attr) is not None:
+            text = _value_text(getattr(target, attr), kind)
+        else:
+            continue
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

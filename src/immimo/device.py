@@ -46,6 +46,15 @@ def check_gamma(gamma):
         )
 
 
+# config key -> (DeviceSpec field, SI value of one config unit) for the
+# device parameters the config gives in microsiemens and nanoseconds
+CONFIG_UNITS = {
+    "g_on_us": ("g_on", 1e-6),
+    "g_off_us": ("g_off", 1e-6),
+    "dt_w_ns": ("dt_w", 1e-9),
+}
+
+
 @dataclass
 class DeviceSpec:
     """Memristor behavioral parameters (SI units: siemens, seconds)."""
@@ -75,15 +84,11 @@ class DeviceSpec:
         return self.gamma * self.g_range
 
     @classmethod
-    def from_config_keys(cls, g_on_us, g_off_us, n_p, gamma, dt_w_ns):
-        """Build from config-file units (microsiemens, nanoseconds)."""
-        return cls(
-            g_on=g_on_us * 1e-6,
-            g_off=g_off_us * 1e-6,
-            n_p=int(n_p),
-            gamma=gamma,
-            dt_w=dt_w_ns * 1e-9,
-        )
+    def from_config_keys(cls, n_p, gamma, **scaled):
+        """Build from config-file units (microsiemens, nanoseconds; CONFIG_UNITS)."""
+        fields = {CONFIG_UNITS[key][0]: value * CONFIG_UNITS[key][1]
+                  for key, value in scaled.items()}
+        return cls(n_p=int(n_p), gamma=gamma, **fields)
 
     def at_gamma(self, gamma):
         """This spec at C2C level gamma, range-checked but not warned about.

@@ -126,11 +126,6 @@ class SweepRow:
         }
 
 
-@dataclass
-class SweepResult:
-    rows: list
-
-
 def _trial_rng(seed, snr_index, trial_index):
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), int(snr_index), int(trial_index)])
@@ -184,7 +179,7 @@ def run_ber_sweep(exp, params=None):
     Deep detectors require trained params.  Each trial is one channel
     realization carrying `symbols_per_slot` symbol vectors; hardware
     detection reprograms the channel arrays exactly once per realization.
-    Rows are ordered by detector, then SNR, then gamma.
+    Returns the SweepRows, ordered by detector, then SNR, then gamma.
     """
     cfg = exp.mimo
     sweep = exp.sweep
@@ -244,14 +239,13 @@ def run_ber_sweep(exp, params=None):
             row.stop_reason = "max_trials"
 
     # a gamma-insensitive detector's row is reported at every gamma
-    rows = [
+    return [
         point[(det, gamma)] if det == HW_DETECTOR
         else replace(point[(det, None)], gamma=gamma)
         for det in detectors
         for point in points
         for gamma in sweep.gammas
     ]
-    return SweepResult(rows=rows)
 
 
 def environment():
@@ -279,9 +273,6 @@ def run_pipeline(exp, out_dir):
 
     Returns the list of files written.
     """
-    if exp.mode in ("latency", "flops") and exp.mimo.n_t < 2:
-        # the row latency bound divides by ln n_t
-        raise ConfigError(f"{exp.mode} mode needs mimo.n_t >= 2")
     out = Path(out_dir)
     started = time.perf_counter()
     rng = np.random.default_rng(exp.seed)
@@ -302,7 +293,7 @@ def run_pipeline(exp, out_dir):
             except (OSError, KeyError, ValueError) as exc:
                 raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
         name = "ber.csv"
-        records = [row.record() for row in run_ber_sweep(exp, params=params).rows]
+        records = [row.record() for row in run_ber_sweep(exp, params=params)]
 
     elif exp.mode == "bounds":
         b = exp.bounds

@@ -121,9 +121,12 @@ def rail_alphabets(config):
 _ALPHABET_CACHE = {}
 
 
-def generate_channel(config, rng):
-    """Draw an n_r x n_t Rayleigh-fading matrix, CN(0, 2) per entry."""
-    shape = (config.n_r, config.n_t)
+def generate_channel(config, rng, count=None):
+    """Draw an n_r x n_t Rayleigh-fading matrix, CN(0, 2) per entry.
+
+    With count, a stack of count matrices, shape (count, n_r, n_t).
+    """
+    shape = (config.n_r, config.n_t) if count is None else (count, config.n_r, config.n_t)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 

@@ -101,10 +101,7 @@ def draw_batch(config, train_cfg, spec, rng):
     b = train_cfg.batch_size
     bits = mimo.random_bits(config, rng, count=b)
     x = mimo.modulate(bits, config)
-    h_c = rng.standard_normal((b, config.n_r, config.n_t)) + 1j * rng.standard_normal(
-        (b, config.n_r, config.n_t)
-    )
-    h = mimo.to_real(h_c)
+    h = mimo.to_real(mimo.generate_channel(config, rng, count=b))
     y0 = (h @ x[..., None])[..., 0]
 
     lo, hi = train_cfg.snr_low_db, train_cfg.snr_high_db

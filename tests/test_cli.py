@@ -110,11 +110,14 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
     ("bounds", "bounds.varpi2 = Infinity", "key 'bounds.varpi2': 'Infinity' is not a finite"),
     ("eval-ber", "sweep.detectors = zf, mystery, sd",
      "sweep.detectors: unknown mystery; known: zf, mmse, ml, sd, detnet, detnet-hw"),
+    ("bounds", "bounds.varpi1 = -1", "bounds.varpi1 must be > 0"),
+    ("bounds", "bounds.varpi2 = 0", "bounds.varpi2 must be > 0"),
+    ("bounds", "bounds.sigma_n = -0.3", "bounds.sigma_n must be >= 0"),
 ], ids=["weighting", "gamma-high", "gamma-negative", "trials-zero", "trials-negative",
         "snr-repeat", "gamma-repeat", "detector-repeat", "no-detector", "seed-negative",
         "t-array-negative", "t-adder-negative", "t-relu-negative", "snr-nan",
         "t-array-nan", "sigma-n-nan", "gamma-inf", "lr-minus-inf", "varpi2-infinity",
-        "detector-unknown"])
+        "detector-unknown", "varpi1-negative", "varpi2-zero", "sigma-n-negative"])
 def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message):
     # SWEEP without its snr_db line, so that each case sets its key once
     base = SWEEP.replace("sweep.snr_db = 10\n", "")
@@ -122,6 +125,25 @@ def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, f"config error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_oversized_ml_exits_2_when_parsed(tmp_path, capsys):
+    # 4^12 QPSK candidates per vector, above baselines.ML_GUARD
+    text = SWEEP.replace("n_t = 2", "n_t = 12").replace("n_r = 3", "n_r = 12")
+    code, err = run(tmp_path, text + "sweep.detectors = zf, ml\n", capsys)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, "config error: sweep.detectors: ml would search 16777216 candidates")
+    assert not (tmp_path / "out").exists()
+
+
+def test_subcommand_overrides_the_config_mode(tmp_path, capsys):
+    code, err = run(tmp_path, "mode = train\n" + SWEEP + "sweep.detectors = zf\n", capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert (tmp_path / "out" / "ber.csv").exists()
+    assert not (tmp_path / "out" / "loss_history.csv").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["mode"] == "eval-ber"
+    assert "mode = eval-ber\n" in manifest["config"]
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

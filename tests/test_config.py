@@ -103,6 +103,21 @@ def test_echo_writes_every_key_once():
     assert sorted(keys) == sorted(set(config._SCHEMA) - {"device.preset"})
 
 
+def test_echo_keys_follow_the_schema_order():
+    # manifests list their keys in _SCHEMA order, so one cannot drift alone
+    cfg = config.parse_config("eval.params = ckpt/params.npz\n")
+    keys = [line.split(" = ")[0] for line in config.config_echo(cfg).splitlines()]
+    assert keys == [key for key in config._SCHEMA if key != "device.preset"]
+
+
+@pytest.mark.parametrize("mode", ["latency", "flops"])
+def test_single_antenna_latency_mode_is_rejected_at_parse(mode):
+    # the row latency bound divides by ln n_t
+    with pytest.raises(config.ConfigError, match=f"{mode} mode needs mimo.n_t >= 2"):
+        config.parse_config("mimo.n_t = 1\n", {"mode": mode})
+    assert config.parse_config("mimo.n_t = 1\n", {"mode": "bounds"}).mode == "bounds"
+
+
 def test_only_whole_lines_are_comments():
     cfg = config.parse_config(
         "# a comment line\n   # an indented one\nseed = 3\n"

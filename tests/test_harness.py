@@ -32,11 +32,11 @@ def full(exp, params):
 
 
 def by_key(result):
-    return {(r.detector, r.snr_db, r.gamma): r for r in result.rows}
+    return {(r.detector, r.snr_db, r.gamma): r for r in result}
 
 
 def ber_csv(result):
-    return harness.csv_text([r.record() for r in result.rows])
+    return harness.csv_text([r.record() for r in result])
 
 
 def without_wall_time(csv_text):
@@ -58,16 +58,16 @@ class TestSweep:
 
     def test_other_seed_other_draws(self, exp, params, full):
         other = harness.run_ber_sweep(replace(exp, seed=6), params=params)
-        assert [r.errors for r in other.rows] != [r.errors for r in full.rows]
+        assert [r.errors for r in other] != [r.errors for r in full]
 
     def test_row_order_and_columns(self, exp, full):
         s = exp.sweep
-        assert [(r.detector, r.snr_db, r.gamma) for r in full.rows] == [
+        assert [(r.detector, r.snr_db, r.gamma) for r in full] == [
             (d, snr, g) for d in s.detectors for snr in s.snr_db for g in s.gammas
         ]
         header = ber_csv(full).splitlines()[0].split(",")
         assert header[-4:] == ["trials", "stop_reason", "mean_nodes", "mean_pulses"]
-        for r in full.rows:
+        for r in full:
             assert r.bits == r.trials * s.symbols_per_slot * exp.mimo.bits_per_vector
             assert (r.mean_nodes is not None) == (r.detector == "sd")
             assert (r.mean_pulses is not None) == (r.detector == "detnet-hw")
@@ -90,7 +90,7 @@ class TestSweep:
 
         monkeypatch.setattr(baselines, "sphere_decode", counted)
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], detectors=["sd"]))
-        rows = harness.run_ber_sweep(one).rows
+        rows = harness.run_ber_sweep(one)
         # one call per wave
         assert len(nodes) == math.ceil(rows[0].trials / harness.WAVE)
         for r in rows:
@@ -113,14 +113,14 @@ class TestSweep:
     def test_row_independent_of_other_detectors(self, exp, params, full, subset):
         alone = harness.run_ber_sweep(only(exp, *subset), params=params)
         rows = by_key(full)
-        for r in alone.rows:
+        for r in alone:
             assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
 
     def test_hw_row_independent_of_other_gammas(self, exp, params, full):
         one = replace(exp, sweep=replace(exp.sweep, gammas=[0.02]))
         alone = harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
         rows = by_key(full)
-        for r in alone.rows:
+        for r in alone:
             assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
 
     def test_unknown_detector_and_missing_params(self, exp):
@@ -156,7 +156,7 @@ GOLDEN = [
 class TestGolden:
     def test_errors_and_trials_of_every_row_are_pinned(self, full):
         assert [(r.detector, r.snr_db, r.gamma, r.errors, r.trials)
-                for r in full.rows] == GOLDEN
+                for r in full] == GOLDEN
 
 
 class TestGammaWarning:
@@ -191,19 +191,19 @@ class TestHardwareReuse:
         # after 32; the programming runs while any gamma still needs the wave
         one = replace(exp, sweep=replace(exp.sweep, min_bits=1, min_errors=768))
         result = harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
-        assert len(result.rows) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
-        drawn = {snr: max(r.trials for r in result.rows if r.snr_db == snr)
+        assert len(result) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
+        drawn = {snr: max(r.trials for r in result if r.snr_db == snr)
                  for snr in exp.sweep.snr_db}
-        assert len({r.trials for r in result.rows}) > 1
+        assert len({r.trials for r in result}) > 1
         waves = sum(-(-n // harness.WAVE) for n in drawn.values())
         channel = (2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
         assert programs == [(harness.WAVE,) + channel] * waves
-        assert len(forwards) == sum(-(-r.trials // harness.WAVE) for r in result.rows)
+        assert len(forwards) == sum(-(-r.trials // harness.WAVE) for r in result)
 
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
         for snr_index, snr in enumerate(exp.sweep.snr_db):
-            rows = [r for r in result.rows if r.snr_db == snr]
+            rows = [r for r in result if r.snr_db == snr]
             pulses = []
             for t in range(max(r.trials for r in rows)):
                 # pulse counts depend on the channel alone
@@ -218,7 +218,7 @@ class TestHardwareReuse:
 class TestStoppingRule:
     def sweep(self, exp, **kw):
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[0.0], **kw))
-        return harness.run_ber_sweep(only(one, "zf")).rows[0]
+        return harness.run_ber_sweep(only(one, "zf"))[0]
 
     def test_stops_at_first_wave_boundary_past_the_targets(self, exp):
         bits_per_trial = exp.sweep.symbols_per_slot * exp.mimo.bits_per_vector  # 56

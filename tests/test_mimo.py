@@ -90,6 +90,13 @@ class TestChannel:
         h2 = mimo.generate_channel(cfg(), np.random.default_rng(5))
         assert np.array_equal(h1, h2)
 
+    def test_count_draws_a_stack_from_the_same_stream(self):
+        c = cfg(n_t=3, n_r=4)
+        stack = mimo.generate_channel(c, np.random.default_rng(5), count=3)
+        assert stack.shape == (3, 4, 3)
+        one = mimo.generate_channel(c, np.random.default_rng(5), count=1)
+        assert np.array_equal(one[0], mimo.generate_channel(c, np.random.default_rng(5)))
+
     def test_entry_power_is_two(self, rng):
         # E|h|^2 = 2 since real and imaginary parts are both unit variance
         c = cfg(n_t=5, n_r=5)
