@@ -100,8 +100,14 @@ def ml_detect_batch(h_real, ys, config):
     x_cands = candidate_matrix(config)
     images = np.asarray(h_real, float) @ x_cands  # (..., 2n_r, n_cand)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row
-    metrics = np.sum(images * images, axis=-2)[..., None, :] - 2.0 * ys @ images
+    # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row.  Built in
+    # place: wave-sized temporaries made the heap shrink and regrow between
+    # waves.  Scaling by -2 is exact, so the values are those of the
+    # expression ||Hx||^2 - 2 y^T Hx
+    metrics = ys @ images
+    metrics *= -2.0
+    np.square(images, out=images)
+    metrics += images.sum(axis=-2)[..., None, :]
     best = np.argmin(metrics, axis=-1)
     return x_cands.T[best]
 

@@ -20,6 +20,10 @@ programs the channel and then runs :func:`immimo.detnet.ideal_forward`.
 Programming only counts pulses; its C2C noise enters when the result is
 realized with one unit normal per cell, so a stack of channels is programmed
 in one call and realized at any gamma.
+
+The forward pass computes at the precision of its params and inputs; the BER
+sweep gives it params, realized channels and received vectors in
+detnet.DTYPE, float32, far finer than the analog arrays it stands for.
 """
 
 from . import device as dev

@@ -20,6 +20,13 @@ stack of channels H (..., 2n_r, 2n_t) and the vectors received through them,
 ys (..., n_vec, 2n_r), one row per vector.  Then H^T y is ys @ H and H^T H x
 is x @ H^T H, each one stacked product, and the dense layers act on all N
 rows at once as (N, d) @ (d, S) products.  A single vector is ys = y[None].
+
+Precision follows the inputs: the forward and backward passes compute in the
+result type of the params and the channel and received arrays (at least
+float32), so float64 inputs give float64 arithmetic throughout.  The BER
+sweep and training cast their params and inputs to DTYPE, float32: an analog
+crossbar computes with far less precision than that, and on a trained
+detector float32 and float64 give the same bit decisions.
 """
 
 from dataclasses import dataclass
@@ -27,6 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "alpha1", "alpha2")
+
+# the precision of the BER sweep's deep detectors and of training
+DTYPE = np.float32
 
 
 @dataclass
@@ -65,6 +75,10 @@ class DetNetParams:
     def as_dict(self):
         return {k: getattr(self, k) for k in PARAM_KEYS}
 
+    def astype(self, dtype):
+        """A copy with every array cast to dtype."""
+        return DetNetParams(**{k: v.astype(dtype) for k, v in self.as_dict().items()})
+
     def validate(self):
         for k in PARAM_KEYS:
             if not np.all(np.isfinite(getattr(self, k))):
@@ -101,7 +115,7 @@ def _fused_output(params):
 
 
 def ideal_forward(params, h_real, ys):
-    """Run all L blocks in exact arithmetic.
+    """Run all L blocks in exact arithmetic at the precision of the inputs.
 
     Vectors are rows: h_real is (..., 2n_r, 2n_t) and ys is (..., n_vec, 2n_r),
     n_vec received vectors per channel, so a single vector is passed as y[None].
@@ -109,10 +123,14 @@ def ideal_forward(params, h_real, ys):
     shape (..., n_vec, 2n_t); the cache retains what backprop needs: the Gram
     products, and for every block its H^T H x_{k-1}, its input u_k = [s_k;
     a_{k-1}] and its rectified output z_k, stacked over blocks with the N
-    vectors as rows, e.g. u (L, N, 2n_t + a_size).
+    vectors as rows, e.g. u (L, N, 2n_t + a_size).  Everything is computed
+    in np.result_type(params.w1, h_real, ys, np.float32), so float32 params
+    and inputs run in float32 and any float64 one makes it float64.
     """
-    h_real = np.asarray(h_real, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    h_real, ys = np.asarray(h_real), np.asarray(ys)
+    dtype = np.result_type(params.w1, h_real, ys, np.float32)
+    h_real = h_real.astype(dtype, copy=False)
+    ys = ys.astype(dtype, copy=False)
     if ys.ndim < h_real.ndim:
         raise ValueError(
             f"ys {ys.shape} has fewer dims than h {h_real.shape}; "
@@ -123,12 +141,12 @@ def ideal_forward(params, h_real, ys):
     n_rows = int(np.prod(hty.shape[:-1], dtype=np.int64))
     L, x_dim = params.L, params.x_dim
     w23, b23 = _fused_output(params)
-    hthxs = np.empty((L,) + hty.shape)
-    us = np.empty((L, n_rows, x_dim + params.a_size))
-    zs = np.empty((L, n_rows, params.S))
-    xas = np.empty((L, n_rows, x_dim + params.a_size))  # [x_k, a_k]
+    hthxs = np.empty((L,) + hty.shape, dtype)
+    us = np.empty((L, n_rows, x_dim + params.a_size), dtype)
+    zs = np.empty((L, n_rows, params.S), dtype)
+    xas = np.empty((L, n_rows, x_dim + params.a_size), dtype)  # [x_k, a_k]
 
-    x = np.zeros(hty.shape)
+    x = np.zeros(hty.shape, dtype)
     a = 0.0
     trajectory = []
     for k in range(L):
@@ -162,7 +180,7 @@ def loss_weights(L, weighting="lnk"):
 def loss(trajectory, x_true, weighting="lnk"):
     """Batch-mean block-weighted squared error sum_k w_k ||x - x_k||^2."""
     w = loss_weights(len(trajectory), weighting)
-    x_true = np.asarray(x_true, dtype=float)
+    x_true = np.asarray(x_true, dtype=trajectory[0].dtype)
     if np.broadcast_shapes(trajectory[0].shape, x_true.shape) != trajectory[0].shape:
         raise ValueError(f"x_true {x_true.shape} does not match x_k {trajectory[0].shape}")
     err = np.stack(trajectory)  # (L, ..., 2n_t)
@@ -180,22 +198,24 @@ def backward(params, cache, x_true, weighting="lnk", out=None):
     through a_k into the next block's input, so the recursion runs from block
     L back to block 1.  It keeps the gradients w.r.t. each block's output,
     pre-activation and s_k; the parameter gradients are then one stacked
-    product or sum over all blocks.
+    product or sum over all blocks.  They are computed at the precision of
+    the forward pass that filled the cache.
     """
     hty = cache["hty"]
     hth = cache["hth"]
     us, zs = cache["u"], cache["z"]
     trajectory = cache["trajectory"]
-    x_true = np.asarray(x_true, dtype=float)
+    dtype = us.dtype
+    x_true = np.asarray(x_true, dtype=dtype)
     L, x_dim = params.L, params.x_dim
-    w = loss_weights(L, weighting)
+    w = loss_weights(L, weighting).astype(dtype)
     n_rows = us.shape[1]
     w23, _ = _fused_output(params)
     gxas = np.empty_like(us)  # dL/d[x_k, a_k]
     gzs = np.empty_like(zs)   # dL/d(W1 u_k + b1)
-    gss = np.empty((L,) + hty.shape)  # dL/ds_k
+    gss = np.empty((L,) + hty.shape, dtype)  # dL/ds_k
 
-    gx = np.zeros(hty.shape)  # dL/dx_k, accumulated from later blocks
+    gx = np.zeros(hty.shape, dtype)  # dL/dx_k, accumulated from later blocks
     ga = 0.0
     for k in range(L - 1, -1, -1):
         gx = gx + (2.0 * w[k] / n_rows) * (trajectory[k] - x_true)

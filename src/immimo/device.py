@@ -116,7 +116,7 @@ DEFAULT_PRESET = "luo2022"
 def device_preset(name=DEFAULT_PRESET, **overrides):
     """Named DeviceSpec; keyword overrides use config-file units."""
     if name not in DEVICE_PRESETS:
-        raise KeyError(f"unknown device preset {name!r}; have {sorted(DEVICE_PRESETS)}")
+        raise ValueError(f"unknown device preset {name!r}; have {sorted(DEVICE_PRESETS)}")
     keys = dict(DEVICE_PRESETS[name])
     keys.update(overrides)
     return DeviceSpec.from_config_keys(**keys)

@@ -10,6 +10,10 @@ programs a wave's channels once, and every gamma realizes that programming
 with the same unit normals, which gamma only scales.  Adding or removing a
 detector or a gamma therefore never changes another row.  Detectors that
 ignore gamma run once per SNR and their row is copied to every gamma.
+The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
+pass (detnet.DTYPE): the draws, the programming and every other detector
+stay float64, and the params, each wave's received vectors and each channel
+they detect on are cast to float32 before it.
 
 Trials run in waves of WAVE, drawn one wave at a time.  A BER point, one
 SweepRow, adds whole waves to its totals until it has at least `min_bits`
@@ -156,6 +160,7 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
     """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total.
 
     For detnet-hw, h is the realized channel H + dH stored on the arrays.
+    The deep detectors take ys in detnet.DTYPE and cast h to it.
     """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
@@ -167,6 +172,7 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
     if detector == "sd":
         out = baselines.sphere_decode(h, ys, cfg)
         return out.x_hat_real, out.node_count
+    h = h.astype(detnet.DTYPE)
     if detector == "detnet":
         trajectory, _ = detnet.ideal_forward(params, h, ys)
         return trajectory[-1], None
@@ -184,8 +190,11 @@ def run_ber_sweep(exp, params=None):
     cfg = exp.mimo
     sweep = exp.sweep
     detectors = sweep.detectors
-    if any(d in ("detnet", HW_DETECTOR) for d in detectors) and params is None:
-        raise ConfigError("deep detectors need trained params (eval.params)")
+    deep = ("detnet", HW_DETECTOR)
+    if any(d in deep for d in detectors):
+        if params is None:
+            raise ConfigError("deep detectors need trained params (eval.params)")
+        params = params.astype(detnet.DTYPE)
 
     hw_det = None
     hw_specs = {}
@@ -210,6 +219,7 @@ def run_ber_sweep(exp, params=None):
         while active and trial < sweep.max_trials:
             wave = range(trial, min(trial + WAVE, sweep.max_trials))
             h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, wave, sigma)
+            ys_deep = ys.astype(detnet.DTYPE)
             if any(row.detector == HW_DETECTOR for row in active):
                 # the one reprogramming event per channel realization, for
                 # the whole wave, realized at every gamma
@@ -219,7 +229,8 @@ def run_ber_sweep(exp, params=None):
                 t0 = time.perf_counter()
                 hw = row.detector == HW_DETECTOR
                 h_det = program.realized(hw_specs[row.gamma], z) if hw else h
-                x_hat, nodes = _detect_wave(row.detector, h_det, ys, sigma, cfg,
+                ys_det = ys_deep if row.detector in deep else ys
+                x_hat, nodes = _detect_wave(row.detector, h_det, ys_det, sigma, cfg,
                                             params, hw_det)
                 errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
                 row.wall_time_s += time.perf_counter() - t0

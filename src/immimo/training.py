@@ -7,6 +7,9 @@ the perturbed pair (H + dH, y0 + n) while the loss targets the true x, so the
 network learns representations that tolerate both noise sources.  Training is
 plain Adam on the manually backpropagated gradients; the step gains alpha are
 clamped to stay strictly positive because they map to physical resistances.
+The parameters, their gradients and Adam's moments are held in detnet.DTYPE,
+float32, and each batch is cast to it before the forward pass, so the
+trained checkpoint is float32.
 """
 
 import math
@@ -129,13 +132,15 @@ def _views(buf, like):
 def train(config, train_cfg, spec, rng, params=None):
     """Adam-train the detector; returns (params, per-epoch mean loss).
 
-    Training works on a copy: a `params` passed in is left unchanged.
+    Training works on a copy in detnet.DTYPE, which the returned params keep:
+    a `params` passed in is left unchanged.
     """
     if params is None:
         params = detnet.init_params(config, rng)
     # parameters and gradients are views into two flat buffers, so that Adam
     # updates every array in one pass
-    flat = np.concatenate([arr.ravel() for arr in params.as_dict().values()])
+    flat = np.concatenate([arr.ravel() for arr in params.as_dict().values()],
+                          dtype=detnet.DTYPE)
     flat_grad = np.empty_like(flat)
     grads = _views(flat_grad, params)
     params = detnet.DetNetParams(**_views(flat, params))
@@ -145,7 +150,8 @@ def train(config, train_cfg, spec, rng, params=None):
     for epoch in range(train_cfg.epochs):
         if train_cfg.lr_decay:
             opt.lr = train_cfg.lr * 0.97 ** (epoch // 1000)
-        x, h_in, y_in = draw_batch(config, train_cfg, spec, rng)
+        x, h_in, y_in = (a.astype(detnet.DTYPE)
+                         for a in draw_batch(config, train_cfg, spec, rng))
         trajectory, cache = detnet.ideal_forward(params, h_in, y_in)
         value = detnet.loss(trajectory, x, train_cfg.loss_weighting)
         if not math.isfinite(value):

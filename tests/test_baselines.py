@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,53 @@ class TestMl:
         for i in range(6):
             single = ml_detect_exhaustive(h, ys[i], c)
             assert np.allclose(batch[i], single.x_hat_real)
+
+
+def ml_metrics_expanded(h_real, ys, config):
+    """||Hx||^2 - 2 y^T Hx for every candidate, as one expanded expression."""
+    images = h_real @ baselines.candidate_matrix(config)
+    return np.sum(images * images, -2)[..., None, :] - 2.0 * ys @ images
+
+
+def wave(c, rng, snr, channels=8, vectors=14):
+    h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(channels)])
+    bits = mimo.random_bits(c, rng, count=channels * vectors).reshape(channels, vectors, -1)
+    ys = np.stack([mimo.transmit(h[w], mimo.modulate(bits[w], c),
+                                 mimo.sigma_from_snr(snr), rng) for w in range(channels)])
+    return h, ys
+
+
+class TestMlMetric:
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("bpsk", 4, 6), ("qpsk", 4, 6), ("qam16", 2, 3),
+    ])
+    def test_in_place_metric_equals_the_expanded_expression(self, mod, n_t, n_r,
+                                                            monkeypatch):
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        rng = np.random.default_rng(21)
+        seen = []
+        argmin = np.argmin
+        monkeypatch.setattr(np, "argmin", lambda a, **kw: seen.append(a.copy())
+                            or argmin(a, **kw))
+        for snr in (0.0, 6.0, 14.0, 30.0):
+            h, ys = wave(c, rng, snr)
+            got = baselines.ml_detect_batch(h, ys, c)
+            want = ml_metrics_expanded(h, ys, c)
+            assert np.array_equal(seen.pop(), want)
+            assert np.array_equal(got, baselines.candidate_matrix(c).T[argmin(want, axis=-1)])
+
+    def test_one_wave_allocates_little_beyond_its_metrics(self):
+        c = cfg()
+        h, ys = wave(c, np.random.default_rng(22), 10.0)
+        baselines.ml_detect_batch(h, ys, c)  # fills the candidate cache
+        metrics_bytes = 8 * 14 * 2 ** c.bits_per_vector * 8
+        tracemalloc.start()
+        try:
+            baselines.ml_detect_batch(h, ys, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * metrics_bytes
 
 
 class TestStackedChannels:

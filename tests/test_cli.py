@@ -152,6 +152,14 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert_one_line(err, "config error: seed must be a nonnegative integer")
 
 
+def test_unknown_preset_exits_2_with_one_unquoted_line(tmp_path, capsys):
+    code, err = run(tmp_path, SWEEP, capsys, mode="complexity", flags=["--preset", "nope"])
+    assert code == cli.EXIT_CONFIG
+    assert err == ("config error: device section: unknown device preset 'nope'; "
+                   "have ['jerry2017', 'luo2022', 'zeng2023']\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bound_outside_its_regime_exits_2(tmp_path, capsys):
     # at n_t 2, n_r 3 the default varpi2 = 0.05 gives phi = 0.99 <= 1
     code, err = run(tmp_path, SWEEP, capsys, mode="bounds")

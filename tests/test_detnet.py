@@ -275,3 +275,43 @@ class TestParamsValidate:
         p.alpha1[0] = 0.0
         with pytest.raises(ValueError):
             p.validate()
+
+
+class TestPrecision:
+    """The kernel computes in the result type of its params and inputs."""
+
+    @pytest.mark.parametrize("params_dtype, input_dtype", [
+        (np.float64, np.float64), (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    def test_any_float64_operand_runs_in_float64(self, params_dtype, input_dtype):
+        cfg = small_cfg()
+        h, x, y, rng = stacked_instance(cfg, 7, (2,), 3)
+        p = detnet.init_params(cfg, rng).astype(params_dtype)
+        trajectory, cache = detnet.ideal_forward(p, h.astype(input_dtype),
+                                                 y.astype(input_dtype))
+        assert {t.dtype for t in trajectory} == {np.dtype(np.float64)}
+        assert {cache[k].dtype for k in ("hty", "hth", "hthx", "u", "z")} == {
+            np.dtype(np.float64)}
+        grads = detnet.backward(p, cache, x)
+        assert {g.dtype for g in grads.values()} == {np.dtype(params_dtype)}
+
+    def test_float32_params_and_inputs_run_in_float32(self):
+        cfg = small_cfg()
+        h, x, y, rng = stacked_instance(cfg, 8, (2,), 3)
+        p64 = detnet.init_params(cfg, rng)
+        p32 = p64.astype(np.float32)
+        trajectory, cache = detnet.ideal_forward(p32, h.astype(np.float32),
+                                                 y.astype(np.float32))
+        assert {t.dtype for t in trajectory} == {np.dtype(np.float32)}
+        assert {cache[k].dtype for k in ("hty", "hth", "hthx", "u", "z")} == {
+            np.dtype(np.float32)}
+        out = {k: np.empty_like(v) for k, v in p32.as_dict().items()}
+        grads = detnet.backward(p32, cache, x, out=out)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        # the same numbers to float32 precision
+        traj64, cache64 = detnet.ideal_forward(p64, h, y)
+        assert np.allclose(trajectory[-1], traj64[-1], rtol=1e-4, atol=1e-5)
+        grads64 = detnet.backward(p64, cache64, x)
+        for key in detnet.PARAM_KEYS:
+            scale = np.max(np.abs(grads64[key]))
+            assert np.max(np.abs(grads[key] - grads64[key])) <= 1e-4 * scale

@@ -93,7 +93,7 @@ class TestDeviceSpec:
         assert device.device_preset().n_p == device.device_preset("luo2022").n_p
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown device preset 'nope'"):
             device.device_preset("nope")
 
     def test_gamma_warning_band(self):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from immimo import baselines, config, crossbar, detnet, device, harness, mimo
+from immimo import baselines, config, crossbar, detnet, device, harness, mimo, training
 from immimo.mimo import MimoConfig
 
 TINY = (
@@ -157,6 +157,41 @@ class TestGolden:
     def test_errors_and_trials_of_every_row_are_pinned(self, full):
         assert [(r.detector, r.snr_db, r.gamma, r.errors, r.trials)
                 for r in full] == GOLDEN
+
+
+class TestPrecision:
+    """The deep detectors decide from a float32 forward pass."""
+
+    def test_float64_checkpoint_loads_and_sweeps(self, exp, params, full, tmp_path):
+        # a checkpoint stored in float64, as `train` wrote them before it
+        # trained in float32
+        training.save_params(tmp_path / "p.npz", params, exp.mimo)
+        loaded, _ = training.load_params(tmp_path / "p.npz", expected_config=exp.mimo)
+        assert loaded.w1.dtype == np.float64
+        deep = only(exp, "detnet", "detnet-hw")
+        want = [counts(r) for r in full if r.detector in ("detnet", "detnet-hw")]
+        assert [counts(r) for r in harness.run_ber_sweep(deep, params=loaded)] == want
+        stored32 = loaded.astype(np.float32)
+        assert [counts(r) for r in harness.run_ber_sweep(deep, params=stored32)] == want
+
+    def test_float32_decisions_match_float64_on_a_trained_detector(self):
+        # 300 epochs at the reference size, then detnet-hw's draws at 10 dB
+        # and gamma 0.02: programmed, realized and detected in both precisions
+        cfg = MimoConfig(n_t=4, n_r=6, modulation="qpsk")
+        spec = device.device_preset()
+        params, _ = training.train(cfg, training.TrainConfig(epochs=300), spec,
+                                   np.random.default_rng(3))
+        h, bits, ys, z = harness._draw_wave(cfg, 14, 7, 1, range(400),
+                                            mimo.sigma_from_snr(10.0))
+        h_hw = device.program_matrix(h, spec).realized(spec.at_gamma(0.02), z)
+        x64 = detnet.ideal_forward(params.astype(np.float64), h_hw, ys)[0][-1]
+        x32 = detnet.ideal_forward(params, h_hw.astype(np.float32),
+                                   ys.astype(np.float32))[0][-1]
+        assert x32.dtype == np.float32
+        b64, b32 = mimo.demodulate(x64, cfg), mimo.demodulate(x32, cfg)
+        # a detector that decides something: well below the untrained 0.5
+        assert np.mean(b64 != bits) < 0.2
+        assert np.count_nonzero(b32 != b64) <= 1e-4 * bits.size
 
 
 class TestGammaWarning:

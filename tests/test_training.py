@@ -110,13 +110,18 @@ def copy_params(params):
 
 
 def reference_train(config, train_cfg, spec, rng, params):
-    """The training loop over separate arrays with the per-key oracle Adam."""
-    params = copy_params(params)
+    """The training loop over separate arrays with the per-key oracle Adam.
+
+    Like training.train, it holds the params in detnet.DTYPE and casts every
+    batch to it.
+    """
+    params = params.astype(detnet.DTYPE)
     pdict = params.as_dict()
     opt = DictAdam(train_cfg.lr)
     history = []
     for _ in range(train_cfg.epochs):
-        x, h_in, y_in = training.draw_batch(config, train_cfg, spec, rng)
+        x, h_in, y_in = (a.astype(detnet.DTYPE)
+                         for a in training.draw_batch(config, train_cfg, spec, rng))
         trajectory, cache = detnet.ideal_forward(params, h_in, y_in)
         history.append(detnet.loss(trajectory, x, train_cfg.loss_weighting))
         opt.step(pdict, detnet.backward(params, cache, x, train_cfg.loss_weighting))
@@ -134,6 +139,19 @@ class TestTrain:
         assert np.array_equal(hist, want_hist)
         for key in detnet.PARAM_KEYS:
             assert np.array_equal(getattr(got, key), getattr(want, key))
+
+    def test_returns_params_in_the_training_dtype(self, luo, tmp_path):
+        cfg = small_cfg()
+        start = detnet.init_params(cfg, np.random.default_rng(16))
+        params, history = training.train(cfg, small_train(), luo,
+                                         np.random.default_rng(17), params=start)
+        assert {v.dtype for v in params.as_dict().values()} == {np.dtype(detnet.DTYPE)}
+        assert start.w1.dtype == np.float64
+        assert history.dtype == np.float64
+        # and the checkpoint keeps it
+        training.save_params(tmp_path / "p.npz", params, cfg)
+        loaded, _ = training.load_params(tmp_path / "p.npz", expected_config=cfg)
+        assert loaded.w1.dtype == detnet.DTYPE
 
     def test_seeded_deterministic(self, luo):
         cfg, tc = small_cfg(), small_train()
