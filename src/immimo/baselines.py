@@ -98,13 +98,25 @@ def ml_detect_batch(h_real, ys, config):
     same leading shape; returns (..., n_vec, 2n_t).
     """
     x_cands = candidate_matrix(config)
-    images = np.asarray(h_real, float) @ x_cands  # (..., 2n_r, n_cand)
+    h_real = np.asarray(h_real, float)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    n_cand = x_cands.shape[1]
+    lead = np.broadcast_shapes(h_real.shape[:-2], ys.shape[:-2])
+    shapes = (h_real.shape[:-1] + (n_cand,), lead + (ys.shape[-2], n_cand))
+    sizes = [math.prod(shape) for shape in shapes]
+    # The images H x (..., 2n_r, n_cand) and the metrics (..., n_vec, n_cand)
+    # share one block.  When glibc frees a block it had mapped, it raises its
+    # heap-trim threshold to twice that block's size, so after the first call
+    # one wave-sized block stays on a warm heap.  Two blocks, images and
+    # metrics, came within 10% of twice the larger one, and unless an earlier
+    # block had raised the threshold further, the heap shrank and regrew
+    # around every call, with page faults each time.
+    block = np.empty(sum(sizes))
+    images = np.matmul(h_real, x_cands, out=block[:sizes[0]].reshape(shapes[0]))
     # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row.  Built in
-    # place: wave-sized temporaries made the heap shrink and regrow between
-    # waves.  Scaling by -2 is exact, so the values are those of the
+    # place; scaling by -2 is exact, so the values are those of the
     # expression ||Hx||^2 - 2 y^T Hx
-    metrics = ys @ images
+    metrics = np.matmul(ys, images, out=block[sizes[0]:].reshape(shapes[1]))
     metrics *= -2.0
     np.square(images, out=images)
     metrics += images.sum(axis=-2)[..., None, :]

@@ -21,6 +21,13 @@ ys (..., n_vec, 2n_r), one row per vector.  Then H^T y is ys @ H and H^T H x
 is x @ H^T H, each one stacked product, and the dense layers act on all N
 rows at once as (N, d) @ (d, S) products.  A single vector is ys = y[None].
 
+Only training keeps the forward pass's cache: backward reads every block's
+intermediates, stacked over the L blocks.  Detection needs x_L alone, so the
+BER sweep's `detnet` lane and crossbar.HardwareDetector.forward run the same
+block loop with keep_cache=False, on one set of per-block buffers.  Their
+memory then does not grow with L, and a sweep can detect all of a wave's
+programming-noise levels in one stacked call.
+
 Precision follows the inputs: the forward and backward passes compute in the
 result type of the params and the channel and received arrays (at least
 float32), so float64 inputs give float64 arithmetic throughout.  The BER
@@ -114,18 +121,23 @@ def _fused_output(params):
             np.concatenate([params.b2, params.b3], axis=1))
 
 
-def ideal_forward(params, h_real, ys):
+def ideal_forward(params, h_real, ys, keep_cache=True):
     """Run all L blocks in exact arithmetic at the precision of the inputs.
 
     Vectors are rows: h_real is (..., 2n_r, 2n_t) and ys is (..., n_vec, 2n_r),
-    n_vec received vectors per channel, so a single vector is passed as y[None].
-    Returns (trajectory, cache): trajectory is the list [x_1, ..., x_L], each of
-    shape (..., n_vec, 2n_t); the cache retains what backprop needs: the Gram
-    products, and for every block its H^T H x_{k-1}, its input u_k = [s_k;
-    a_{k-1}] and its rectified output z_k, stacked over blocks with the N
-    vectors as rows, e.g. u (L, N, 2n_t + a_size).  Everything is computed
-    in np.result_type(params.w1, h_real, ys, np.float32), so float32 params
-    and inputs run in float32 and any float64 one makes it float64.
+    n_vec received vectors per channel, so a single vector is passed as y[None];
+    ys broadcasts against the channels' leading dims.  Returns (trajectory,
+    cache): trajectory is the list [x_1, ..., x_L], each of shape (...,
+    n_vec, 2n_t); the cache retains what backprop needs: the Gram products,
+    and for every block its H^T H x_{k-1}, its input u_k = [s_k; a_{k-1}] and
+    its rectified output z_k, stacked over blocks with the N vectors as rows,
+    e.g. u (L, N, 2n_t + a_size).  Everything is computed in
+    np.result_type(params.w1, h_real, ys, np.float32), so float32 params and
+    inputs run in float32 and any float64 one makes it float64.
+
+    With keep_cache=False every block reuses one set of buffers in place of
+    the stacked cache, so memory does not grow with L; the trajectory is then
+    [x_L] alone, bit-identical to the cached pass's, and the cache is None.
     """
     h_real, ys = np.asarray(h_real), np.asarray(ys)
     dtype = np.result_type(params.w1, h_real, ys, np.float32)
@@ -141,28 +153,35 @@ def ideal_forward(params, h_real, ys):
     n_rows = int(np.prod(hty.shape[:-1], dtype=np.int64))
     L, x_dim = params.L, params.x_dim
     w23, b23 = _fused_output(params)
-    hthxs = np.empty((L,) + hty.shape, dtype)
-    us = np.empty((L, n_rows, x_dim + params.a_size), dtype)
-    zs = np.empty((L, n_rows, params.S), dtype)
-    xas = np.empty((L, n_rows, x_dim + params.a_size), dtype)  # [x_k, a_k]
+    # block k writes slot k of the stacks backprop reads, or the one slot
+    slots = L if keep_cache else 1
+    hthxs = np.empty((slots,) + hty.shape, dtype)
+    us = np.empty((slots, n_rows, x_dim + params.a_size), dtype)
+    zs = np.empty((slots, n_rows, params.S), dtype)
+    xas = np.empty((slots, n_rows, x_dim + params.a_size), dtype)  # [x_k, a_k]
 
     x = np.zeros(hty.shape, dtype)
     a = 0.0
     trajectory = []
     for k in range(L):
-        hthx = np.matmul(x, hth, out=hthxs[k])  # (H^T H x)^T = x^T H^T H
+        j = k if keep_cache else 0
+        hthx = np.matmul(x, hth, out=hthxs[j])  # (H^T H x)^T = x^T H^T H
         s = x - params.alpha1[k] * hty + params.alpha2[k] * hthx
-        us[k, :, :x_dim] = s.reshape(n_rows, x_dim)
-        us[k, :, x_dim:] = a
-        z = np.matmul(us[k], params.w1[k].T, out=zs[k])
+        us[j, :, :x_dim] = s.reshape(n_rows, x_dim)
+        us[j, :, x_dim:] = a
+        z = np.matmul(us[j], params.w1[k].T, out=zs[j])
         z += params.b1[k]
         np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
-        xa = np.matmul(z, w23[k].T, out=xas[k])
+        # x_{k-1} and a_{k-1} are read above, before the slot is overwritten
+        xa = np.matmul(z, w23[k].T, out=xas[j])
         xa += b23[k]
         x = xa[:, :x_dim].reshape(hty.shape)
         a = xa[:, x_dim:]
-        trajectory.append(x)
+        if keep_cache:
+            trajectory.append(x)
 
+    if not keep_cache:
+        return [x], None
     cache = {"hty": hty, "hth": hth, "hthx": hthxs, "u": us, "z": zs,
              "trajectory": trajectory}
     return trajectory, cache

@@ -165,6 +165,16 @@ class ProgrammingResult:
     latency_per_row: np.ndarray  # dt_w * max pulse count in each row
     total_latency: float         # sum over every row (rows are sequential)
 
+    @property
+    def t_p(self):
+        """Total programming latency T_p = 2 * total_latency, in seconds.
+
+        The Gram-product path stores two copies of H programmed back to back
+        and dominates the matched-filter path (programmed concurrently), so
+        T_p = 2 * T_m; a stack's T_p is the sum of its channels'.
+        """
+        return 2.0 * self.total_latency
+
     def realized(self, spec, z):
         """Channel actually stored on the arrays at spec's gamma: H + dH.
 
@@ -203,15 +213,13 @@ def program_matrix(h_real, spec):
 def total_programming_latency(config, spec, rng):
     """Simulated total programming latency T_p for one channel realization.
 
-    The Gram-product path stores two copies of H programmed back to back and
-    dominates the matched-filter path (programmed concurrently), so
-    T_p = 2 * T_m.  Latency depends on the pulse counts alone, so only the
-    channel is drawn from rng.
+    See ProgrammingResult.t_p.  Latency depends on the pulse counts alone, so
+    only the channel is drawn from rng.
     """
     from . import mimo
 
     h = mimo.to_real(mimo.generate_channel(config, rng))
-    return 2.0 * program_matrix(h, spec).total_latency
+    return program_matrix(h, spec).t_p
 
 
 def row_latency_bound(n_t, spec):

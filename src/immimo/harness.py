@@ -10,6 +10,10 @@ programs a wave's channels once, and every gamma realizes that programming
 with the same unit normals, which gamma only scales.  Adding or removing a
 detector or a gamma therefore never changes another row.  Detectors that
 ignore gamma run once per SNR and their row is copied to every gamma.
+In each wave, the gammas whose `detnet-hw` rows still run are detected
+together: their realized channels are stacked into one forward pass, the
+same arithmetic per gamma as a pass of its own, and the seconds of that
+shared detection are split evenly over those rows.
 The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
 pass (detnet.DTYPE): the draws, the programming and every other detector
 stay float64, and the params, each wave's received vectors and each channel
@@ -85,11 +89,15 @@ class SweepRow:
 
     The sweep adds each wave it runs for this point to the totals: bits,
     errors, trials, vectors detected and wall_time_s, plus the sphere
-    decoder's tree nodes for `sd` and the programming pulses for detnet-hw
-    (None for other detectors).  wall_time_s is the detection-plus-demapping
-    time of this row's computation; the shared trial draws and channel
-    programming are attributed to no row.  The means derive from the totals:
-    mean_nodes is tree nodes per vector, mean_pulses programming pulses per
+    decoder's tree nodes for `sd`, and the programming pulses and simulated
+    programming latency t_p_s for detnet-hw (None for other detectors).
+    wall_time_s is the detection-plus-demapping time of this row's
+    computation; a wave's detnet-hw rows share one timed detection, realizing
+    the channel at each gamma included, split evenly over the gamma rows in
+    it.  The shared trial draws and channel programming are attributed to no
+    row.  The means derive from the totals: mean_nodes is tree nodes per
+    vector, mean_pulses programming pulses and mean_t_p_s the programming
+    latency T_p (device.ProgrammingResult.t_p, as program-sim's t_p_s) per
     channel realization.
     """
 
@@ -103,6 +111,7 @@ class SweepRow:
     wall_time_s: float = 0.0
     nodes: int | None = None
     pulses: int | None = None
+    t_p_s: float | None = None
     stop_reason: str | None = None  # "target" or "max_trials" once stopped
 
     @property
@@ -112,6 +121,10 @@ class SweepRow:
     @property
     def mean_pulses(self):
         return None if self.pulses is None else self.pulses / self.trials
+
+    @property
+    def mean_t_p_s(self):
+        return None if self.t_p_s is None else self.t_p_s / self.trials
 
     def record(self):
         """This row's ber.csv record.
@@ -126,7 +139,7 @@ class SweepRow:
             "ci_lo": lo, "ci_hi": hi, "low_errors": self.errors < 10,
             "wall_time_s": f"{self.wall_time_s:.6f}", "trials": self.trials,
             "stop_reason": self.stop_reason, "mean_nodes": self.mean_nodes,
-            "mean_pulses": self.mean_pulses,
+            "mean_pulses": self.mean_pulses, "mean_t_p_s": self.mean_t_p_s,
         }
 
 
@@ -156,11 +169,11 @@ def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
     return h, bits, ys, z
 
 
-def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
+def _detect_wave(detector, h, ys, sigma, cfg, params):
     """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total.
 
-    For detnet-hw, h is the realized channel H + dH stored on the arrays.
-    The deep detectors take ys in detnet.DTYPE and cast h to it.
+    detnet-hw is detected in run_ber_sweep, every gamma of a wave at once.
+    detnet takes ys in detnet.DTYPE and casts h to it.
     """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
@@ -172,11 +185,9 @@ def _detect_wave(detector, h, ys, sigma, cfg, params, hw_det):
     if detector == "sd":
         out = baselines.sphere_decode(h, ys, cfg)
         return out.x_hat_real, out.node_count
-    h = h.astype(detnet.DTYPE)
-    if detector == "detnet":
-        trajectory, _ = detnet.ideal_forward(params, h, ys)
-        return trajectory[-1], None
-    return hw_det.forward(h, ys), None
+    trajectory, _ = detnet.ideal_forward(params, h.astype(detnet.DTYPE), ys,
+                                         keep_cache=False)
+    return trajectory[-1], None
 
 
 def run_ber_sweep(exp, params=None):
@@ -220,28 +231,41 @@ def run_ber_sweep(exp, params=None):
             wave = range(trial, min(trial + WAVE, sweep.max_trials))
             h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, wave, sigma)
             ys_deep = ys.astype(detnet.DTYPE)
-            if any(row.detector == HW_DETECTOR for row in active):
+            done = []  # (row, errors, seconds, SD nodes) of this wave
+            hw_rows = [row for row in active if row.detector == HW_DETECTOR]
+            if hw_rows:
                 # the one reprogramming event per channel realization, for
-                # the whole wave, realized at every gamma
+                # the whole wave, realized at every gamma still running
                 program = hw_det.program_channel(h)
-                pulses = int(program.pulse_counts.sum())
-            for row in active:
+                pulses, t_p = int(program.pulse_counts.sum()), program.t_p
                 t0 = time.perf_counter()
-                hw = row.detector == HW_DETECTOR
-                h_det = program.realized(hw_specs[row.gamma], z) if hw else h
+                h_hw = np.stack([program.realized(hw_specs[row.gamma], z)
+                                 for row in hw_rows], dtype=detnet.DTYPE)
+                ys_hw = np.broadcast_to(ys_deep, (len(hw_rows),) + ys_deep.shape)
+                x_hat = hw_det.forward(h_hw, ys_hw)
+                wrong = mimo.demodulate(x_hat, cfg) != bits
+                errors = np.count_nonzero(wrong, axis=(1, 2, 3))
+                share = (time.perf_counter() - t0) / len(hw_rows)
+                done += [(row, int(e), share, None) for row, e in zip(hw_rows, errors)]
+            for row in active:
+                if row.detector == HW_DETECTOR:
+                    continue
+                t0 = time.perf_counter()
                 ys_det = ys_deep if row.detector in deep else ys
-                x_hat, nodes = _detect_wave(row.detector, h_det, ys_det, sigma, cfg,
-                                            params, hw_det)
+                x_hat, nodes = _detect_wave(row.detector, h, ys_det, sigma, cfg, params)
                 errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
-                row.wall_time_s += time.perf_counter() - t0
+                done.append((row, errors, time.perf_counter() - t0, nodes))
+            for row, errors, seconds, nodes in done:
+                row.wall_time_s += seconds
                 row.bits += bits.size
                 row.errors += errors
                 row.trials += len(wave)
                 row.vectors += len(wave) * vectors
                 if nodes is not None:
                     row.nodes = (row.nodes or 0) + nodes
-                if hw:
+                if row.detector == HW_DETECTOR:
                     row.pulses = (row.pulses or 0) + pulses
+                    row.t_p_s = (row.t_p_s or 0.0) + t_p
                 if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
                     row.stop_reason = "target"
             trial += len(wave)
@@ -355,7 +379,7 @@ def run_pipeline(exp, out_dir):
             result = dev.program_matrix(h, spec)
             dh = result.realized(spec, rng.standard_normal(h.shape)) - result.h_clipped
             records.append({
-                "trial": t, "t_p_s": 2.0 * result.total_latency,
+                "trial": t, "t_p_s": result.t_p,
                 "total_pulses": int(result.pulse_counts.sum()), "dh_std": np.std(dh),
             })
 

@@ -192,6 +192,29 @@ class TestMlMetric:
             tracemalloc.stop()
         assert peak <= 2.5 * metrics_bytes
 
+    def test_images_and_metrics_share_one_block(self, monkeypatch):
+        # one wave-sized block per call keeps the heap warm between waves
+        c = cfg()
+        h, ys = wave(c, np.random.default_rng(23), 10.0)
+        baselines.ml_detect_batch(h, ys, c)  # fills the candidate cache
+        live = []
+        argmin = np.argmin
+
+        def at_argmin(a, **kw):
+            # images and metrics are both alive here
+            live.extend(t.size for t in tracemalloc.take_snapshot().traces
+                        if t.size >= 64 * 1024)
+            return argmin(a, **kw)
+
+        monkeypatch.setattr(np, "argmin", at_argmin)
+        tracemalloc.start()
+        try:
+            baselines.ml_detect_batch(h, ys, c)
+        finally:
+            tracemalloc.stop()
+        n_cand = 2 ** c.bits_per_vector
+        assert live == [8 * (12 + 14) * n_cand * 8]
+
 
 class TestStackedChannels:
     def test_stack_matches_per_channel(self, rng):

@@ -215,7 +215,7 @@ def test_preset_flag_keeps_explicit_device_keys(tmp_path, capsys):
 MODE_CSV = {
     "train": ("loss_history.csv", "epoch,mean_loss"),
     "eval-ber": ("ber.csv", "detector,snr_db,gamma,bits,errors,ber,ci_lo,ci_hi,low_errors,"
-                            "wall_time_s,trials,stop_reason,mean_nodes,mean_pulses"),
+                            "wall_time_s,trials,stop_reason,mean_nodes,mean_pulses,mean_t_p_s"),
     "bounds": ("bounds.csv", "phi,tau,xi,omega,gamma_cap,bound"),
     "latency": ("latency.csv",
                 "t_p_bound_s,t_p_sim_mean_s,t_p_sim_max_s,t_c_s,t_total_bound_s"),

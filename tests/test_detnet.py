@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,75 @@ class TestPrecision:
         for key in detnet.PARAM_KEYS:
             scale = np.max(np.abs(grads64[key]))
             assert np.max(np.abs(grads[key] - grads64[key])) <= 1e-4 * scale
+
+
+def reference_inputs(shape, dtype, L=10):
+    """Params and inputs in dtype at the reference size, 4x6 QPSK with S 64, a 16.
+
+    "vector" is one y[None], "wave" an (8, 14) wave and "gamma-stack" a wave
+    realized at 5 programming-noise levels: (5, 8) channels with one wave's
+    vectors broadcast over the levels, as the BER sweep detects them.
+    """
+    cfg = MimoConfig(n_t=4, n_r=6, L=L)
+    channels, n_vec = {"vector": ((), 1), "wave": ((8,), 14),
+                       "gamma-stack": ((5, 8), 14)}[shape]
+    h, _, y, rng = stacked_instance(cfg, 11, channels, n_vec)
+    y = y.astype(dtype)
+    if shape == "gamma-stack":
+        y = np.broadcast_to(y[0], y.shape)
+    return detnet.init_params(cfg, rng).astype(dtype), h.astype(dtype), y
+
+
+def detect(p, h, y):
+    """x_L of the cache-free pass."""
+    trajectory, cache = detnet.ideal_forward(p, h, y, keep_cache=False)
+    assert cache is None and len(trajectory) == 1
+    return trajectory[0]
+
+
+class TestCacheFree:
+    """Detection runs the block loop on one set of buffers, with no cache."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["vector", "wave", "gamma-stack"])
+    def test_x_l_equals_the_cached_pass_bit_for_bit(self, shape, dtype):
+        p, h, y = reference_inputs(shape, dtype)
+        x_l = detect(p, h, y)
+        want = detnet.ideal_forward(p, h, y)[0][-1]
+        assert x_l.dtype == want.dtype == dtype
+        assert x_l.shape == want.shape == h.shape[:-2] + (y.shape[-2], 8)
+        assert np.array_equal(x_l, want)
+
+    def test_gamma_stack_equals_the_per_gamma_calls_bit_for_bit(self):
+        p, h, y = reference_inputs("gamma-stack", np.float32)
+        stacked = detect(p, h, y)
+        for g in range(len(h)):
+            assert np.array_equal(stacked[g], detect(p, h[g], y[g]))
+
+    def test_nan_input_is_not_decided(self):
+        # a NaN in one vector or one channel reaches only the rows it feeds
+        p, h, y = reference_inputs("wave", np.float32)
+        y_bad, h_bad = y.copy(), h.copy()
+        y_bad[3, 5, 0] = np.nan
+        h_bad[2, 4, 1] = np.nan
+        for h_in, y_in, bad in ((h, y_bad, (3, 5)), (h_bad, y, 2)):
+            x_l = detect(p, h_in, y_in)
+            corrupt = np.zeros(x_l.shape[:-1], dtype=bool)
+            corrupt[bad] = True
+            assert np.all(np.isnan(x_l[corrupt]))
+            assert np.all(np.isfinite(x_l[~corrupt]))
+
+    def test_memory_does_not_grow_with_blocks(self):
+        peaks = {}
+        for L in (2, 10):
+            p, h, y = reference_inputs("gamma-stack", np.float32, L=L)
+            for keep_cache in (False, True):
+                tracemalloc.start()
+                try:
+                    detnet.ideal_forward(p, h, y, keep_cache=keep_cache)
+                    peaks[L, keep_cache] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[10, False] <= 1.5 * peaks[2, False]
+        # the stacked cache backprop reads grows with L
+        assert peaks[10, True] > 1.5 * peaks[2, True]

@@ -66,7 +66,8 @@ class TestSweep:
             (d, snr, g) for d in s.detectors for snr in s.snr_db for g in s.gammas
         ]
         header = ber_csv(full).splitlines()[0].split(",")
-        assert header[-4:] == ["trials", "stop_reason", "mean_nodes", "mean_pulses"]
+        assert header[-5:] == ["trials", "stop_reason", "mean_nodes", "mean_pulses",
+                               "mean_t_p_s"]
         for r in full:
             assert r.bits == r.trials * s.symbols_per_slot * exp.mimo.bits_per_vector
             assert (r.mean_nodes is not None) == (r.detector == "sd")
@@ -233,7 +234,8 @@ class TestHardwareReuse:
         waves = sum(-(-n // harness.WAVE) for n in drawn.values())
         channel = (2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
         assert programs == [(harness.WAVE,) + channel] * waves
-        assert len(forwards) == sum(-(-r.trials // harness.WAVE) for r in result)
+        # one forward call per wave detects every gamma still running
+        assert len(forwards) == waves
 
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
@@ -248,6 +250,42 @@ class TestHardwareReuse:
             for r in rows:
                 assert r.mean_pulses == sum(pulses[:r.trials]) / r.trials
                 assert r.mean_pulses > 0
+
+    def test_one_stacked_call_equals_the_per_gamma_calls(self, exp, params, monkeypatch):
+        calls = []
+        forward = crossbar.HardwareDetector.forward
+
+        def recorded(det, h, ys):
+            out = forward(det, h, ys)
+            calls.append((det, h, ys, out))
+            return out
+
+        monkeypatch.setattr(crossbar.HardwareDetector, "forward", recorded)
+        gammas = [0.0, 0.01, 0.02, 0.03, 0.04]
+        # every gamma runs to the cap, so every wave stacks all five
+        one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], gammas=gammas))
+        harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
+        assert len(calls) == -(-exp.sweep.max_trials // harness.WAVE)
+        for det, h, ys, out in calls:
+            assert h.shape[0] == len(gammas) and h.dtype == detnet.DTYPE
+            for g in range(len(gammas)):
+                assert np.array_equal(out[g], forward(det, h[g], ys[g]))
+
+    def test_mean_t_p_counts_each_programmed_channel(self, exp, params, full):
+        result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
+        for snr_index, snr in enumerate(exp.sweep.snr_db):
+            rows = [r for r in result if r.snr_db == snr]
+            t_p = []
+            for t in range(max(r.trials for r in rows)):
+                # latency depends on the channel alone; T_p as program-sim writes it
+                rng = harness._trial_rng(exp.seed, snr_index, t)
+                h = mimo.to_real(mimo.generate_channel(exp.mimo, rng))
+                t_p.append(2.0 * device.program_matrix(h, exp.device).total_latency)
+            for r in rows:
+                assert r.mean_t_p_s == pytest.approx(sum(t_p[:r.trials]) / r.trials,
+                                                     rel=1e-12)
+                assert r.mean_t_p_s > 0
+        assert all(r.mean_t_p_s is None for r in full if r.detector != "detnet-hw")
 
 
 class TestStoppingRule:
