@@ -14,10 +14,10 @@ The subcommand is the run's `mode`: it is passed to the config parse as the
 `mode` override, so it replaces any `mode` line of the file and every check
 that depends on the mode runs there.  The other flags override config values
 the same way (--seed, --preset) or name the output directory (--out).
-Exit codes: 0 success, 2 configuration error (a one-line message, never a
-traceback; a `bounds` run whose config puts the bound outside its phi > 1
-regime is one), 3 numeric failure (training divergence, a rank-deficient
-channel, floating-point error).
+Exit codes: 0 success, 2 user error (a one-line message, never a traceback;
+a bad config or checkpoint, a file in the way of --out, or a `bounds` run
+with the bound outside its phi > 1 regime), 3 numeric failure (training
+divergence, a rank-deficient channel, floating-point error).
 """
 
 import argparse

@@ -1,15 +1,16 @@
 """Experiment orchestration: seeded sweeps, pipelines, CSV emission.
 
-Reproducibility contract: trial t at SNR index i draws its channel H, its
-payload bits, its channel noise and then one unit normal per cell of the
-real channel for the programming noise, in that order, from one RNG stream
-keyed on (seed, i, t).  Every detector, and every gamma, at that SNR reuses
-the same draws (common random numbers), so detector differences are paired
-and the sphere decoder reproduces exhaustive ML to the bit.  `detnet-hw`
-programs a wave's channels once, and every gamma realizes that programming
-with the same unit normals, which gamma only scales.  Adding or removing a
-detector or a gamma therefore never changes another row.  Detectors that
-ignore gamma run once per SNR and their row is copied to every gamma.
+Reproducibility contract: wave w at SNR index i draws its WAVE channels H,
+then their bits, channel noise and one unit normal per channel cell, each
+stacked, from one RNG stream keyed on (seed, i, w), so output depends on
+WAVE; a wave cut short by `max_trials` keeps its first trials.  Every
+detector and gamma at that SNR reuses these draws (common random numbers),
+so detector differences are paired and the sphere decoder reproduces
+exhaustive ML to the bit.  `detnet-hw` programs a wave's channels once, and
+every gamma realizes that programming with the same unit normals, which
+gamma only scales.  Adding or removing a detector or a gamma therefore never
+changes another row.  Detectors that ignore gamma run once per SNR and their
+row is copied to every gamma.
 In each wave, the gammas whose `detnet-hw` rows still run are detected
 together: their realized channels are stacked into one forward pass, the
 same arithmetic per gamma as a pass of its own, and the seconds of that
@@ -36,6 +37,7 @@ stated once, where its record is built.
 import json
 import platform
 import time
+import zipfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -143,30 +145,18 @@ class SweepRow:
         }
 
 
-def _trial_rng(seed, snr_index, trial_index):
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int(snr_index), int(trial_index)])
-    )
+def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
+    """The stacked draws of the first `trials` trials of wave `wave_index`.
 
-
-def _draw_wave(cfg, vectors, seed, snr_index, trials, sigma):
-    """Stacked draws of one wave.
-
-    Returns H (W, 2n_r, 2n_t), bits, ys (W, vectors, 2n_r) and the
-    programming noise's unit normals z (W, 2n_r, 2n_t).
+    Returns H (trials, 2n_r, 2n_t), bits, ys (trials, vectors, 2n_r) and the
+    programming noise's unit normals z (trials, 2n_r, 2n_t).
     """
-    rngs = [_trial_rng(seed, snr_index, t) for t in trials]
-    h_complex = []
-    bits = []
-    for rng in rngs:
-        h_complex.append(mimo.generate_channel(cfg, rng))
-        bits.append(mimo.random_bits(cfg, rng, count=vectors))
-    h = mimo.to_real(np.stack(h_complex))
-    bits = np.stack(bits)
-    x = mimo.modulate(bits, cfg)
-    ys = np.stack([mimo.transmit(h[i], x[i], sigma, rng) for i, rng in enumerate(rngs)])
-    z = np.stack([rng.standard_normal(h.shape[1:]) for rng in rngs])
-    return h, bits, ys, z
+    rng = np.random.default_rng([seed, snr_index, wave_index])
+    h = mimo.to_real(mimo.generate_channel(cfg, rng, count=WAVE))
+    bits = mimo.random_bits(cfg, rng, count=WAVE * vectors).reshape(WAVE, vectors, -1)
+    ys = mimo.transmit(h, mimo.modulate(bits, cfg), sigma, rng)
+    z = rng.standard_normal(h.shape)
+    return h[:trials], bits[:trials], ys[:trials], z[:trials]
 
 
 def _detect_wave(detector, h, ys, sigma, cfg, params):
@@ -228,8 +218,9 @@ def run_ber_sweep(exp, params=None):
         active = list(point.values())
         trial = 0
         while active and trial < sweep.max_trials:
-            wave = range(trial, min(trial + WAVE, sweep.max_trials))
-            h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, wave, sigma)
+            count = min(WAVE, sweep.max_trials - trial)
+            h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, trial // WAVE,
+                                        sigma, count)
             ys_deep = ys.astype(detnet.DTYPE)
             done = []  # (row, errors, seconds, SD nodes) of this wave
             hw_rows = [row for row in active if row.detector == HW_DETECTOR]
@@ -259,8 +250,8 @@ def run_ber_sweep(exp, params=None):
                 row.wall_time_s += seconds
                 row.bits += bits.size
                 row.errors += errors
-                row.trials += len(wave)
-                row.vectors += len(wave) * vectors
+                row.trials += count
+                row.vectors += count * vectors
                 if nodes is not None:
                     row.nodes = (row.nodes or 0) + nodes
                 if row.detector == HW_DETECTOR:
@@ -268,7 +259,7 @@ def run_ber_sweep(exp, params=None):
                     row.t_p_s = (row.t_p_s or 0.0) + t_p
                 if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
                     row.stop_reason = "target"
-            trial += len(wave)
+            trial += count
             active = [row for row in active if row.stop_reason is None]
         for row in active:
             row.stop_reason = "max_trials"
@@ -309,6 +300,10 @@ def run_pipeline(exp, out_dir):
     Returns the list of files written.
     """
     out = Path(out_dir)
+    # made only after the run (below), so a file in its way is looked for now
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {str(out)!r}: {str(existing)!r} is a file")
     started = time.perf_counter()
     rng = np.random.default_rng(exp.seed)
     cfg = exp.mimo
@@ -325,7 +320,7 @@ def run_pipeline(exp, out_dir):
         if exp.params_path:
             try:
                 params, _ = training.load_params(exp.params_path, expected_config=cfg)
-            except (OSError, KeyError, ValueError) as exc:
+            except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
         name = "ber.csv"
         records = [row.record() for row in run_ber_sweep(exp, params=params)]

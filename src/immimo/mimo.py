@@ -172,8 +172,11 @@ def _level_rails(idx, config):
 
 
 def transmit(h_real, x_real, sigma_n, rng):
-    """y = H x + n with i.i.d. N(0, sigma_n^2) entries; sigma_n = 0 allowed."""
-    y0 = x_real @ h_real.T if x_real.ndim > 1 else h_real @ x_real
+    """y = H x + n with i.i.d. N(0, sigma_n^2) entries; sigma_n = 0 allowed.
+
+    Channel w of a stack (W, 2n_r, 2n_t) sends the rows x_real[w] (V, 2n_t).
+    """
+    y0 = x_real @ np.swapaxes(h_real, -1, -2) if x_real.ndim > 1 else h_real @ x_real
     if sigma_n == 0:
         return y0
     return y0 + sigma_n * rng.standard_normal(y0.shape)

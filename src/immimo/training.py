@@ -186,7 +186,8 @@ def load_params(path, expected_config=None):
 
     If expected_config is given, any header mismatch is rejected.
     """
-    with np.load(path, allow_pickle=False) as data:
+    # np.load leaks the file it opened when the file is not a zip archive
+    with open(path, "rb") as file, np.load(file, allow_pickle=False) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")

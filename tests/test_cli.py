@@ -57,7 +57,8 @@ def test_checkpoint_header_mismatch_exits_2(tmp_path, capsys):
 
 def test_rank_deficient_channel_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mimo, "generate_channel",
-                        lambda config, rng: np.zeros((config.n_r, config.n_t), complex))
+                        lambda config, rng, count: np.zeros((count, config.n_r, config.n_t),
+                                                            complex))
     code, err = run(tmp_path, SWEEP + "sweep.detectors = zf\n", capsys)
     assert code == cli.EXIT_NUMERIC
     assert_one_line(err, "numeric failure:")
@@ -176,17 +177,44 @@ def test_single_antenna_latency_bound_exits_2(tmp_path, capsys, mode):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("mode,text", [
+def write_truncated_checkpoint(path):
+    config = mimo.MimoConfig(n_t=2, n_r=3, L=2, S=8)
+    training.save_params(path, detnet.init_params(config, np.random.default_rng(0)), config)
+    path.write_bytes(path.read_bytes()[:2000])
+
+
+PARAMS_AT_P = SWEEP + "sweep.detectors = detnet\neval.params = {tmp}/p.npz\n"
+
+
+@pytest.mark.parametrize("mode,text,write", [
     # at n_t 2, n_r 3 the default varpi2 = 0.05 puts phi below 1
-    pytest.param("bounds", SWEEP, id="bound-regime"),
+    pytest.param("bounds", SWEEP, None, id="bound-regime"),
     pytest.param("eval-ber", SWEEP + "sweep.detectors = detnet\neval.params = {tmp}/none.npz\n",
-                 id="missing-params"),
+                 None, id="missing-params"),
+    pytest.param("eval-ber", PARAMS_AT_P, lambda p: p.write_bytes(b""), id="empty-params"),
+    pytest.param("eval-ber", PARAMS_AT_P, write_truncated_checkpoint, id="truncated-params"),
 ])
-def test_user_error_while_running_leaves_no_output_directory(tmp_path, capsys, mode, text):
+def test_user_error_while_running_leaves_no_output_directory(tmp_path, capsys, mode, text,
+                                                              write):
+    if write is not None:
+        write(tmp_path / "p.npz")
     code, err = run(tmp_path, text.format(tmp=tmp_path), capsys, mode=mode)
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, "config error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_out_blocked_by_a_file_exits_2_naming_it(tmp_path, capsys, under):
+    (tmp_path / "x.cfg").write_text(SWEEP + "sweep.detectors = zf\n")
+    (tmp_path / "f").write_text("kept\n")
+    out = tmp_path / "f" / under
+    code = cli.main(["eval-ber", "--config", str(tmp_path / "x.cfg"), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert_one_line(err, f"config error: output directory {str(out)!r}: ")
+    assert err.endswith(f": {str(tmp_path / 'f')!r} is a file\n")
+    assert (tmp_path / "f").read_text() == "kept\n"
 
 
 def test_manifest_records_the_environment(tmp_path, capsys):

@@ -236,6 +236,15 @@ class TestTransmit:
         x = mimo.modulate(mimo.random_bits(c, rng)[0], c)
         assert np.array_equal(mimo.transmit(h, x, 0.0, rng), h @ x)
 
+    def test_channel_stack_sends_each_channel_its_rows(self, rng):
+        c = cfg("qpsk", n_t=4, n_r=6)
+        h = mimo.to_real(mimo.generate_channel(c, rng, count=3))
+        x = mimo.modulate(mimo.random_bits(c, rng, count=15).reshape(3, 5, -1), c)
+        y = mimo.transmit(h, x, 0.0, rng)
+        assert y.shape == (3, 5, 12)
+        for w in range(3):
+            assert np.array_equal(y[w], mimo.transmit(h[w], x[w], 0.0, rng))
+
     def test_noise_variance(self, rng):
         c = cfg(n_t=1, n_r=1)
         h = mimo.to_real(mimo.generate_channel(c, rng))
