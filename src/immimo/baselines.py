@@ -8,7 +8,7 @@ exhaustive-ML decision while visiting far fewer nodes at high SNR.  It takes
 a whole stack of channels per call: one numpy pass runs the search's first
 descent, to the Babai point, for every vector, and settles the vectors whose
 search would stop right there; only the rest are searched in Python.  Its
-node count is the search's either way.
+node count, reported per channel, is the search's either way.
 """
 
 import math
@@ -25,8 +25,15 @@ class RankDeficientChannel(Exception):
 
 @dataclass
 class DetectorOutput:
+    """Decisions, and for the sphere decoder its tree nodes.
+
+    channel_nodes holds the nodes per channel, in the leading shape of the
+    channel stack (0-d for one channel); node_count is their total.
+    """
+
     x_hat_real: np.ndarray
     node_count: int | None = None
+    channel_nodes: np.ndarray | None = None
 
 
 def rail_symbol_energy(config):
@@ -136,7 +143,11 @@ def sphere_decode(h_real, ys, config):
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
     same leading shape, or ys is one vector (2n_r,).  Returns the same
     decisions as :func:`ml_detect_batch`, in ys's leading shape, together
-    with the total number of tree nodes the depth-first search visits.
+    with the number of tree nodes the depth-first search visits for each
+    channel of the stack (channel_nodes) and their total (node_count).  A
+    channel's decisions and nodes do not depend on the rest of the stack, so
+    a caller may detect several waves of channels in one call and keep the
+    counts of the channels it needs.
 
     One stacked QR factors every channel.  The search's first leaf is the
     Babai (successive-interference-cancellation) point, so one numpy pass
@@ -191,13 +202,14 @@ def sphere_decode(h_real, ys, config):
         inc = upper - pivot * x[..., level]
         partial = partial + inc * inc
     settled = sibling > partial * (1.0 + SETTLE_MARGIN)
-    node_count = int(np.count_nonzero(settled)) * sum(min(2, len(a)) for a in alphabets)
+    nodes = np.count_nonzero(settled, axis=-1) * sum(min(2, len(a)) for a in alphabets)
 
     alphabets = [a.tolist() for a in alphabets]
     for c, v in np.argwhere(~settled):
-        x[c, v], nodes = _search(r[c].tolist(), alphabets, targets[c, v].tolist())
-        node_count += nodes
-    return DetectorOutput(x_hat_real=x.reshape(out_shape), node_count=node_count)
+        x[c, v], searched = _search(r[c].tolist(), alphabets, targets[c, v].tolist())
+        nodes[c] += searched
+    return DetectorOutput(x_hat_real=x.reshape(out_shape), node_count=int(nodes.sum()),
+                          channel_nodes=nodes.reshape(y_red.shape[:-2]))
 
 
 def _search(rows, alphabets, target):

@@ -144,11 +144,15 @@ def sample_dh_matrix(h_real, spec, rng):
     saturated at 3 to mirror the conductance-range clip of the pulse-train
     path.
     """
-    h = np.minimum(np.abs(np.asarray(h_real, dtype=float)), H_CLIP)
+    std = np.abs(np.asarray(h_real, dtype=float))
     if spec.gamma == 0.0:
-        return np.zeros_like(h)
-    std = np.sqrt(3.0 * spec.gamma**2 * spec.n_p * h)
-    return rng.standard_normal(h.shape) * std
+        return np.zeros_like(std)
+    np.minimum(std, H_CLIP, out=std)
+    std *= 3.0 * spec.gamma**2 * spec.n_p
+    np.sqrt(std, out=std)
+    dh = rng.standard_normal(std.shape)
+    dh *= std
+    return dh
 
 
 @dataclass

@@ -20,18 +20,30 @@ pass (detnet.DTYPE): the draws, the programming and every other detector
 stay float64, and the params, each wave's received vectors and each channel
 they detect on are cast to float32 before it.
 
-Trials run in waves of WAVE, drawn one wave at a time.  A BER point, one
-SweepRow, adds whole waves to its totals until it has at least `min_bits`
-bits AND `min_errors` bit errors (confidence at low BER), capped at
-`max_trials` channel realizations; each detector stops on its own.  Every
-emitted row carries a Wilson 95% interval, a flag for points with fewer than
-10 errors, the trials run, why the point stopped and the means derived from
-its totals.
+Trials run in waves of WAVE.  A BER point, one SweepRow, adds whole waves
+to its totals until it has at least `min_bits` bits AND `min_errors` bit
+errors (confidence at low BER), capped at `max_trials` channel
+realizations; each detector stops on its own.  Every emitted row carries a
+Wilson 95% interval, a flag for points with fewer than 10 errors, the trials
+run, why the point stopped and the means derived from its totals.
+
+While a row of `zf`, `mmse` or `sd` (CHUNKED) runs at an SNR point, the
+sweep draws CHUNK consecutive waves at a time, each from its own stream as
+above, and each of those detectors detects the whole chunk in one call,
+because their per-call cost is mostly fixed.  The stop rule is then
+replayed wave by wave: every row adds the errors, tree nodes and seconds of
+one wave at a time, taken from the call's per-channel counts, and drops the
+chunk's waves after its stop, so every row is the one a loop over single
+waves gives.  `ml` and the deep detectors, whose per-wave cost is already
+flat, detect one wave per call inside the replay, and only the waves a row
+still needs.  Otherwise waves are drawn one at a time.
 
 Artifacts: every mode writes one CSV table plus manifest.json (`train` also
 its checkpoint).  A mode builds its table as records, dicts of column ->
 value, and csv_text alone formats them, so each artifact's columns are
-stated once, where its record is built.
+stated once, where its record is built.  An `eval-ber` manifest also
+records WAVE, CHUNK and the trials detected and then discarded after a row
+stopped.
 """
 
 import json
@@ -50,6 +62,12 @@ from .config import HW_DETECTOR, ConfigError, config_echo
 
 # trials per wave; stopping rules are evaluated only at wave boundaries
 WAVE = 8
+# waves drawn together at an SNR point
+CHUNK = 4
+# detectors whose per-call cost is mostly fixed: each detects a whole chunk
+# in one call.  The others detect one wave per call, and only while one of
+# their rows still needs it.
+CHUNKED = ("zf", "mmse", "sd")
 
 
 def csv_text(records):
@@ -96,8 +114,12 @@ class SweepRow:
     wall_time_s is the detection-plus-demapping time of this row's
     computation; a wave's detnet-hw rows share one timed detection, realizing
     the channel at each gamma included, split evenly over the gamma rows in
-    it.  The shared trial draws and channel programming are attributed to no
-    row.  The means derive from the totals: mean_nodes is tree nodes per
+    it.  The one call of a CHUNKED detector on a chunk is split over the
+    chunk's waves in proportion to their trials, and the row adds the shares
+    of the waves it keeps; the shares of the waves after its stop, like the
+    shared trial draws and channel programming, are attributed to no row.
+    `discarded` counts those trials, which enter no total and no column.
+    The means derive from the totals: mean_nodes is tree nodes per
     vector, mean_pulses programming pulses and mean_t_p_s the programming
     latency T_p (device.ProgrammingResult.t_p, as program-sim's t_p_s) per
     channel realization.
@@ -115,6 +137,7 @@ class SweepRow:
     pulses: int | None = None
     t_p_s: float | None = None
     stop_reason: str | None = None  # "target" or "max_trials" once stopped
+    discarded: int = 0
 
     @property
     def mean_nodes(self):
@@ -159,8 +182,28 @@ def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
     return h[:trials], bits[:trials], ys[:trials], z[:trials]
 
 
-def _detect_wave(detector, h, ys, sigma, cfg, params):
-    """Hard decisions (W, vectors, 2n_t) for one wave, and the SD node total.
+def _draw_chunk(cfg, vectors, seed, snr_index, first_wave, sigma, trials):
+    """The draws of `trials` consecutive trials, from wave `first_wave` on.
+
+    Each wave comes from its own _draw_wave stream and is copied into the
+    chunk's arrays as it is drawn, so a chunk's draws are held once.  Returns
+    H, bits, ys and z as _draw_wave does, over the chunk's trials.
+    """
+    if trials <= WAVE:
+        return _draw_wave(cfg, vectors, seed, snr_index, first_wave, sigma, trials)
+    chunk = None
+    for start in range(0, trials, WAVE):
+        wave = _draw_wave(cfg, vectors, seed, snr_index, first_wave + start // WAVE,
+                          sigma, min(WAVE, trials - start))
+        if chunk is None:
+            chunk = [np.empty((trials,) + a.shape[1:], a.dtype) for a in wave]
+        for whole, part in zip(chunk, wave):
+            whole[start:start + len(part)] = part
+    return chunk
+
+
+def _detect(detector, h, ys, sigma, cfg, params):
+    """Hard decisions (trials, vectors, 2n_t), and SD's tree nodes per channel.
 
     detnet-hw is detected in run_ber_sweep, every gamma of a wave at once.
     detnet takes ys in detnet.DTYPE and casts h to it.
@@ -174,10 +217,28 @@ def _detect_wave(detector, h, ys, sigma, cfg, params):
         return baselines.ml_detect_batch(h, ys, cfg), None
     if detector == "sd":
         out = baselines.sphere_decode(h, ys, cfg)
-        return out.x_hat_real, out.node_count
+        return out.x_hat_real, out.channel_nodes
     trajectory, _ = detnet.ideal_forward(params, h.astype(detnet.DTYPE), ys,
                                          keep_cache=False)
     return trajectory[-1], None
+
+
+def _detect_chunk(detector, h, bits, ys, sigma, cfg, starts):
+    """(errors, seconds, SD nodes) of each wave of a chunk, from one call.
+
+    The wave starting at trial starts[i] gets the errors and nodes of its
+    trials, and the call's seconds in proportion to its trials.
+    """
+    t0 = time.perf_counter()
+    x_hat, nodes = _detect(detector, h, ys, sigma, cfg, None)
+    wrong = mimo.demodulate(x_hat, cfg) != bits
+    errors = np.add.reduceat(np.count_nonzero(wrong, axis=(1, 2)), starts).tolist()
+    per_trial = (time.perf_counter() - t0) / len(h)
+    seconds = [per_trial * (stop - start)
+               for start, stop in zip(starts, [*starts[1:], len(h)])]
+    nodes = ([None] * len(starts) if nodes is None
+             else np.add.reduceat(nodes, starts).tolist())
+    return list(zip(errors, seconds, nodes))
 
 
 def run_ber_sweep(exp, params=None):
@@ -210,6 +271,7 @@ def run_ber_sweep(exp, params=None):
         for gamma in (sweep.gammas if det == HW_DETECTOR else (None,))
     ]
     vectors = sweep.symbols_per_slot
+    bits_per_trial = vectors * cfg.bits_per_vector
     points = []
     for s_idx, snr in enumerate(sweep.snr_db):
         sigma = mimo.sigma_from_snr(snr)
@@ -218,49 +280,68 @@ def run_ber_sweep(exp, params=None):
         active = list(point.values())
         trial = 0
         while active and trial < sweep.max_trials:
-            count = min(WAVE, sweep.max_trials - trial)
-            h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, trial // WAVE,
-                                        sigma, count)
-            ys_deep = ys.astype(detnet.DTYPE)
-            done = []  # (row, errors, seconds, SD nodes) of this wave
-            hw_rows = [row for row in active if row.detector == HW_DETECTOR]
-            if hw_rows:
-                # the one reprogramming event per channel realization, for
-                # the whole wave, realized at every gamma still running
-                program = hw_det.program_channel(h)
-                pulses, t_p = int(program.pulse_counts.sum()), program.t_p
-                t0 = time.perf_counter()
-                h_hw = np.stack([program.realized(hw_specs[row.gamma], z)
-                                 for row in hw_rows], dtype=detnet.DTYPE)
-                ys_hw = np.broadcast_to(ys_deep, (len(hw_rows),) + ys_deep.shape)
-                x_hat = hw_det.forward(h_hw, ys_hw)
-                wrong = mimo.demodulate(x_hat, cfg) != bits
-                errors = np.count_nonzero(wrong, axis=(1, 2, 3))
-                share = (time.perf_counter() - t0) / len(hw_rows)
-                done += [(row, int(e), share, None) for row, e in zip(hw_rows, errors)]
-            for row in active:
-                if row.detector == HW_DETECTOR:
-                    continue
-                t0 = time.perf_counter()
-                ys_det = ys_deep if row.detector in deep else ys
-                x_hat, nodes = _detect_wave(row.detector, h, ys_det, sigma, cfg, params)
-                errors = int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
-                done.append((row, errors, time.perf_counter() - t0, nodes))
-            for row, errors, seconds, nodes in done:
-                row.wall_time_s += seconds
-                row.bits += bits.size
-                row.errors += errors
-                row.trials += count
-                row.vectors += count * vectors
-                if nodes is not None:
-                    row.nodes = (row.nodes or 0) + nodes
-                if row.detector == HW_DETECTOR:
-                    row.pulses = (row.pulses or 0) + pulses
-                    row.t_p_s = (row.t_p_s or 0.0) + t_p
-                if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
-                    row.stop_reason = "target"
-            trial += count
-            active = [row for row in active if row.stop_reason is None]
+            # only a chunked detector's call uses the waves drawn ahead
+            waves = CHUNK if any(row.detector in CHUNKED for row in active) else 1
+            trials = min(waves * WAVE, sweep.max_trials - trial)
+            h, bits, ys, z = _draw_chunk(cfg, vectors, exp.seed, s_idx, trial // WAVE,
+                                         sigma, trials)
+            starts = list(range(0, trials, WAVE))
+            chunked = {row.detector: _detect_chunk(row.detector, h, bits, ys, sigma,
+                                                   cfg, starts)
+                       for row in active if row.detector in CHUNKED}
+            # the stop rule, replayed wave by wave; the other detectors
+            # detect each wave only while one of their rows still needs it
+            for w, start in enumerate(starts):
+                wave = slice(start, start + WAVE)
+                count = min(WAVE, trials - start)
+                done = []  # (row, errors, seconds, SD nodes) of this wave
+                if any(row.detector in deep for row in active):
+                    ys_deep = ys[wave].astype(detnet.DTYPE)
+                hw_rows = [row for row in active if row.detector == HW_DETECTOR]
+                if hw_rows:
+                    # the one reprogramming event per channel realization, for
+                    # the whole wave, realized at every gamma still running
+                    program = hw_det.program_channel(h[wave])
+                    pulses, t_p = int(program.pulse_counts.sum()), program.t_p
+                    t0 = time.perf_counter()
+                    h_hw = np.stack([program.realized(hw_specs[row.gamma], z[wave])
+                                     for row in hw_rows], dtype=detnet.DTYPE)
+                    ys_hw = np.broadcast_to(ys_deep, (len(hw_rows),) + ys_deep.shape)
+                    x_hat = hw_det.forward(h_hw, ys_hw)
+                    wrong = mimo.demodulate(x_hat, cfg) != bits[wave]
+                    errors = np.count_nonzero(wrong, axis=(1, 2, 3))
+                    share = (time.perf_counter() - t0) / len(hw_rows)
+                    done += [(row, int(e), share, None) for row, e in zip(hw_rows, errors)]
+                for row in active:
+                    if row.detector in chunked:
+                        done.append((row, *chunked[row.detector][w]))
+                    elif row.detector != HW_DETECTOR:
+                        t0 = time.perf_counter()
+                        ys_det = ys_deep if row.detector in deep else ys[wave]
+                        x_hat, _ = _detect(row.detector, h[wave], ys_det, sigma, cfg,
+                                           params)
+                        wrong = mimo.demodulate(x_hat, cfg) != bits[wave]
+                        done.append((row, int(np.count_nonzero(wrong)),
+                                     time.perf_counter() - t0, None))
+                for row, errors, seconds, nodes in done:
+                    row.wall_time_s += seconds
+                    row.bits += count * bits_per_trial
+                    row.errors += errors
+                    row.trials += count
+                    row.vectors += count * vectors
+                    if nodes is not None:
+                        row.nodes = (row.nodes or 0) + nodes
+                    if row.detector == HW_DETECTOR:
+                        row.pulses = (row.pulses or 0) + pulses
+                        row.t_p_s = (row.t_p_s or 0.0) + t_p
+                    if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
+                        row.stop_reason = "target"
+                        if row.detector in chunked:
+                            row.discarded = trials - start - count
+                trial += count
+                active = [row for row in active if row.stop_reason is None]
+                if not active:
+                    break
         for row in active:
             row.stop_reason = "max_trials"
 
@@ -309,6 +390,7 @@ def run_pipeline(exp, out_dir):
     cfg = exp.mimo
     spec = exp.device
     checkpoint = None
+    recorded = {}  # mode-specific manifest entries
 
     if exp.mode == "train":
         checkpoint, history = training.train(cfg, exp.train, spec, rng)
@@ -323,7 +405,15 @@ def run_pipeline(exp, out_dir):
             except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
         name = "ber.csv"
-        records = [row.record() for row in run_ber_sweep(exp, params=params)]
+        rows = run_ber_sweep(exp, params=params)
+        records = [row.record() for row in rows]
+        # a gamma-insensitive lane's row is repeated at every gamma
+        lanes = {(r.detector, r.snr_db, r.gamma if r.detector == HW_DETECTOR else None): r
+                 for r in rows}
+        recorded["sweep"] = {
+            "wave_trials": WAVE, "chunk_waves": CHUNK,
+            "discarded_trials": sum(r.discarded for r in lanes.values()),
+        }
 
     elif exp.mode == "bounds":
         b = exp.bounds
@@ -398,6 +488,7 @@ def run_pipeline(exp, out_dir):
         "wall_clock_s": round(time.perf_counter() - started, 6),
         "config": config_echo(exp),
         "environment": environment(),
+        **recorded,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")

@@ -101,22 +101,30 @@ def draw_batch(config, train_cfg, spec, rng):
     Returns (x (B, 1, 2n_t), H_in = H + dH (B, 2n_r, 2n_t),
     y_in = y0 + n (B, 1, 2n_r)) for batch size B.
     """
-    b = train_cfg.batch_size
+    b, n_r, n_t = train_cfg.batch_size, config.n_r, config.n_t
     bits = mimo.random_bits(config, rng, count=b)
     x = mimo.modulate(bits, config)
-    h = mimo.to_real(mimo.generate_channel(config, rng, count=b))
-    y0 = (h @ x[..., None])[..., 0]
+    # mimo.generate_channel's draws, the real parts and then the imaginary
+    # parts, written straight into the embedding of mimo.to_real
+    re, im = rng.standard_normal((2, b, n_r, n_t))
+    h = np.empty((b, 2 * n_r, 2 * n_t))
+    h[:, :n_r, :n_t] = re
+    h[:, n_r:, n_t:] = re
+    h[:, n_r:, :n_t] = im
+    np.negative(im, out=h[:, :n_r, n_t:])
+    y = (h @ x[..., None])[..., 0]
 
     lo, hi = train_cfg.snr_low_db, train_cfg.snr_high_db
     snr = np.full(b, lo) if lo == hi else rng.uniform(lo, hi, size=b)
-    sigma = mimo.sigma_from_snr(snr)
-    n = sigma[:, None] * rng.standard_normal(y0.shape)
+    noise = rng.standard_normal(y.shape)
+    noise *= mimo.sigma_from_snr(snr)[:, None]
+    y += noise
 
     if train_cfg.gamma_train > 0:
         dh = dev.sample_dh_matrix(h, spec.at_gamma(train_cfg.gamma_train), rng)
-    else:
-        dh = 0.0
-    return x[:, None], h + dh, (y0 + n)[:, None]
+        dh += h
+        h = dh
+    return x[:, None], h, y[:, None]
 
 
 def _views(buf, like):

@@ -1,4 +1,5 @@
-import math
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -89,21 +90,33 @@ class TestSweep:
                 assert (sd.bits, sd.errors, sd.trials) == (ml.bits, ml.errors, ml.trials)
 
     def test_mean_nodes_counts_tree_nodes_per_vector(self, exp, monkeypatch):
-        nodes = []
+        calls = []
         sphere_decode = baselines.sphere_decode
 
         def counted(*args):
             out = sphere_decode(*args)
-            nodes.append(out.node_count)
+            calls.append(out.channel_nodes)
             return out
 
         monkeypatch.setattr(baselines, "sphere_decode", counted)
-        one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], detectors=["sd"]))
-        rows = harness.run_ber_sweep(one)
-        # one call per wave
-        assert len(nodes) == math.ceil(rows[0].trials / harness.WAVE)
-        for r in rows:
-            assert r.mean_nodes == sum(nodes) / (r.trials * exp.sweep.symbols_per_slot)
+        chunk = harness.CHUNK * harness.WAVE
+        # 1000 bits need 18 trials, so the row stops after 24, inside its
+        # first chunk; without a bit target it runs to the cap of 60
+        for min_bits, trials in ((1000, 24), (10**9, 60)):
+            calls.clear()
+            one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], detectors=["sd"],
+                                             min_bits=min_bits))
+            rows = harness.run_ber_sweep(one)
+            # one call per chunk, detecting every channel up to the chunk's
+            # end or the cap
+            drawn = min(-(-trials // chunk) * chunk, exp.sweep.max_trials)
+            assert [len(n) for n in calls] == [min(chunk, drawn - t)
+                                               for t in range(0, drawn, chunk)]
+            nodes = np.concatenate(calls)
+            for r in rows:
+                assert (r.trials, r.discarded) == (trials, drawn - trials)
+                assert r.mean_nodes == nodes[:trials].sum() / (
+                    trials * exp.sweep.symbols_per_slot)
 
     def test_gamma_insensitive_rows_repeat_across_gammas(self, exp, full):
         rows = by_key(full)
@@ -268,14 +281,19 @@ class TestHardwareReuse:
         monkeypatch.setattr(crossbar.HardwareDetector, "forward",
                             lambda *a, **k: forwards.append(1) or forward(*a, **k))
         # at 4 dB gamma 0.02 reaches 530 errors after 16 trials and gamma 0
-        # after 24; the programming runs while any gamma still needs the wave
+        # after 24; the programming runs while any gamma still needs the wave.
+        # zf never gets there, so every wave is drawn in chunks, and the waves
+        # drawn after the last gamma stopped are neither programmed nor detected
         one = replace(exp, sweep=replace(exp.sweep, min_bits=1, min_errors=530))
-        result = harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
-        assert len(result) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
-        drawn = {snr: max(r.trials for r in result if r.snr_db == snr)
-                 for snr in exp.sweep.snr_db}
-        assert len({r.trials for r in result}) > 1
-        waves = sum(-(-n // harness.WAVE) for n in drawn.values())
+        result = harness.run_ber_sweep(only(one, "zf", "detnet-hw"), params=params)
+        hw = [r for r in result if r.detector == "detnet-hw"]
+        assert len(hw) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
+        assert all(r.trials == exp.sweep.max_trials for r in result if r.detector == "zf")
+        needed = {snr: max(r.trials for r in hw if r.snr_db == snr)
+                  for snr in exp.sweep.snr_db}
+        assert len({r.trials for r in hw}) > 1
+        assert needed[4.0] % (harness.CHUNK * harness.WAVE) != 0
+        waves = sum(-(-n // harness.WAVE) for n in needed.values())
         channel = (2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
         assert programs == [(harness.WAVE,) + channel] * waves
         # one forward call per wave detects every gamma still running
@@ -354,6 +372,90 @@ class TestStoppingRule:
     def test_cap_ends_a_partial_wave(self, exp):
         row = self.sweep(exp, min_bits=10**9, min_errors=1, max_trials=13)
         assert (row.trials, row.stop_reason) == (13, "max_trials")
+
+    # (min_errors, max_trials): at 4 dB the detnet-hw rows, zf and sd stop on
+    # the error target after 8, 16 and 24 trials, inside the first chunk; with
+    # the second pair the detnet-hw rows and zf stop on it after 8 and 24
+    # trials, and the cap of 29 cuts sd's fourth wave short
+    @pytest.mark.parametrize("min_errors,max_trials", [(60, 60), (110, 29)])
+    def test_chunk_replays_the_per_wave_rule(self, exp, params, min_errors, max_trials):
+        one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], min_bits=1,
+                                         min_errors=min_errors, max_trials=max_trials))
+        rows = harness.run_ber_sweep(only(one, "zf", "sd", "detnet-hw"), params=params)
+        got = {(r.detector, r.gamma if r.detector == "detnet-hw" else None): r for r in rows}
+        lanes = [("zf", None), ("sd", None)] + [("detnet-hw", g) for g in exp.sweep.gammas]
+        for detector, gamma in lanes:
+            r = got[(detector, gamma)]
+            want = per_wave_reference(one, params, detector, gamma)
+            assert (r.errors, r.trials, r.stop_reason, r.mean_nodes, r.mean_pulses,
+                    r.mean_t_p_s) == want, (detector, gamma)
+        trials = [got[lane].trials for lane in lanes]
+        assert len(set(trials)) > 2
+        assert max(trials) <= harness.CHUNK * harness.WAVE
+        if max_trials < harness.CHUNK * harness.WAVE:
+            assert got[("sd", None)].trials == max_trials
+            assert got[("sd", None)].stop_reason == "max_trials"
+
+
+def per_wave_reference(exp, params, detector, gamma):
+    """(errors, trials, stop_reason, mean_nodes, mean_pulses, mean_t_p_s) of
+    one lane at the first SNR, detected one drawn wave at a time, with the
+    stop rule checked after each wave."""
+    cfg, s = exp.mimo, exp.sweep
+    vectors = s.symbols_per_slot
+    sigma = mimo.sigma_from_snr(s.snr_db[0])
+    params = params.astype(detnet.DTYPE)
+    bits = errors = trials = nodes = pulses = 0
+    t_p = 0.0
+    stop_reason = "max_trials"
+    while trials < s.max_trials:
+        count = min(harness.WAVE, s.max_trials - trials)
+        h, sent, ys, z = harness._draw_wave(cfg, vectors, exp.seed, 0,
+                                            trials // harness.WAVE, sigma, count)
+        if detector == "zf":
+            x_hat = mimo.decide_rails(baselines.linear_soft_batch(h, ys, cfg), cfg)
+        elif detector == "sd":
+            out = baselines.sphere_decode(h, ys, cfg)
+            x_hat, nodes = out.x_hat_real, nodes + out.node_count
+        else:
+            program = device.program_matrix(h, exp.device)
+            pulses += int(program.pulse_counts.sum())
+            t_p += program.t_p
+            h_hw = program.realized(exp.device.at_gamma(gamma), z).astype(detnet.DTYPE)
+            x_hat = detnet.ideal_forward(params, h_hw, ys.astype(detnet.DTYPE),
+                                         keep_cache=False)[0][-1]
+        errors += int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != sent))
+        bits += sent.size
+        trials += count
+        if bits >= s.min_bits and errors >= s.min_errors:
+            stop_reason = "target"
+            break
+    hw = detector == "detnet-hw"
+    return (errors, trials, stop_reason,
+            nodes / (trials * vectors) if detector == "sd" else None,
+            pulses / trials if hw else None, t_p / trials if hw else None)
+
+
+class TestManifest:
+    def test_records_the_chunk_and_the_trials_discarded(self, exp, params, tmp_path):
+        training.save_params(tmp_path / "p.npz", params, exp.mimo)
+        text = (TINY.replace("sweep.max_trials = 60", "sweep.max_trials = 300")
+                + f"mode = eval-ber\neval.params = {tmp_path / 'p.npz'}\n")
+        harness.run_pipeline(config.parse_config(text), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        rows = csv.DictReader((tmp_path / "out" / "ber.csv").read_text().splitlines())
+        chunk = harness.CHUNK * harness.WAVE
+        # a chunked lane detects up to the end of its stop's chunk, or the
+        # cap; one row per lane, at the first gamma
+        discarded = 0
+        for row in rows:
+            if row["detector"] in harness.CHUNKED and row["gamma"] == "0":
+                trials = int(row["trials"])
+                discarded += min(-(-trials // chunk) * chunk, 300) - trials
+        assert discarded > 0
+        assert manifest["sweep"] == {"wave_trials": harness.WAVE,
+                                     "chunk_waves": harness.CHUNK,
+                                     "discarded_trials": discarded}
 
 
 class TestCsvText:
