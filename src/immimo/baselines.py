@@ -114,7 +114,7 @@ def ml_detect_batch(h_real, ys, config):
     # The images H x (..., 2n_r, n_cand) and the metrics (..., n_vec, n_cand)
     # share one block.  When glibc frees a block it had mapped, it raises its
     # heap-trim threshold to twice that block's size, so after the first call
-    # one wave-sized block stays on a warm heap.  Two blocks, images and
+    # one call-sized block stays on a warm heap.  Two blocks, images and
     # metrics, came within 10% of twice the larger one, and unless an earlier
     # block had raised the threshold further, the heap shrank and regrew
     # around every call, with page faults each time.

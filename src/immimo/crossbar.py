@@ -24,10 +24,10 @@ in one call and realized at any gamma.
 The forward pass computes at the precision of its params and inputs; the BER
 sweep gives it params, realized channels and received vectors in
 detnet.DTYPE, float32, far finer than the analog arrays it stands for.  The
-sweep detects a wave at every programming-noise level in one call: the
-realized channels of its G gammas form a (G, W, 2n_r, 2n_t) stack, and the
-wave's received vectors are broadcast over the G levels.  Detection keeps no
-backprop cache (see :mod:`immimo.detnet`).
+sweep detects a chunk at every programming-noise level in one call: the
+realized channels of its G gammas form a (G, T, 2n_r, 2n_t) stack, and the
+chunk's received vectors are broadcast over the G levels.  Detection keeps
+no backprop cache (see :mod:`immimo.detnet`).
 """
 
 from . import device as dev
@@ -60,10 +60,10 @@ class HardwareDetector:
 
         Vectors are rows, as in :func:`immimo.detnet.ideal_forward`: the
         realized channels are (..., 2n_r, 2n_t) and ys is (..., n_vec, 2n_r),
-        so a wave's W channels and all their vectors run in one call; a
+        so a chunk's T channels and all their vectors run in one call; a
         single vector is passed as y[None].  ys broadcasts against the
-        channels' leading dims, so a (G, W, 2n_r, 2n_t) stack of one wave
-        realized at G gammas takes the wave's (W, n_vec, 2n_r) vectors
-        broadcast to (G, W, n_vec, 2n_r).  The pass keeps no backprop cache.
+        channels' leading dims, so a (G, T, 2n_r, 2n_t) stack of one chunk
+        realized at G gammas takes the chunk's (T, n_vec, 2n_r) vectors
+        broadcast to (G, T, n_vec, 2n_r).  The pass keeps no backprop cache.
         """
         return detnet.ideal_forward(self.params, h_realized, ys, keep_cache=False)[0][-1]

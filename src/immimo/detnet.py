@@ -25,7 +25,7 @@ Only training keeps the forward pass's cache: backward reads every block's
 intermediates, stacked over the L blocks.  Detection needs x_L alone, so the
 BER sweep's `detnet` lane and crossbar.HardwareDetector.forward run the same
 block loop with keep_cache=False, on one set of per-block buffers.  Their
-memory then does not grow with L, and a sweep can detect all of a wave's
+memory then does not grow with L, and a sweep can detect all of a chunk's
 programming-noise levels in one stacked call.
 
 Precision follows the inputs: the forward and backward passes compute in the

@@ -6,18 +6,14 @@ stacked, from one RNG stream keyed on (seed, i, w), so output depends on
 WAVE; a wave cut short by `max_trials` keeps its first trials.  Every
 detector and gamma at that SNR reuses these draws (common random numbers),
 so detector differences are paired and the sphere decoder reproduces
-exhaustive ML to the bit.  `detnet-hw` programs a wave's channels once, and
+exhaustive ML to the bit.  `detnet-hw` programs each channel once, and
 every gamma realizes that programming with the same unit normals, which
 gamma only scales.  Adding or removing a detector or a gamma therefore never
 changes another row.  Detectors that ignore gamma run once per SNR and their
 row is copied to every gamma.
-In each wave, the gammas whose `detnet-hw` rows still run are detected
-together: their realized channels are stacked into one forward pass, the
-same arithmetic per gamma as a pass of its own, and the seconds of that
-shared detection are split evenly over those rows.
 The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
 pass (detnet.DTYPE): the draws, the programming and every other detector
-stay float64, and the params, each wave's received vectors and each channel
+stay float64, and the params, each chunk's received vectors and each channel
 they detect on are cast to float32 before it.
 
 Trials run in waves of WAVE.  A BER point, one SweepRow, adds whole waves
@@ -27,16 +23,16 @@ realizations; each detector stops on its own.  Every emitted row carries a
 Wilson 95% interval, a flag for points with fewer than 10 errors, the trials
 run, why the point stopped and the means derived from its totals.
 
-While a row of `zf`, `mmse` or `sd` (CHUNKED) runs at an SNR point, the
-sweep draws CHUNK consecutive waves at a time, each from its own stream as
-above, and each of those detectors detects the whole chunk in one call,
-because their per-call cost is mostly fixed.  The stop rule is then
-replayed wave by wave: every row adds the errors, tree nodes and seconds of
-one wave at a time, taken from the call's per-channel counts, and drops the
-chunk's waves after its stop, so every row is the one a loop over single
-waves gives.  `ml` and the deep detectors, whose per-wave cost is already
-flat, detect one wave per call inside the replay, and only the waves a row
-still needs.  Otherwise waves are drawn one at a time.
+At an SNR point the sweep draws CHUNK consecutive waves at a time, each
+from its own stream as above, and every lane still running detects the
+whole chunk: each detector in one call, and all running `detnet-hw` gammas
+in one programming of the chunk's channels and one forward pass over their
+stacked realized channels, the same arithmetic per gamma as a pass of its
+own.  The stop rule is then replayed wave by wave: every row adds the
+errors, tree nodes, programming pulses and latency, and seconds of one wave
+at a time, taken from the chunk's per-channel counts, and drops the chunk's
+waves after its stop, so every row is the one a loop over single waves
+gives.
 
 Artifacts: every mode writes one CSV table plus manifest.json (`train` also
 its checkpoint).  A mode builds its table as records, dicts of column ->
@@ -62,12 +58,8 @@ from .config import HW_DETECTOR, ConfigError, config_echo
 
 # trials per wave; stopping rules are evaluated only at wave boundaries
 WAVE = 8
-# waves drawn together at an SNR point
+# waves drawn, and detected by every lane, together at an SNR point
 CHUNK = 4
-# detectors whose per-call cost is mostly fixed: each detects a whole chunk
-# in one call.  The others detect one wave per call, and only while one of
-# their rows still needs it.
-CHUNKED = ("zf", "mmse", "sd")
 
 
 def csv_text(records):
@@ -112,13 +104,14 @@ class SweepRow:
     decoder's tree nodes for `sd`, and the programming pulses and simulated
     programming latency t_p_s for detnet-hw (None for other detectors).
     wall_time_s is the detection-plus-demapping time of this row's
-    computation; a wave's detnet-hw rows share one timed detection, realizing
-    the channel at each gamma included, split evenly over the gamma rows in
-    it.  The one call of a CHUNKED detector on a chunk is split over the
-    chunk's waves in proportion to their trials, and the row adds the shares
-    of the waves it keeps; the shares of the waves after its stop, like the
-    shared trial draws and channel programming, are attributed to no row.
-    `discarded` counts those trials, which enter no total and no column.
+    computation; a chunk's detnet-hw rows share one timed detection,
+    realizing the channel at each gamma included, split evenly over the
+    gamma rows in it.  The seconds of a row's detection of a chunk are split
+    over the chunk's waves in proportion to their trials, and the row adds
+    the shares of the waves it keeps; the shares of the waves after its stop,
+    like the shared trial draws and channel programming, are attributed to no
+    row.  `discarded` counts those trials, which enter no total and no
+    column, for every detector.
     The means derive from the totals: mean_nodes is tree nodes per
     vector, mean_pulses programming pulses and mean_t_p_s the programming
     latency T_p (device.ProgrammingResult.t_p, as program-sim's t_p_s) per
@@ -189,8 +182,6 @@ def _draw_chunk(cfg, vectors, seed, snr_index, first_wave, sigma, trials):
     chunk's arrays as it is drawn, so a chunk's draws are held once.  Returns
     H, bits, ys and z as _draw_wave does, over the chunk's trials.
     """
-    if trials <= WAVE:
-        return _draw_wave(cfg, vectors, seed, snr_index, first_wave, sigma, trials)
     chunk = None
     for start in range(0, trials, WAVE):
         wave = _draw_wave(cfg, vectors, seed, snr_index, first_wave + start // WAVE,
@@ -205,8 +196,9 @@ def _draw_chunk(cfg, vectors, seed, snr_index, first_wave, sigma, trials):
 def _detect(detector, h, ys, sigma, cfg, params):
     """Hard decisions (trials, vectors, 2n_t), and SD's tree nodes per channel.
 
-    detnet-hw is detected in run_ber_sweep, every gamma of a wave at once.
-    detnet takes ys in detnet.DTYPE and casts h to it.
+    One call detects a whole chunk.  detnet-hw is detected in run_ber_sweep,
+    every gamma of a chunk at once.  detnet takes ys in detnet.DTYPE and
+    casts h to it.
     """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
@@ -223,22 +215,14 @@ def _detect(detector, h, ys, sigma, cfg, params):
     return trajectory[-1], None
 
 
-def _detect_chunk(detector, h, bits, ys, sigma, cfg, starts):
-    """(errors, seconds, SD nodes) of each wave of a chunk, from one call.
+def _wave_errors(x_hat, bits, cfg, starts):
+    """Bit errors of each wave of a chunk, the wave starting at trial starts[i].
 
-    The wave starting at trial starts[i] gets the errors and nodes of its
-    trials, and the call's seconds in proportion to its trials.
+    x_hat is (..., trials, vectors, 2n_t); the result is a list over the
+    leading dims, of one count per wave.
     """
-    t0 = time.perf_counter()
-    x_hat, nodes = _detect(detector, h, ys, sigma, cfg, None)
     wrong = mimo.demodulate(x_hat, cfg) != bits
-    errors = np.add.reduceat(np.count_nonzero(wrong, axis=(1, 2)), starts).tolist()
-    per_trial = (time.perf_counter() - t0) / len(h)
-    seconds = [per_trial * (stop - start)
-               for start, stop in zip(starts, [*starts[1:], len(h)])]
-    nodes = ([None] * len(starts) if nodes is None
-             else np.add.reduceat(nodes, starts).tolist())
-    return list(zip(errors, seconds, nodes))
+    return np.add.reduceat(np.count_nonzero(wrong, axis=(-2, -1)), starts, axis=-1).tolist()
 
 
 def run_ber_sweep(exp, params=None):
@@ -280,68 +264,61 @@ def run_ber_sweep(exp, params=None):
         active = list(point.values())
         trial = 0
         while active and trial < sweep.max_trials:
-            # only a chunked detector's call uses the waves drawn ahead
-            waves = CHUNK if any(row.detector in CHUNKED for row in active) else 1
-            trials = min(waves * WAVE, sweep.max_trials - trial)
+            trials = min(CHUNK * WAVE, sweep.max_trials - trial)
             h, bits, ys, z = _draw_chunk(cfg, vectors, exp.seed, s_idx, trial // WAVE,
                                          sigma, trials)
             starts = list(range(0, trials, WAVE))
-            chunked = {row.detector: _detect_chunk(row.detector, h, bits, ys, sigma,
-                                                   cfg, starts)
-                       for row in active if row.detector in CHUNKED}
-            # the stop rule, replayed wave by wave; the other detectors
-            # detect each wave only while one of their rows still needs it
-            for w, start in enumerate(starts):
-                wave = slice(start, start + WAVE)
-                count = min(WAVE, trials - start)
-                done = []  # (row, errors, seconds, SD nodes) of this wave
-                if any(row.detector in deep for row in active):
-                    ys_deep = ys[wave].astype(detnet.DTYPE)
-                hw_rows = [row for row in active if row.detector == HW_DETECTOR]
-                if hw_rows:
-                    # the one reprogramming event per channel realization, for
-                    # the whole wave, realized at every gamma still running
-                    program = hw_det.program_channel(h[wave])
-                    pulses, t_p = int(program.pulse_counts.sum()), program.t_p
+            if any(row.detector in deep for row in active):
+                ys_deep = ys.astype(detnet.DTYPE)
+            found = []  # (row, errors per wave, seconds, SD nodes per wave)
+            hw_rows = [row for row in active if row.detector == HW_DETECTOR]
+            if hw_rows:
+                # the one reprogramming event per channel realization, for the
+                # whole chunk, realized at every gamma still running
+                program = hw_det.program_channel(h)
+                pulses = np.add.reduceat(program.pulse_counts.sum(axis=(1, 2)),
+                                         starts).tolist()
+                # summed per wave in the order ProgrammingResult.t_p sums a wave
+                t_p = [2 * float(program.latency_per_row[s:s + WAVE].sum()) for s in starts]
+                t0 = time.perf_counter()
+                h_hw = np.stack([program.realized(hw_specs[row.gamma], z)
+                                 for row in hw_rows], dtype=detnet.DTYPE)
+                ys_hw = np.broadcast_to(ys_deep, (len(hw_rows),) + ys_deep.shape)
+                errors = _wave_errors(hw_det.forward(h_hw, ys_hw), bits, cfg, starts)
+                share = (time.perf_counter() - t0) / len(hw_rows)
+                found += [(row, e, share, None) for row, e in zip(hw_rows, errors)]
+            for row in active:
+                if row.detector != HW_DETECTOR:
                     t0 = time.perf_counter()
-                    h_hw = np.stack([program.realized(hw_specs[row.gamma], z[wave])
-                                     for row in hw_rows], dtype=detnet.DTYPE)
-                    ys_hw = np.broadcast_to(ys_deep, (len(hw_rows),) + ys_deep.shape)
-                    x_hat = hw_det.forward(h_hw, ys_hw)
-                    wrong = mimo.demodulate(x_hat, cfg) != bits[wave]
-                    errors = np.count_nonzero(wrong, axis=(1, 2, 3))
-                    share = (time.perf_counter() - t0) / len(hw_rows)
-                    done += [(row, int(e), share, None) for row, e in zip(hw_rows, errors)]
-                for row in active:
-                    if row.detector in chunked:
-                        done.append((row, *chunked[row.detector][w]))
-                    elif row.detector != HW_DETECTOR:
-                        t0 = time.perf_counter()
-                        ys_det = ys_deep if row.detector in deep else ys[wave]
-                        x_hat, _ = _detect(row.detector, h[wave], ys_det, sigma, cfg,
-                                           params)
-                        wrong = mimo.demodulate(x_hat, cfg) != bits[wave]
-                        done.append((row, int(np.count_nonzero(wrong)),
-                                     time.perf_counter() - t0, None))
-                for row, errors, seconds, nodes in done:
-                    row.wall_time_s += seconds
+                    x_hat, nodes = _detect(row.detector, h,
+                                           ys_deep if row.detector in deep else ys,
+                                           sigma, cfg, params)
+                    errors = _wave_errors(x_hat, bits, cfg, starts)
+                    if nodes is not None:
+                        nodes = np.add.reduceat(nodes, starts).tolist()
+                    found.append((row, errors, time.perf_counter() - t0, nodes))
+            # the stop rule, replayed wave by wave; a row keeps the chunk's
+            # seconds in proportion to the trials of the waves it keeps
+            for w, start in enumerate(starts):
+                count = min(WAVE, trials - start)
+                for row, errors, seconds, nodes in found:
+                    if row.stop_reason is not None:
+                        continue
+                    row.wall_time_s += seconds * count / trials
                     row.bits += count * bits_per_trial
-                    row.errors += errors
+                    row.errors += errors[w]
                     row.trials += count
                     row.vectors += count * vectors
                     if nodes is not None:
-                        row.nodes = (row.nodes or 0) + nodes
+                        row.nodes = (row.nodes or 0) + nodes[w]
                     if row.detector == HW_DETECTOR:
-                        row.pulses = (row.pulses or 0) + pulses
-                        row.t_p_s = (row.t_p_s or 0.0) + t_p
+                        row.pulses = (row.pulses or 0) + pulses[w]
+                        row.t_p_s = (row.t_p_s or 0.0) + t_p[w]
                     if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
                         row.stop_reason = "target"
-                        if row.detector in chunked:
-                            row.discarded = trials - start - count
-                trial += count
-                active = [row for row in active if row.stop_reason is None]
-                if not active:
-                    break
+                        row.discarded = trials - start - count
+            active = [row for row in active if row.stop_reason is None]
+            trial += trials
         for row in active:
             row.stop_reason = "max_trials"
 

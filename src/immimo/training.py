@@ -192,7 +192,8 @@ def save_params(path, params, config):
 def load_params(path, expected_config=None):
     """Load a checkpoint; returns (params, config).
 
-    If expected_config is given, any header mismatch is rejected.
+    An array whose shape disagrees with the header is rejected, and so, if
+    expected_config is given, is any header mismatch.
     """
     # np.load leaks the file it opened when the file is not a zip archive
     with open(path, "rb") as file, np.load(file, allow_pickle=False) as data:
@@ -215,5 +216,13 @@ def load_params(path, expected_config=None):
                 raise ValueError(
                     f"checkpoint {attr}={got} does not match configured {want}"
                 )
+    # the shapes of detnet.DetNetParams, as the header sizes them
+    L, S, x, a = config.L, config.S, 2 * config.n_t, config.a_size
+    shapes = {"w1": (L, S, x + a), "b1": (L, S), "w2": (L, x, S), "b2": (L, x),
+              "w3": (L, a, S), "b3": (L, a), "alpha1": (L,), "alpha2": (L,)}
+    for key, shape in shapes.items():
+        got = getattr(params, key).shape
+        if got != shape:
+            raise ValueError(f"checkpoint {key} has shape {got}; its header implies {shape}")
     params.validate()
     return params, config

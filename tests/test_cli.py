@@ -186,6 +186,23 @@ def write_truncated_checkpoint(path):
 PARAMS_AT_P = SWEEP + "sweep.detectors = detnet\neval.params = {tmp}/p.npz\n"
 
 
+@pytest.mark.parametrize("key,cut", [
+    pytest.param("w1", lambda w: w[:, :4], id="w1-narrower-than-S"),
+    pytest.param("alpha1", lambda alpha: alpha[:1], id="alpha1-shorter-than-L"),
+])
+def test_checkpoint_array_disagreeing_with_its_header_exits_2(tmp_path, capsys, key, cut):
+    config = mimo.MimoConfig(n_t=2, n_r=3, L=2, S=8)
+    ckpt = tmp_path / "p.npz"
+    training.save_params(ckpt, detnet.init_params(config, np.random.default_rng(0)), config)
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    arrays[key] = cut(arrays[key])
+    np.savez(ckpt, **arrays)
+    code, err = run(tmp_path, PARAMS_AT_P.format(tmp=tmp_path), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, f"config error: eval.params {str(ckpt)!r}: checkpoint {key} has shape")
+
+
 @pytest.mark.parametrize("mode,text,write", [
     # at n_t 2, n_r 3 the default varpi2 = 0.05 puts phi below 1
     pytest.param("bounds", SWEEP, None, id="bound-regime"),

@@ -278,12 +278,14 @@ class TestHardwareReuse:
         monkeypatch.setattr(
             device, "program_matrix",
             lambda h, *a: programs.append(np.shape(h)) or program_matrix(h, *a))
-        monkeypatch.setattr(crossbar.HardwareDetector, "forward",
-                            lambda *a, **k: forwards.append(1) or forward(*a, **k))
+        monkeypatch.setattr(
+            crossbar.HardwareDetector, "forward",
+            lambda det, h, ys: forwards.append(h.shape) or forward(det, h, ys))
         # at 4 dB gamma 0.02 reaches 530 errors after 16 trials and gamma 0
-        # after 24; the programming runs while any gamma still needs the wave.
-        # zf never gets there, so every wave is drawn in chunks, and the waves
-        # drawn after the last gamma stopped are neither programmed nor detected
+        # after 24, both inside the first chunk; the programming runs while
+        # any gamma still needs the chunk.  zf never gets there, so chunks are
+        # drawn up to the cap, and those drawn after the last gamma stopped
+        # are neither programmed nor detected
         one = replace(exp, sweep=replace(exp.sweep, min_bits=1, min_errors=530))
         result = harness.run_ber_sweep(only(one, "zf", "detnet-hw"), params=params)
         hw = [r for r in result if r.detector == "detnet-hw"]
@@ -292,12 +294,18 @@ class TestHardwareReuse:
         needed = {snr: max(r.trials for r in hw if r.snr_db == snr)
                   for snr in exp.sweep.snr_db}
         assert len({r.trials for r in hw}) > 1
-        assert needed[4.0] % (harness.CHUNK * harness.WAVE) != 0
-        waves = sum(-(-n // harness.WAVE) for n in needed.values())
+        chunk = harness.CHUNK * harness.WAVE
+        assert needed[4.0] % chunk != 0
+        # one program per chunk, of every channel up to the chunk's end or
+        # the cap
         channel = (2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
-        assert programs == [(harness.WAVE,) + channel] * waves
-        # one forward call per wave detects every gamma still running
-        assert len(forwards) == waves
+        sizes = [min(chunk, exp.sweep.max_trials - t)
+                 for n in needed.values() for t in range(0, n, chunk)]
+        assert programs == [(size,) + channel for size in sizes]
+        # and one forward call per chunk detects every gamma still running
+        assert [f[1:] for f in forwards] == programs
+        # both gammas run at the start of every chunk here
+        assert all(f[0] == len(exp.sweep.gammas) for f in forwards)
 
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
@@ -322,10 +330,10 @@ class TestHardwareReuse:
 
         monkeypatch.setattr(crossbar.HardwareDetector, "forward", recorded)
         gammas = [0.0, 0.01, 0.02, 0.03, 0.04]
-        # every gamma runs to the cap, so every wave stacks all five
+        # every gamma runs to the cap, so every chunk stacks all five
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], gammas=gammas))
         harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
-        assert len(calls) == -(-exp.sweep.max_trials // harness.WAVE)
+        assert len(calls) == -(-exp.sweep.max_trials // (harness.CHUNK * harness.WAVE))
         for det, h, ys, out in calls:
             assert h.shape[0] == len(gammas) and h.dtype == detnet.DTYPE
             for g in range(len(gammas)):
@@ -373,17 +381,19 @@ class TestStoppingRule:
         row = self.sweep(exp, min_bits=10**9, min_errors=1, max_trials=13)
         assert (row.trials, row.stop_reason) == (13, "max_trials")
 
-    # (min_errors, max_trials): at 4 dB the detnet-hw rows, zf and sd stop on
-    # the error target after 8, 16 and 24 trials, inside the first chunk; with
-    # the second pair the detnet-hw rows and zf stop on it after 8 and 24
-    # trials, and the cap of 29 cuts sd's fourth wave short
+    # (min_errors, max_trials): at 4 dB the deep rows, zf and mmse, and ml
+    # and sd stop on the error target after 8, 16 and 24 trials, inside the
+    # first chunk; with the second pair the deep rows, zf and mmse stop on it
+    # after 8, 24 and 29 trials, and the cap of 29 cuts ml's and sd's fourth
+    # wave short
     @pytest.mark.parametrize("min_errors,max_trials", [(60, 60), (110, 29)])
     def test_chunk_replays_the_per_wave_rule(self, exp, params, min_errors, max_trials):
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], min_bits=1,
                                          min_errors=min_errors, max_trials=max_trials))
-        rows = harness.run_ber_sweep(only(one, "zf", "sd", "detnet-hw"), params=params)
+        rows = harness.run_ber_sweep(one, params=params)
         got = {(r.detector, r.gamma if r.detector == "detnet-hw" else None): r for r in rows}
-        lanes = [("zf", None), ("sd", None)] + [("detnet-hw", g) for g in exp.sweep.gammas]
+        lanes = ([(d, None) for d in ("zf", "mmse", "ml", "sd", "detnet")]
+                 + [("detnet-hw", g) for g in exp.sweep.gammas])
         for detector, gamma in lanes:
             r = got[(detector, gamma)]
             want = per_wave_reference(one, params, detector, gamma)
@@ -392,6 +402,9 @@ class TestStoppingRule:
         trials = [got[lane].trials for lane in lanes]
         assert len(set(trials)) > 2
         assert max(trials) <= harness.CHUNK * harness.WAVE
+        # detnet stops on its target inside the chunk
+        assert got[("detnet", None)].trials < max_trials
+        assert got[("detnet", None)].stop_reason == "target"
         if max_trials < harness.CHUNK * harness.WAVE:
             assert got[("sd", None)].trials == max_trials
             assert got[("sd", None)].stop_reason == "max_trials"
@@ -412,18 +425,23 @@ def per_wave_reference(exp, params, detector, gamma):
         count = min(harness.WAVE, s.max_trials - trials)
         h, sent, ys, z = harness._draw_wave(cfg, vectors, exp.seed, 0,
                                             trials // harness.WAVE, sigma, count)
-        if detector == "zf":
-            x_hat = mimo.decide_rails(baselines.linear_soft_batch(h, ys, cfg), cfg)
+        if detector in ("zf", "mmse"):
+            soft = baselines.linear_soft_batch(
+                h, ys, cfg, sigma_n=sigma if detector == "mmse" else None)
+            x_hat = mimo.decide_rails(soft, cfg)
+        elif detector == "ml":
+            x_hat = baselines.ml_detect_batch(h, ys, cfg)
         elif detector == "sd":
             out = baselines.sphere_decode(h, ys, cfg)
             x_hat, nodes = out.x_hat_real, nodes + out.node_count
         else:
-            program = device.program_matrix(h, exp.device)
-            pulses += int(program.pulse_counts.sum())
-            t_p += program.t_p
-            h_hw = program.realized(exp.device.at_gamma(gamma), z).astype(detnet.DTYPE)
-            x_hat = detnet.ideal_forward(params, h_hw, ys.astype(detnet.DTYPE),
-                                         keep_cache=False)[0][-1]
+            if detector == "detnet-hw":
+                program = device.program_matrix(h, exp.device)
+                pulses += int(program.pulse_counts.sum())
+                t_p += program.t_p
+                h = program.realized(exp.device.at_gamma(gamma), z)
+            x_hat = detnet.ideal_forward(params, h.astype(detnet.DTYPE),
+                                         ys.astype(detnet.DTYPE), keep_cache=False)[0][-1]
         errors += int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != sent))
         bits += sent.size
         trials += count
@@ -445,11 +463,11 @@ class TestManifest:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         rows = csv.DictReader((tmp_path / "out" / "ber.csv").read_text().splitlines())
         chunk = harness.CHUNK * harness.WAVE
-        # a chunked lane detects up to the end of its stop's chunk, or the
-        # cap; one row per lane, at the first gamma
+        # every lane detects up to the end of its stop's chunk, or the cap;
+        # one row per lane: every detnet-hw row, the others at the first gamma
         discarded = 0
         for row in rows:
-            if row["detector"] in harness.CHUNKED and row["gamma"] == "0":
+            if row["detector"] == "detnet-hw" or row["gamma"] == "0":
                 trials = int(row["trials"])
                 discarded += min(-(-trials // chunk) * chunk, 300) - trials
         assert discarded > 0
