@@ -1,12 +1,11 @@
-"""Deep-unfolded MIMO detection on behavioral memristor crossbar arrays.
+"""Deep-unfolded MIMO detection on behavioral memristor arrays.
 
 Subpackages:
     mimo       MIMO system model on real rails (complex channel draw and its
                real embedding, modulation, AWGN, nearest-level demapping)
     device     pulse-programmed memristor behavior and programming latency
-    crossbar   hardware detector: program the channel arrays, then run the
-               forward pass on the realized channel H + dH
-    detnet     software forward/backward pass of the unfolded detector
+    detnet     forward/backward pass of the unfolded detector, and its
+               mapping onto the programmed channel and exact weight arrays
     training   noise-aware training loop, Adam, checkpoints
     baselines  ZF / MMSE / batched exhaustive ML / sphere decoding
     analysis   closed-form error bounds, latency, complexity, FLOPs models

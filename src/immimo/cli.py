@@ -37,7 +37,7 @@ EXIT_NUMERIC = 3
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="immimo",
-        description="crossbar-array MIMO detection simulator and analysis toolkit",
+        description="memristor-array MIMO detection simulator and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in MODES:

@@ -134,12 +134,6 @@ class ExperimentConfig:
 
 def _parse_scalar(key, raw, kind):
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
@@ -172,7 +166,6 @@ _SCHEMA = {
     "train.snr_high_db": ("train", "snr_high_db", float),
     "train.gamma": ("train", "gamma_train", float),
     "train.weighting": ("train", "loss_weighting", str),
-    "train.lr_decay": ("train", "lr_decay", bool),
     "sweep.snr_db": ("sweep", "snr_db", (list, float)),
     "sweep.gammas": ("sweep", "gammas", (list, float)),
     "sweep.detectors": ("sweep", "detectors", (list, str)),
@@ -284,8 +277,6 @@ def _unit_text(value, scale):
 def _value_text(value, kind):
     if isinstance(kind, tuple):
         return ", ".join(_value_text(v, kind[1]) for v in value)
-    if kind is bool:
-        return str(value).lower()
     if isinstance(value, mimo.Modulation):
         return value.value
     return repr(value) if kind is float else str(value)

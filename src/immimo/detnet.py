@@ -23,17 +23,33 @@ rows at once as (N, d) @ (d, S) products.  A single vector is ys = y[None].
 
 Only training keeps the forward pass's cache: backward reads every block's
 intermediates, stacked over the L blocks.  Detection needs x_L alone, so the
-BER sweep's `detnet` lane and crossbar.HardwareDetector.forward run the same
-block loop with keep_cache=False, on one set of per-block buffers.  Their
-memory then does not grow with L, and a sweep can detect all of a chunk's
-programming-noise levels in one stacked call.
+BER sweep runs the block loop with keep_cache=False, on one set of per-block
+buffers.  Its memory then does not grow with L, and the sweep detects every
+deep lane of a chunk in one stacked call: the channel H for `detnet` and the
+realized H + dH at each programming-noise level for `detnet-hw`.
+
+On hardware the same pass runs on differential memristor arrays in two roles:
+
+* channel-dependent arrays hold the real channel H; they are programmed open
+  loop (imprecise, see :mod:`immimo.device`) once per channel realization and
+  reused by every block for both the H^T y and H^T H x_{k-1} paths;
+* weight arrays hold the trained W1/W2/W3 matrices; weights are tuned offline
+  with verification, so their mapping is treated as exact.
+
+Peripherals (TIAs, inverters, adders, the ReLU rectifier) are ideal: the TIA
+feedback resistances realize the gains alpha1 (one stage) and alpha2 (two
+cascaded stages), here exact multiplications, so both must stay positive.
+All signals stay in normalized numeric units with the mapping coefficient mu
+divided out; no volt/ampere headroom is enforced.  With exact weights and
+ideal peripherals the in-memory detector is therefore exactly this forward
+pass run on the realized channel H + dH (device.ProgrammingResult.realized).
 
 Precision follows the inputs: the forward and backward passes compute in the
 result type of the params and the channel and received arrays (at least
 float32), so float64 inputs give float64 arithmetic throughout.  The BER
-sweep and training cast their params and inputs to DTYPE, float32: an analog
-crossbar computes with far less precision than that, and on a trained
-detector float32 and float64 give the same bit decisions.
+sweep and training cast their params and inputs to DTYPE, float32: analog
+arrays compute with far less precision than that, and on a trained detector
+float32 and float64 give the same bit decisions.
 """
 
 from dataclasses import dataclass

@@ -25,14 +25,15 @@ run, why the point stopped and the means derived from its totals.
 
 At an SNR point the sweep draws CHUNK consecutive waves at a time, each
 from its own stream as above, and every lane still running detects the
-whole chunk: each detector in one call, and all running `detnet-hw` gammas
-in one programming of the chunk's channels and one forward pass over their
-stacked realized channels, the same arithmetic per gamma as a pass of its
-own.  The stop rule is then replayed wave by wave: every row adds the
-errors, tree nodes, programming pulses and latency, and seconds of one wave
-at a time, taken from the chunk's per-channel counts, and drops the chunk's
-waves after its stop, so every row is the one a loop over single waves
-gives.
+whole chunk: each classical detector in one call, and every running deep
+lane in one forward pass over a stack of channels, the same arithmetic per
+lane as a pass of its own.  `detnet` adds the chunk's channels H to the
+stack; each running `detnet-hw` gamma adds H + dH, the one programming of
+the chunk's channels realized at that gamma.  The stop rule is then
+replayed wave by wave: every row adds the errors, tree nodes, programming
+pulses and latency, and seconds of one wave at a time, taken from the
+chunk's per-channel counts, and drops the chunk's waves after its stop, so
+every row is the one a loop over single waves gives.
 
 Artifacts: every mode writes one CSV table plus manifest.json (`train` also
 its checkpoint).  A mode builds its table as records, dicts of column ->
@@ -51,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, baselines, crossbar, detnet
+from . import __version__, analysis, baselines, detnet
 from . import device as dev
 from . import mimo, training
 from .config import HW_DETECTOR, ConfigError, config_echo
@@ -104,14 +105,14 @@ class SweepRow:
     decoder's tree nodes for `sd`, and the programming pulses and simulated
     programming latency t_p_s for detnet-hw (None for other detectors).
     wall_time_s is the detection-plus-demapping time of this row's
-    computation; a chunk's detnet-hw rows share one timed detection,
-    realizing the channel at each gamma included, split evenly over the
-    gamma rows in it.  The seconds of a row's detection of a chunk are split
-    over the chunk's waves in proportion to their trials, and the row adds
-    the shares of the waves it keeps; the shares of the waves after its stop,
-    like the shared trial draws and channel programming, are attributed to no
-    row.  `discarded` counts those trials, which enter no total and no
-    column, for every detector.
+    computation; a chunk's deep rows (detnet and every detnet-hw gamma) share
+    one timed forward pass, realizing the channel at each gamma included,
+    split evenly over the deep rows in it.  The seconds of a row's detection
+    of a chunk are split over the chunk's waves in proportion to their
+    trials, and the row adds the shares of the waves it keeps; the shares of
+    the waves after its stop, like the shared trial draws and channel
+    programming, are attributed to no row.  `discarded` counts those
+    trials, which enter no total and no column, for every detector.
     The means derive from the totals: mean_nodes is tree nodes per
     vector, mean_pulses programming pulses and mean_t_p_s the programming
     latency T_p (device.ProgrammingResult.t_p, as program-sim's t_p_s) per
@@ -193,12 +194,11 @@ def _draw_chunk(cfg, vectors, seed, snr_index, first_wave, sigma, trials):
     return chunk
 
 
-def _detect(detector, h, ys, sigma, cfg, params):
+def _detect(detector, h, ys, sigma, cfg):
     """Hard decisions (trials, vectors, 2n_t), and SD's tree nodes per channel.
 
-    One call detects a whole chunk.  detnet-hw is detected in run_ber_sweep,
-    every gamma of a chunk at once.  detnet takes ys in detnet.DTYPE and
-    casts h to it.
+    One call detects a whole chunk with zf, mmse, ml or sd; the deep lanes
+    are detected in run_ber_sweep, all of a chunk's in one forward pass.
     """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
@@ -207,12 +207,8 @@ def _detect(detector, h, ys, sigma, cfg, params):
         return mimo.decide_rails(soft, cfg), None
     if detector == "ml":
         return baselines.ml_detect_batch(h, ys, cfg), None
-    if detector == "sd":
-        out = baselines.sphere_decode(h, ys, cfg)
-        return out.x_hat_real, out.channel_nodes
-    trajectory, _ = detnet.ideal_forward(params, h.astype(detnet.DTYPE), ys,
-                                         keep_cache=False)
-    return trajectory[-1], None
+    out = baselines.sphere_decode(h, ys, cfg)
+    return out.x_hat_real, out.channel_nodes
 
 
 def _wave_errors(x_hat, bits, cfg, starts):
@@ -228,9 +224,10 @@ def _wave_errors(x_hat, bits, cfg, starts):
 def run_ber_sweep(exp, params=None):
     """Monte Carlo BER over (detector, snr_db, gamma) grid points.
 
-    Deep detectors require trained params.  Each trial is one channel
-    realization carrying `symbols_per_slot` symbol vectors; hardware
-    detection reprograms the channel arrays exactly once per realization.
+    Deep detectors require trained params, with finite values and positive
+    gains (DetNetParams.validate).  Each trial is one channel realization
+    carrying `symbols_per_slot` symbol vectors; hardware detection
+    reprograms the channel arrays exactly once per realization.
     Returns the SweepRows, ordered by detector, then SNR, then gamma.
     """
     cfg = exp.mimo
@@ -241,12 +238,10 @@ def run_ber_sweep(exp, params=None):
         if params is None:
             raise ConfigError("deep detectors need trained params (eval.params)")
         params = params.astype(detnet.DTYPE)
-
-    hw_det = None
-    hw_specs = {}
-    if HW_DETECTOR in detectors:
-        hw_det = crossbar.HardwareDetector(params, exp.device)
-        hw_specs = {g: exp.device.at_gamma(g) for g in sweep.gammas}
+        params.validate()
+    # only detnet-hw reads gamma, so only it has gammas checked
+    hw_specs = ({g: exp.device.at_gamma(g) for g in sweep.gammas}
+                if HW_DETECTOR in detectors else {})
 
     # one lane per detector; detnet-hw gets one per gamma
     lanes = [
@@ -268,31 +263,33 @@ def run_ber_sweep(exp, params=None):
             h, bits, ys, z = _draw_chunk(cfg, vectors, exp.seed, s_idx, trial // WAVE,
                                          sigma, trials)
             starts = list(range(0, trials, WAVE))
-            if any(row.detector in deep for row in active):
-                ys_deep = ys.astype(detnet.DTYPE)
             found = []  # (row, errors per wave, seconds, SD nodes per wave)
-            hw_rows = [row for row in active if row.detector == HW_DETECTOR]
-            if hw_rows:
+            deep_rows = [row for row in active if row.detector in deep]
+            if any(row.detector == HW_DETECTOR for row in deep_rows):
                 # the one reprogramming event per channel realization, for the
                 # whole chunk, realized at every gamma still running
-                program = hw_det.program_channel(h)
+                program = dev.program_matrix(h, exp.device)
                 pulses = np.add.reduceat(program.pulse_counts.sum(axis=(1, 2)),
                                          starts).tolist()
                 # summed per wave in the order ProgrammingResult.t_p sums a wave
                 t_p = [2 * float(program.latency_per_row[s:s + WAVE].sum()) for s in starts]
+            if deep_rows:
                 t0 = time.perf_counter()
-                h_hw = np.stack([program.realized(hw_specs[row.gamma], z)
-                                 for row in hw_rows], dtype=detnet.DTYPE)
-                ys_hw = np.broadcast_to(ys_deep, (len(hw_rows),) + ys_deep.shape)
-                errors = _wave_errors(hw_det.forward(h_hw, ys_hw), bits, cfg, starts)
-                share = (time.perf_counter() - t0) / len(hw_rows)
-                found += [(row, e, share, None) for row, e in zip(hw_rows, errors)]
+                # one slice per deep lane: H itself, or H + dH at a gamma
+                h_deep = np.stack([h if row.detector == "detnet"
+                                   else program.realized(hw_specs[row.gamma], z)
+                                   for row in deep_rows], dtype=detnet.DTYPE)
+                ys_deep = np.broadcast_to(ys.astype(detnet.DTYPE),
+                                          (len(deep_rows),) + ys.shape)
+                errors = _wave_errors(
+                    detnet.ideal_forward(params, h_deep, ys_deep, keep_cache=False)[0][-1],
+                    bits, cfg, starts)
+                share = (time.perf_counter() - t0) / len(deep_rows)
+                found += [(row, e, share, None) for row, e in zip(deep_rows, errors)]
             for row in active:
-                if row.detector != HW_DETECTOR:
+                if row.detector not in deep:
                     t0 = time.perf_counter()
-                    x_hat, nodes = _detect(row.detector, h,
-                                           ys_deep if row.detector in deep else ys,
-                                           sigma, cfg, params)
+                    x_hat, nodes = _detect(row.detector, h, ys, sigma, cfg)
                     errors = _wave_errors(x_hat, bits, cfg, starts)
                     if nodes is not None:
                         nodes = np.add.reduceat(nodes, starts).tolist()

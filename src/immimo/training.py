@@ -37,9 +37,6 @@ class TrainConfig:
     snr_high_db: float = 13.0
     gamma_train: float = 0.02
     loss_weighting: str = "lnk"
-    # constant learning rate by default; the decay multiplies by 0.97 every
-    # 1000 epochs when enabled
-    lr_decay: bool = False
     alpha_floor: float = 1e-6
 
     def __post_init__(self):
@@ -156,8 +153,6 @@ def train(config, train_cfg, spec, rng, params=None):
     history = np.empty(train_cfg.epochs)
 
     for epoch in range(train_cfg.epochs):
-        if train_cfg.lr_decay:
-            opt.lr = train_cfg.lr * 0.97 ** (epoch // 1000)
         x, h_in, y_in = (a.astype(detnet.DTYPE)
                          for a in draw_batch(config, train_cfg, spec, rng))
         trajectory, cache = detnet.ideal_forward(params, h_in, y_in)

@@ -81,7 +81,7 @@ def test_gamma_is_not_checked_without_detnet_hw(tmp_path, capsys):
     assert (code, err) == (cli.EXIT_OK, "")
 
 
-@pytest.mark.parametrize("line", ["threads = 2", "mimo.n_x = 3"])
+@pytest.mark.parametrize("line", ["threads = 2", "mimo.n_x = 3", "train.lr_decay = true"])
 def test_unknown_key_exits_2(tmp_path, capsys, line):
     code, err = run(tmp_path, SWEEP + line + "\n", capsys)
     assert code == cli.EXIT_CONFIG

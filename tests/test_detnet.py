@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from immimo import detnet, mimo
+from immimo import detnet, device, mimo
 from immimo.mimo import MimoConfig
 
 
@@ -118,6 +118,160 @@ class TestForward:
             return -p.alpha1[0] * hty  # x_0 = 0 so s_1 = -alpha1 H^T y
 
         assert np.allclose(s1(mimo.to_real(hc[:, perm])), s1(mimo.to_real(hc))[rail_perm])
+
+
+def desk_cfg(**kw):
+    base = dict(n_t=4, n_r=6, modulation="qpsk", L=3, S=32, a_size=16)
+    base.update(kw)
+    return MimoConfig(**base)
+
+
+def luo_at(gamma):
+    return device.DeviceSpec(g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=gamma, dt_w=0.63e-9)
+
+
+def realize(h, spec, rng):
+    """h programmed at spec and realized with unit normals drawn from rng."""
+    return device.program_matrix(h, spec).realized(spec, rng.standard_normal(h.shape))
+
+
+class TestChannelBlock:
+    """s_k = x_{k-1} - alpha1 H^T y + alpha2 H^T H x_{k-1} on the realized channel."""
+
+    def _forward(self, alpha1, alpha2, gamma=0.02):
+        rng = np.random.default_rng(77)
+        cfg = desk_cfg()
+        params = detnet.init_params(cfg, rng)
+        params.alpha1[:] = alpha1
+        params.alpha2[:] = alpha2
+        h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
+        h_hw = realize(h, luo_at(gamma), rng)
+        y = rng.standard_normal((5, 2 * cfg.n_r))
+        trajectory, cache = detnet.ideal_forward(params, h_hw, y)
+        s = [u[:, : params.x_dim] for u in cache["u"]]
+        return trajectory, h_hw, y, cache, s
+
+    def test_cold_start_is_matched_filter(self):
+        _, h_hw, y, _, s = self._forward(0.1, 0.2)
+        assert np.allclose(s[0], -0.1 * y @ h_hw, atol=1e-10)
+
+    def test_matches_dense_oracle(self):
+        # independent dense evaluation of the linear combination with H + dH
+        trajectory, h_hw, y, _, s = self._forward(0.07, 0.03)
+        for k in range(1, len(s)):
+            x_prev = trajectory[k - 1]
+            oracle = x_prev - 0.07 * y @ h_hw + 0.03 * (x_prev @ h_hw.T) @ h_hw
+            assert np.abs(s[k] - oracle).max() < 1e-10
+
+    def test_zero_gains_return_previous_estimate(self):
+        trajectory, _, _, _, s = self._forward(1e-12, 1e-12)
+        for k in range(1, len(s)):
+            assert np.allclose(s[k], trajectory[k - 1], atol=1e-9)
+
+
+class TestNeuralBlock:
+    """z = relu(W1 u + b1), x = W2 z + b2, a = W3 z + b3 on exact weight arrays."""
+
+    def _forward(self, rng, edit):
+        cfg = desk_cfg(L=2)
+        params = detnet.init_params(cfg, rng)
+        edit(params)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = realize(h, luo_at(0.02), rng)
+        y = rng.standard_normal((5, 2 * cfg.n_r))
+        trajectory, cache = detnet.ideal_forward(params, h_hw, y)
+        return params, trajectory, cache
+
+    def test_zero_w1_negative_bias(self):
+        rng = np.random.default_rng(77)
+
+        def edit(p):
+            p.w1[:] = 0.0
+            p.b1[:] = -1.0
+            p.b2[:] = rng.standard_normal(p.b2.shape)
+            p.b3[:] = rng.standard_normal(p.b3.shape)
+
+        p, trajectory, cache = self._forward(rng, edit)
+        assert np.all(cache["z"] == 0)
+        assert np.all(trajectory[0] == p.b2[0])
+        assert np.all(cache["u"][1][:, p.x_dim:] == p.b3[0])
+
+    def test_affine_region_matches_composition(self):
+        # large positive b1 keeps the rectifier in its linear region
+        rng = np.random.default_rng(77)
+
+        def edit(p):
+            p.w1 *= 0.01
+            p.b1[:] = 50.0
+            p.b2[:] = rng.standard_normal(p.b2.shape)
+            p.b3[:] = rng.standard_normal(p.b3.shape)
+
+        p, trajectory, cache = self._forward(rng, edit)
+        pre = cache["u"][0] @ p.w1[0].T + p.b1[0]
+        assert np.all(cache["z"][0] > 0)
+        assert np.allclose(trajectory[0], pre @ p.w2[0].T + p.b2[0])
+        assert np.allclose(cache["u"][1][:, p.x_dim:], pre @ p.w3[0].T + p.b3[0])
+
+    def test_negative_preactivations_clamp_to_zero(self):
+        def edit(p):
+            p.b1[:] = -1e3
+
+        _, _, cache = self._forward(np.random.default_rng(77), edit)
+        for z in cache["z"]:
+            assert not np.any(z > 0)
+            assert np.all(z == 0.0)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(77)
+        cfg = desk_cfg()
+        params = detnet.init_params(cfg, rng)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = realize(h, luo_at(0.02), rng)
+        with pytest.raises(ValueError):
+            detect(params, h_hw, np.zeros((1, 2 * cfg.n_r - 1)))
+
+
+class TestHardwareForward:
+    """The forward pass on a programmed channel, the in-memory detector."""
+
+    def test_deterministic_given_the_programmed_channel(self):
+        rng = np.random.default_rng(77)
+        cfg = desk_cfg()
+        params = detnet.init_params(cfg, rng)
+        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h_hw = realize(h, luo_at(0.02), rng)
+        y = rng.standard_normal((1, 12))
+        assert np.array_equal(detect(params, h_hw, y), detect(params, h_hw, y))
+
+    def test_matches_ideal_at_gamma_zero(self):
+        # with exact weights only pulse quantization separates the two paths
+        rng = np.random.default_rng(77)
+        cfg = desk_cfg()
+        params = detnet.init_params(cfg, rng)
+        worst = 0.0
+        for _ in range(20):
+            h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
+            y = rng.standard_normal((1, 12))
+            x_hw = detect(params, realize(h, luo_at(0.0), rng), y)
+            x_ideal = detnet.ideal_forward(params, h, y)[0][-1]
+            worst = max(worst, np.abs(x_hw - x_ideal).max())
+        assert worst <= 1e-2
+
+    def test_error_grows_with_gamma(self):
+        cfg = desk_cfg()
+        params = detnet.init_params(cfg, np.random.default_rng(77))
+        diffs = {}
+        for gamma in (0.005, 0.02):
+            acc = []
+            loc_rng = np.random.default_rng(11)
+            for _ in range(200):
+                h = mimo.to_real(mimo.generate_channel(cfg, loc_rng))
+                y = loc_rng.standard_normal((1, 12))
+                x_hw = detect(params, realize(h, luo_at(gamma), loc_rng), y)
+                x_id = detnet.ideal_forward(params, h, y)[0][-1]
+                acc.append(np.linalg.norm(x_hw - x_id))
+            diffs[gamma] = np.mean(acc)
+        assert diffs[0.02] >= diffs[0.005]
 
 
 class TestLoss:

@@ -268,6 +268,12 @@ class TestProgramMatrix:
         # a stack's latency is the sum over every row of every matrix
         assert stack.total_latency == pytest.approx(sum(singles), rel=1e-12)
 
+    def test_round_trip_within_quantization(self, luo, rng):
+        spec = replace(luo, gamma=0.0)
+        h = np.clip(rng.standard_normal((6, 4)), -3, 3)
+        realized = device.program_matrix(h, spec).realized(spec, rng.standard_normal(h.shape))
+        assert np.abs(realized - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
+
     def test_rejects_non_matrix(self, luo):
         with pytest.raises(ValueError):
             device.program_matrix(np.zeros(5), luo)
@@ -322,6 +328,15 @@ class TestRealizeAtGamma:
         result = device.program_matrix(self.H, luo)
         z = np.random.default_rng(8).standard_normal(self.H.shape)
         assert np.array_equal(result.realized(spec, z), self.quantized(self.H, spec))
+
+
+    def test_one_programming_realizes_at_another_gamma(self, luo, rng):
+        h = np.clip(rng.standard_normal((12, 8)), -3, 3)
+        result = device.program_matrix(h, luo)
+        z = rng.standard_normal(h.shape)
+        exact = result.realized(replace(luo, gamma=0.0), z)
+        assert np.abs(exact - h).max() <= 3.0 / (2 * luo.n_p) + 1e-12
+        assert np.abs(result.realized(luo, z) - h).max() > 3.0 / (2 * luo.n_p)
 
 
 class TestProgrammingLatency:

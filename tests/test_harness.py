@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from immimo import baselines, config, crossbar, detnet, device, harness, mimo, training
+from immimo import baselines, config, detnet, device, harness, mimo, training
 from immimo.mimo import MimoConfig
 
 TINY = (
@@ -131,6 +131,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("subset", [
         ["sd"], ["detnet-hw"], ["zf", "detnet"], ["mmse", "ml"],
+        ["detnet"], ["detnet", "detnet-hw"],
     ])
     def test_row_independent_of_other_detectors(self, exp, params, full, subset):
         alone = harness.run_ber_sweep(only(exp, *subset), params=params)
@@ -144,6 +145,14 @@ class TestSweep:
         rows = by_key(full)
         for r in alone:
             assert counts(r) == counts(rows[(r.detector, r.snr_db, r.gamma)])
+
+    @pytest.mark.parametrize("detector", ["detnet", "detnet-hw"])
+    def test_deep_lanes_reject_nonpositive_gains(self, exp, params, detector):
+        # the gains are TIA feedback resistances, so they must stay positive
+        bad = params.astype(np.float64)
+        bad.alpha1[1] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            harness.run_ber_sweep(only(exp, detector), params=bad)
 
     def test_unknown_detector_and_missing_params(self, exp):
         with pytest.raises(config.ConfigError, match="sweep.detectors: unknown mystery"):
@@ -274,13 +283,13 @@ class TestHardwareReuse:
     def test_one_program_per_wave_shared_by_every_gamma(self, exp, params, monkeypatch):
         programs, forwards = [], []
         program_matrix = device.program_matrix
-        forward = crossbar.HardwareDetector.forward
+        forward = detnet.ideal_forward
         monkeypatch.setattr(
             device, "program_matrix",
             lambda h, *a: programs.append(np.shape(h)) or program_matrix(h, *a))
         monkeypatch.setattr(
-            crossbar.HardwareDetector, "forward",
-            lambda det, h, ys: forwards.append(h.shape) or forward(det, h, ys))
+            detnet, "ideal_forward",
+            lambda p, h, ys, **k: forwards.append(h.shape) or forward(p, h, ys, **k))
         # at 4 dB gamma 0.02 reaches 530 errors after 16 trials and gamma 0
         # after 24, both inside the first chunk; the programming runs while
         # any gamma still needs the chunk.  zf never gets there, so chunks are
@@ -321,23 +330,39 @@ class TestHardwareReuse:
 
     def test_one_stacked_call_equals_the_per_gamma_calls(self, exp, params, monkeypatch):
         calls = []
-        forward = crossbar.HardwareDetector.forward
+        forward = detnet.ideal_forward
 
-        def recorded(det, h, ys):
-            out = forward(det, h, ys)
-            calls.append((det, h, ys, out))
-            return out
+        def recorded(p, h, ys, keep_cache=True):
+            trajectory, cache = forward(p, h, ys, keep_cache=keep_cache)
+            calls.append((p, h, ys, trajectory[-1]))
+            return trajectory, cache
 
-        monkeypatch.setattr(crossbar.HardwareDetector, "forward", recorded)
+        monkeypatch.setattr(detnet, "ideal_forward", recorded)
         gammas = [0.0, 0.01, 0.02, 0.03, 0.04]
-        # every gamma runs to the cap, so every chunk stacks all five
+        # every lane runs to the cap, so every chunk stacks detnet and all
+        # five gammas
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], gammas=gammas))
-        harness.run_ber_sweep(only(one, "detnet-hw"), params=params)
-        assert len(calls) == -(-exp.sweep.max_trials // (harness.CHUNK * harness.WAVE))
-        for det, h, ys, out in calls:
-            assert h.shape[0] == len(gammas) and h.dtype == detnet.DTYPE
-            for g in range(len(gammas)):
-                assert np.array_equal(out[g], forward(det, h[g], ys[g]))
+        harness.run_ber_sweep(only(one, "detnet", "detnet-hw"), params=params)
+        chunk = harness.CHUNK * harness.WAVE
+        assert len(calls) == -(-exp.sweep.max_trials // chunk)
+        sigma = mimo.sigma_from_snr(4.0)
+        for i, (p, h, ys, out) in enumerate(calls):
+            assert h.shape[0] == 1 + len(gammas) and h.dtype == detnet.DTYPE
+            for g in range(len(h)):
+                want = forward(p, h[g], ys[g], keep_cache=False)[0][-1]
+                assert np.array_equal(out[g], want)
+            # the detnet slice is the chunk's drawn channels themselves
+            drawn, _, drawn_ys, _ = harness._draw_chunk(
+                exp.mimo, exp.sweep.symbols_per_slot, exp.seed, 0, i * harness.CHUNK,
+                sigma, min(chunk, exp.sweep.max_trials - i * chunk))
+            assert np.array_equal(h[0], drawn.astype(detnet.DTYPE))
+            assert np.array_equal(ys[0], drawn_ys.astype(detnet.DTYPE))
+
+    def test_detnet_alone_programs_nothing(self, exp, params, monkeypatch):
+        programs = []
+        monkeypatch.setattr(device, "program_matrix", lambda *a: programs.append(a))
+        harness.run_ber_sweep(only(exp, "zf", "detnet"), params=params)
+        assert programs == []
 
     def test_mean_t_p_counts_each_programmed_channel(self, exp, params, full):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
