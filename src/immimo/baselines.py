@@ -25,15 +25,10 @@ class RankDeficientChannel(Exception):
 
 @dataclass
 class DetectorOutput:
-    """Decisions, and for the sphere decoder its tree nodes.
-
-    channel_nodes holds the nodes per channel, in the leading shape of the
-    channel stack (0-d for one channel); node_count is their total.
-    """
+    """Decisions, and for the sphere decoder its total tree nodes."""
 
     x_hat_real: np.ndarray
     node_count: int | None = None
-    channel_nodes: np.ndarray | None = None
 
 
 def rail_symbol_energy(config):
@@ -143,11 +138,9 @@ def sphere_decode(h_real, ys, config):
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
     same leading shape, or ys is one vector (2n_r,).  Returns the same
     decisions as :func:`ml_detect_batch`, in ys's leading shape, together
-    with the number of tree nodes the depth-first search visits for each
-    channel of the stack (channel_nodes) and their total (node_count).  A
-    channel's decisions and nodes do not depend on the rest of the stack, so
-    a caller may detect several waves of channels in one call and keep the
-    counts of the channels it needs.
+    with the number of tree nodes the depth-first search visits over the
+    whole stack (node_count).  A channel's decisions and nodes do not depend
+    on the rest of the stack.
 
     One stacked QR factors every channel.  The search's first leaf is the
     Babai (successive-interference-cancellation) point, so one numpy pass
@@ -208,8 +201,7 @@ def sphere_decode(h_real, ys, config):
     for c, v in np.argwhere(~settled):
         x[c, v], searched = _search(r[c].tolist(), alphabets, targets[c, v].tolist())
         nodes[c] += searched
-    return DetectorOutput(x_hat_real=x.reshape(out_shape), node_count=int(nodes.sum()),
-                          channel_nodes=nodes.reshape(y_red.shape[:-2]))
+    return DetectorOutput(x_hat_real=x.reshape(out_shape), node_count=int(nodes.sum()))
 
 
 def _search(rows, alphabets, target):

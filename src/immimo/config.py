@@ -52,6 +52,15 @@ class ConfigError(Exception):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _check_snr(key, snrs_db):
+    """Reject an SNR whose noise std overflows a float (below about -6165 dB)."""
+    for snr in snrs_db:
+        try:
+            mimo.sigma_from_snr(snr)
+        except OverflowError:
+            raise ConfigError(f"{key}: SNR {snr!r} dB: its noise std overflows") from None
+
+
 @dataclass
 class SweepConfig:
     snr_db: list = field(default_factory=lambda: [6.0, 8.0, 10.0])
@@ -70,6 +79,9 @@ class SweepConfig:
             raise ConfigError(f"sweep.min_bits must be >= {MIN_BITS_FLOOR}")
         if self.symbols_per_slot < 1 or self.max_trials < 1:
             raise ConfigError("sweep counts must be >= 1")
+        if self.min_errors < 0:
+            raise ConfigError("sweep.min_errors must be >= 0")
+        _check_snr("sweep.snr_db", self.snr_db)
         # a repeated grid value would emit two rows under one ber.csv key
         for key in ("snr_db", "gammas", "detectors"):
             values = getattr(self, key)
@@ -249,6 +261,8 @@ def build_config(sections):
         raise ConfigError(f"unknown mode {exp.mode!r}; expected one of {MODES}")
     if exp.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
+    # the low end of the training range has the largest noise std
+    _check_snr("train.snr_low_db", [exp.train.snr_low_db])
     if exp.mode in ("latency", "flops") and exp.mimo.n_t < 2:
         # the row latency bound divides by ln n_t
         raise ConfigError(f"{exp.mode} mode needs mimo.n_t >= 2")

@@ -25,7 +25,7 @@ Only training keeps the forward pass's cache: backward reads every block's
 intermediates, stacked over the L blocks.  Detection needs x_L alone, so the
 BER sweep runs the block loop with keep_cache=False, on one set of per-block
 buffers.  Its memory then does not grow with L, and the sweep detects every
-deep lane of a chunk in one stacked call: the channel H for `detnet` and the
+deep lane of a wave in one stacked call: the channel H for `detnet` and the
 realized H + dH at each programming-noise level for `detnet-hw`.
 
 On hardware the same pass runs on differential memristor arrays in two roles:

@@ -166,8 +166,7 @@ class ProgrammingResult:
 
     h_clipped: np.ndarray
     pulse_counts: np.ndarray
-    latency_per_row: np.ndarray  # dt_w * max pulse count in each row
-    total_latency: float         # sum over every row (rows are sequential)
+    total_latency: float  # dt_w * max pulse count of a row, summed over rows
 
     @property
     def t_p(self):
@@ -205,12 +204,10 @@ def program_matrix(h_real, spec):
         raise ValueError("channel must be a matrix or a stack of matrices")
     hc = np.clip(h, -H_CLIP, H_CLIP)
     counts = pulse_count(map_coefficient(spec) * np.abs(hc), spec)
-    latency_per_row = spec.dt_w * counts.max(axis=-1)
     return ProgrammingResult(
         h_clipped=hc,
         pulse_counts=counts,
-        latency_per_row=latency_per_row,
-        total_latency=float(latency_per_row.sum()),
+        total_latency=float((spec.dt_w * counts.max(axis=-1)).sum()),
     )
 
 

@@ -13,34 +13,27 @@ changes another row.  Detectors that ignore gamma run once per SNR and their
 row is copied to every gamma.
 The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
 pass (detnet.DTYPE): the draws, the programming and every other detector
-stay float64, and the params, each chunk's received vectors and each channel
+stay float64, and the params, each wave's received vectors and each channel
 they detect on are cast to float32 before it.
 
-Trials run in waves of WAVE.  A BER point, one SweepRow, adds whole waves
-to its totals until it has at least `min_bits` bits AND `min_errors` bit
-errors (confidence at low BER), capped at `max_trials` channel
-realizations; each detector stops on its own.  Every emitted row carries a
-Wilson 95% interval, a flag for points with fewer than 10 errors, the trials
-run, why the point stopped and the means derived from its totals.
-
-At an SNR point the sweep draws CHUNK consecutive waves at a time, each
-from its own stream as above, and every lane still running detects the
-whole chunk: each classical detector in one call, and every running deep
-lane in one forward pass over a stack of channels, the same arithmetic per
-lane as a pass of its own.  `detnet` adds the chunk's channels H to the
-stack; each running `detnet-hw` gamma adds H + dH, the one programming of
-the chunk's channels realized at that gamma.  The stop rule is then
-replayed wave by wave: every row adds the errors, tree nodes, programming
-pulses and latency, and seconds of one wave at a time, taken from the
-chunk's per-channel counts, and drops the chunk's waves after its stop, so
-every row is the one a loop over single waves gives.
+Trials run in waves of WAVE, and the wave is the sweep's one unit: at an SNR
+point each step draws one wave and every lane still running detects all of
+it, each classical detector in one call, and every running deep lane in one
+forward pass over a stack of channels, the same arithmetic per lane as a
+pass of its own.  `detnet` adds the wave's channels H to the stack; each
+running `detnet-hw` gamma adds H + dH, the one programming of the wave's
+channels realized at that gamma.  A BER point, one SweepRow, then adds the
+whole wave to its totals and stops once it has at least `min_bits` bits AND
+`min_errors` bit errors (confidence at low BER), capped at `max_trials`
+channel realizations; each detector stops on its own.  Every emitted row
+carries a Wilson 95% interval, a flag for points with fewer than 10 errors,
+the trials run, why the point stopped and the means derived from its totals.
 
 Artifacts: every mode writes one CSV table plus manifest.json (`train` also
 its checkpoint).  A mode builds its table as records, dicts of column ->
 value, and csv_text alone formats them, so each artifact's columns are
 stated once, where its record is built.  An `eval-ber` manifest also
-records WAVE, CHUNK and the trials detected and then discarded after a row
-stopped.
+records WAVE.
 """
 
 import json
@@ -58,9 +51,7 @@ from . import mimo, training
 from .config import HW_DETECTOR, ConfigError, config_echo
 
 # trials per wave; stopping rules are evaluated only at wave boundaries
-WAVE = 8
-# waves drawn, and detected by every lane, together at an SNR point
-CHUNK = 4
+WAVE = 32
 
 
 def csv_text(records):
@@ -104,15 +95,11 @@ class SweepRow:
     errors, trials, vectors detected and wall_time_s, plus the sphere
     decoder's tree nodes for `sd`, and the programming pulses and simulated
     programming latency t_p_s for detnet-hw (None for other detectors).
-    wall_time_s is the detection-plus-demapping time of this row's
-    computation; a chunk's deep rows (detnet and every detnet-hw gamma) share
-    one timed forward pass, realizing the channel at each gamma included,
-    split evenly over the deep rows in it.  The seconds of a row's detection
-    of a chunk are split over the chunk's waves in proportion to their
-    trials, and the row adds the shares of the waves it keeps; the shares of
-    the waves after its stop, like the shared trial draws and channel
-    programming, are attributed to no row.  `discarded` counts those
-    trials, which enter no total and no column, for every detector.
+    wall_time_s is the detection-plus-demapping time of this row's waves; a
+    wave's deep rows (detnet and every detnet-hw gamma) share one timed
+    forward pass, realizing the channel at each gamma included, split evenly
+    over the deep rows in it.  The shared trial draws and channel
+    programming are attributed to no row.
     The means derive from the totals: mean_nodes is tree nodes per
     vector, mean_pulses programming pulses and mean_t_p_s the programming
     latency T_p (device.ProgrammingResult.t_p, as program-sim's t_p_s) per
@@ -131,7 +118,6 @@ class SweepRow:
     pulses: int | None = None
     t_p_s: float | None = None
     stop_reason: str | None = None  # "target" or "max_trials" once stopped
-    discarded: int = 0
 
     @property
     def mean_nodes(self):
@@ -163,7 +149,7 @@ class SweepRow:
 
 
 def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
-    """The stacked draws of the first `trials` trials of wave `wave_index`.
+    """One sweep step's draws: the first `trials` trials of wave `wave_index`.
 
     Returns H (trials, 2n_r, 2n_t), bits, ys (trials, vectors, 2n_r) and the
     programming noise's unit normals z (trials, 2n_r, 2n_t).
@@ -176,29 +162,11 @@ def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
     return h[:trials], bits[:trials], ys[:trials], z[:trials]
 
 
-def _draw_chunk(cfg, vectors, seed, snr_index, first_wave, sigma, trials):
-    """The draws of `trials` consecutive trials, from wave `first_wave` on.
-
-    Each wave comes from its own _draw_wave stream and is copied into the
-    chunk's arrays as it is drawn, so a chunk's draws are held once.  Returns
-    H, bits, ys and z as _draw_wave does, over the chunk's trials.
-    """
-    chunk = None
-    for start in range(0, trials, WAVE):
-        wave = _draw_wave(cfg, vectors, seed, snr_index, first_wave + start // WAVE,
-                          sigma, min(WAVE, trials - start))
-        if chunk is None:
-            chunk = [np.empty((trials,) + a.shape[1:], a.dtype) for a in wave]
-        for whole, part in zip(chunk, wave):
-            whole[start:start + len(part)] = part
-    return chunk
-
-
 def _detect(detector, h, ys, sigma, cfg):
-    """Hard decisions (trials, vectors, 2n_t), and SD's tree nodes per channel.
+    """Hard decisions (trials, vectors, 2n_t) on a wave, and SD's tree nodes.
 
-    One call detects a whole chunk with zf, mmse, ml or sd; the deep lanes
-    are detected in run_ber_sweep, all of a chunk's in one forward pass.
+    One call detects a whole wave with zf, mmse, ml or sd; the deep lanes
+    are detected in run_ber_sweep, all of a wave's in one forward pass.
     """
     if detector in ("zf", "mmse"):
         soft = baselines.linear_soft_batch(
@@ -208,17 +176,16 @@ def _detect(detector, h, ys, sigma, cfg):
     if detector == "ml":
         return baselines.ml_detect_batch(h, ys, cfg), None
     out = baselines.sphere_decode(h, ys, cfg)
-    return out.x_hat_real, out.channel_nodes
+    return out.x_hat_real, out.node_count
 
 
-def _wave_errors(x_hat, bits, cfg, starts):
-    """Bit errors of each wave of a chunk, the wave starting at trial starts[i].
+def _wave_errors(x_hat, bits, cfg):
+    """Bit errors of the decisions x_hat (..., trials, vectors, 2n_t) on a wave.
 
-    x_hat is (..., trials, vectors, 2n_t); the result is a list over the
-    leading dims, of one count per wave.
+    One count per leading index: an int for one lane, a list for a stack.
     """
     wrong = mimo.demodulate(x_hat, cfg) != bits
-    return np.add.reduceat(np.count_nonzero(wrong, axis=(-2, -1)), starts, axis=-1).tolist()
+    return np.count_nonzero(wrong, axis=(-3, -2, -1)).tolist()
 
 
 def run_ber_sweep(exp, params=None):
@@ -259,20 +226,15 @@ def run_ber_sweep(exp, params=None):
         active = list(point.values())
         trial = 0
         while active and trial < sweep.max_trials:
-            trials = min(CHUNK * WAVE, sweep.max_trials - trial)
-            h, bits, ys, z = _draw_chunk(cfg, vectors, exp.seed, s_idx, trial // WAVE,
-                                         sigma, trials)
-            starts = list(range(0, trials, WAVE))
-            found = []  # (row, errors per wave, seconds, SD nodes per wave)
+            trials = min(WAVE, sweep.max_trials - trial)
+            h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, trial // WAVE,
+                                        sigma, trials)
+            found = []  # (row, errors, seconds, SD nodes)
             deep_rows = [row for row in active if row.detector in deep]
             if any(row.detector == HW_DETECTOR for row in deep_rows):
                 # the one reprogramming event per channel realization, for the
-                # whole chunk, realized at every gamma still running
+                # whole wave, realized at every gamma still running
                 program = dev.program_matrix(h, exp.device)
-                pulses = np.add.reduceat(program.pulse_counts.sum(axis=(1, 2)),
-                                         starts).tolist()
-                # summed per wave in the order ProgrammingResult.t_p sums a wave
-                t_p = [2 * float(program.latency_per_row[s:s + WAVE].sum()) for s in starts]
             if deep_rows:
                 t0 = time.perf_counter()
                 # one slice per deep lane: H itself, or H + dH at a gamma
@@ -283,37 +245,28 @@ def run_ber_sweep(exp, params=None):
                                           (len(deep_rows),) + ys.shape)
                 errors = _wave_errors(
                     detnet.ideal_forward(params, h_deep, ys_deep, keep_cache=False)[0][-1],
-                    bits, cfg, starts)
+                    bits, cfg)
                 share = (time.perf_counter() - t0) / len(deep_rows)
                 found += [(row, e, share, None) for row, e in zip(deep_rows, errors)]
             for row in active:
                 if row.detector not in deep:
                     t0 = time.perf_counter()
                     x_hat, nodes = _detect(row.detector, h, ys, sigma, cfg)
-                    errors = _wave_errors(x_hat, bits, cfg, starts)
-                    if nodes is not None:
-                        nodes = np.add.reduceat(nodes, starts).tolist()
+                    errors = _wave_errors(x_hat, bits, cfg)
                     found.append((row, errors, time.perf_counter() - t0, nodes))
-            # the stop rule, replayed wave by wave; a row keeps the chunk's
-            # seconds in proportion to the trials of the waves it keeps
-            for w, start in enumerate(starts):
-                count = min(WAVE, trials - start)
-                for row, errors, seconds, nodes in found:
-                    if row.stop_reason is not None:
-                        continue
-                    row.wall_time_s += seconds * count / trials
-                    row.bits += count * bits_per_trial
-                    row.errors += errors[w]
-                    row.trials += count
-                    row.vectors += count * vectors
-                    if nodes is not None:
-                        row.nodes = (row.nodes or 0) + nodes[w]
-                    if row.detector == HW_DETECTOR:
-                        row.pulses = (row.pulses or 0) + pulses[w]
-                        row.t_p_s = (row.t_p_s or 0.0) + t_p[w]
-                    if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
-                        row.stop_reason = "target"
-                        row.discarded = trials - start - count
+            for row, errors, seconds, nodes in found:
+                row.wall_time_s += seconds
+                row.bits += trials * bits_per_trial
+                row.errors += errors
+                row.trials += trials
+                row.vectors += trials * vectors
+                if nodes is not None:
+                    row.nodes = (row.nodes or 0) + nodes
+                if row.detector == HW_DETECTOR:
+                    row.pulses = (row.pulses or 0) + int(program.pulse_counts.sum())
+                    row.t_p_s = (row.t_p_s or 0.0) + program.t_p
+                if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
+                    row.stop_reason = "target"
             active = [row for row in active if row.stop_reason is None]
             trial += trials
         for row in active:
@@ -379,15 +332,8 @@ def run_pipeline(exp, out_dir):
             except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
         name = "ber.csv"
-        rows = run_ber_sweep(exp, params=params)
-        records = [row.record() for row in rows]
-        # a gamma-insensitive lane's row is repeated at every gamma
-        lanes = {(r.detector, r.snr_db, r.gamma if r.detector == HW_DETECTOR else None): r
-                 for r in rows}
-        recorded["sweep"] = {
-            "wave_trials": WAVE, "chunk_waves": CHUNK,
-            "discarded_trials": sum(r.discarded for r in lanes.values()),
-        }
+        records = [row.record() for row in run_ber_sweep(exp, params=params)]
+        recorded["sweep"] = {"wave_trials": WAVE}
 
     elif exp.mode == "bounds":
         b = exp.bounds

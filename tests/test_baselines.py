@@ -415,10 +415,6 @@ class TestStackedSphereDecoder:
             assert np.array_equal(stacked.x_hat_real,
                                   np.stack([s.x_hat_real for s in singles]))
             assert stacked.node_count == sum(s.node_count for s in singles)
-            # channel by channel, the nodes of the single calls
-            assert stacked.channel_nodes.shape == (8,)
-            assert stacked.channel_nodes.tolist() == [s.node_count for s in singles]
-            assert all(s.channel_nodes.shape == () for s in singles)
 
     def test_one_rank_deficient_channel_in_a_stack_raises(self, rng):
         c = cfg(n_t=2, n_r=3)

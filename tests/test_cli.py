@@ -114,11 +114,18 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
     ("bounds", "bounds.varpi1 = -1", "bounds.varpi1 must be > 0"),
     ("bounds", "bounds.varpi2 = 0", "bounds.varpi2 must be > 0"),
     ("bounds", "bounds.sigma_n = -0.3", "bounds.sigma_n must be >= 0"),
+    ("eval-ber", "sweep.min_errors = -5", "sweep.min_errors must be >= 0"),
+    # 10^(7000/20) overflows a float
+    ("eval-ber", "sweep.snr_db = 10, -7000",
+     "sweep.snr_db: SNR -7000.0 dB: its noise std overflows"),
+    ("train", "train.snr_low_db = -7000",
+     "train.snr_low_db: SNR -7000.0 dB: its noise std overflows"),
 ], ids=["weighting", "gamma-high", "gamma-negative", "trials-zero", "trials-negative",
         "snr-repeat", "gamma-repeat", "detector-repeat", "no-detector", "seed-negative",
         "t-array-negative", "t-adder-negative", "t-relu-negative", "snr-nan",
         "t-array-nan", "sigma-n-nan", "gamma-inf", "lr-minus-inf", "varpi2-infinity",
-        "detector-unknown", "varpi1-negative", "varpi2-zero", "sigma-n-negative"])
+        "detector-unknown", "varpi1-negative", "varpi2-zero", "sigma-n-negative",
+        "min-errors-negative", "snr-overflow", "train-snr-overflow"])
 def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message):
     # SWEEP without its snr_db line, so that each case sets its key once
     base = SWEEP.replace("sweep.snr_db = 10\n", "")

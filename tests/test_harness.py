@@ -1,4 +1,3 @@
-import csv
 import json
 from dataclasses import replace
 
@@ -90,32 +89,29 @@ class TestSweep:
                 assert (sd.bits, sd.errors, sd.trials) == (ml.bits, ml.errors, ml.trials)
 
     def test_mean_nodes_counts_tree_nodes_per_vector(self, exp, monkeypatch):
-        calls = []
+        calls = []  # (channels, tree nodes) of each sphere_decode call
         sphere_decode = baselines.sphere_decode
 
-        def counted(*args):
-            out = sphere_decode(*args)
-            calls.append(out.channel_nodes)
+        def counted(h, *args):
+            out = sphere_decode(h, *args)
+            calls.append((len(h), out.node_count))
             return out
 
         monkeypatch.setattr(baselines, "sphere_decode", counted)
-        chunk = harness.CHUNK * harness.WAVE
-        # 1000 bits need 18 trials, so the row stops after 24, inside its
-        # first chunk; without a bit target it runs to the cap of 60
-        for min_bits, trials in ((1000, 24), (10**9, 60)):
+        # 1000 bits need 18 trials, so the row stops at the end of the wave
+        # holding the 18th; without a bit target it runs to the cap of 60
+        for min_bits, trials in ((1000, -(-18 // harness.WAVE) * harness.WAVE),
+                                 (10**9, 60)):
             calls.clear()
             one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], detectors=["sd"],
                                              min_bits=min_bits))
             rows = harness.run_ber_sweep(one)
-            # one call per chunk, detecting every channel up to the chunk's
-            # end or the cap
-            drawn = min(-(-trials // chunk) * chunk, exp.sweep.max_trials)
-            assert [len(n) for n in calls] == [min(chunk, drawn - t)
-                                               for t in range(0, drawn, chunk)]
-            nodes = np.concatenate(calls)
+            # one call per wave, the last cut short by the cap
+            assert [n for n, _ in calls] == [min(harness.WAVE, trials - t)
+                                             for t in range(0, trials, harness.WAVE)]
             for r in rows:
-                assert (r.trials, r.discarded) == (trials, drawn - trials)
-                assert r.mean_nodes == nodes[:trials].sum() / (
+                assert r.trials == trials
+                assert r.mean_nodes == sum(nodes for _, nodes in calls) / (
                     trials * exp.sweep.symbols_per_slot)
 
     def test_gamma_insensitive_rows_repeat_across_gammas(self, exp, full):
@@ -167,20 +163,21 @@ class TestSweep:
 # ber.csv unchanged for a fixed seed; a deliberate change of the draws
 # updates this table and says why.  Every row was regenerated when each wave
 # came to be drawn from one stream keyed on (seed, SNR index, wave index)
-# instead of one stream per trial.
+# instead of one stream per trial, and again when a wave grew from 8 trials
+# to 32, which draws every trial from another stream.
 GOLDEN = [
-    ("zf", 4.0, 0.0, 301, 60), ("zf", 4.0, 0.02, 301, 60),
-    ("zf", 12.0, 0.0, 37, 60), ("zf", 12.0, 0.02, 37, 60),
-    ("mmse", 4.0, 0.0, 265, 60), ("mmse", 4.0, 0.02, 265, 60),
-    ("mmse", 12.0, 0.0, 21, 60), ("mmse", 12.0, 0.02, 21, 60),
-    ("ml", 4.0, 0.0, 207, 60), ("ml", 4.0, 0.02, 207, 60),
+    ("zf", 4.0, 0.0, 347, 60), ("zf", 4.0, 0.02, 347, 60),
+    ("zf", 12.0, 0.0, 29, 60), ("zf", 12.0, 0.02, 29, 60),
+    ("mmse", 4.0, 0.0, 274, 60), ("mmse", 4.0, 0.02, 274, 60),
+    ("mmse", 12.0, 0.0, 28, 60), ("mmse", 12.0, 0.02, 28, 60),
+    ("ml", 4.0, 0.0, 226, 60), ("ml", 4.0, 0.02, 226, 60),
     ("ml", 12.0, 0.0, 6, 60), ("ml", 12.0, 0.02, 6, 60),
-    ("sd", 4.0, 0.0, 207, 60), ("sd", 4.0, 0.02, 207, 60),
+    ("sd", 4.0, 0.0, 226, 60), ("sd", 4.0, 0.02, 226, 60),
     ("sd", 12.0, 0.0, 6, 60), ("sd", 12.0, 0.02, 6, 60),
-    ("detnet", 4.0, 0.0, 1915, 60), ("detnet", 4.0, 0.02, 1915, 60),
-    ("detnet", 12.0, 0.0, 1935, 60), ("detnet", 12.0, 0.02, 1935, 60),
-    ("detnet-hw", 4.0, 0.0, 1917, 60), ("detnet-hw", 4.0, 0.02, 1908, 60),
-    ("detnet-hw", 12.0, 0.0, 1936, 60), ("detnet-hw", 12.0, 0.02, 1941, 60),
+    ("detnet", 4.0, 0.0, 1886, 60), ("detnet", 4.0, 0.02, 1886, 60),
+    ("detnet", 12.0, 0.0, 2018, 60), ("detnet", 12.0, 0.02, 2018, 60),
+    ("detnet-hw", 4.0, 0.0, 1887, 60), ("detnet-hw", 4.0, 0.02, 1899, 60),
+    ("detnet-hw", 12.0, 0.0, 2018, 60), ("detnet-hw", 12.0, 0.02, 2029, 60),
 ]
 
 
@@ -208,15 +205,17 @@ class TestWaveDraws:
         draw_wave = harness._draw_wave
         monkeypatch.setattr(harness, "_draw_wave",
                             lambda *a: drawn.append(draw_wave(*a)) or drawn[-1])
+        # the cap cuts the second wave short
+        cap = harness.WAVE + 13
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[12.0], min_bits=10**9,
-                                         max_trials=13))
+                                         max_trials=cap))
         (row,) = [r for r in harness.run_ber_sweep(only(one, "zf")) if r.gamma == 0.0]
-        assert (row.trials, len(drawn)) == (13, 2)
+        assert (row.trials, len(drawn)) == (cap, 2)
         sigma = mimo.sigma_from_snr(12.0)
         whole = [draw_wave(exp.mimo, exp.sweep.symbols_per_slot, exp.seed, 0, w, sigma)
                  for w in range(2)]
         for got, want in zip(zip(*drawn), zip(*whole), strict=True):
-            assert np.array_equal(np.concatenate(got), np.concatenate(want)[:13])
+            assert np.array_equal(np.concatenate(got), np.concatenate(want)[:cap])
 
 
 class TestGolden:
@@ -290,31 +289,30 @@ class TestHardwareReuse:
         monkeypatch.setattr(
             detnet, "ideal_forward",
             lambda p, h, ys, **k: forwards.append(h.shape) or forward(p, h, ys, **k))
-        # at 4 dB gamma 0.02 reaches 530 errors after 16 trials and gamma 0
-        # after 24, both inside the first chunk; the programming runs while
-        # any gamma still needs the chunk.  zf never gets there, so chunks are
-        # drawn up to the cap, and those drawn after the last gamma stopped
-        # are neither programmed nor detected
-        one = replace(exp, sweep=replace(exp.sweep, min_bits=1, min_errors=530))
+        # at 4 dB gamma 0.02 reaches 1000 errors in the first wave and gamma 0
+        # in the second, at 12 dB both in the first; the programming runs
+        # while any gamma still needs the wave.  zf never gets there, so
+        # waves are drawn up to the cap, and those drawn after the last gamma
+        # stopped are neither programmed nor detected
+        cap = 3 * harness.WAVE + 4
+        one = replace(exp, sweep=replace(exp.sweep, min_bits=1, min_errors=1000,
+                                         max_trials=cap))
         result = harness.run_ber_sweep(only(one, "zf", "detnet-hw"), params=params)
         hw = [r for r in result if r.detector == "detnet-hw"]
         assert len(hw) == len(exp.sweep.snr_db) * len(exp.sweep.gammas)
-        assert all(r.trials == exp.sweep.max_trials for r in result if r.detector == "zf")
+        assert all(r.trials == cap for r in result if r.detector == "zf")
         needed = {snr: max(r.trials for r in hw if r.snr_db == snr)
                   for snr in exp.sweep.snr_db}
-        assert len({r.trials for r in hw}) > 1
-        chunk = harness.CHUNK * harness.WAVE
-        assert needed[4.0] % chunk != 0
-        # one program per chunk, of every channel up to the chunk's end or
-        # the cap
+        assert [r.trials for r in hw] == [2 * harness.WAVE, harness.WAVE,
+                                          harness.WAVE, harness.WAVE]
+        # one program per wave, of all the wave's channels
         channel = (2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
-        sizes = [min(chunk, exp.sweep.max_trials - t)
-                 for n in needed.values() for t in range(0, n, chunk)]
-        assert programs == [(size,) + channel for size in sizes]
-        # and one forward call per chunk detects every gamma still running
+        waves = [(snr, t) for snr, n in needed.items() for t in range(0, n, harness.WAVE)]
+        assert programs == [(harness.WAVE,) + channel] * len(waves)
+        # and one forward call per wave detects every gamma still running
         assert [f[1:] for f in forwards] == programs
-        # both gammas run at the start of every chunk here
-        assert all(f[0] == len(exp.sweep.gammas) for f in forwards)
+        assert [f[0] for f in forwards] == [
+            sum(r.trials > t for r in hw if r.snr_db == snr) for snr, t in waves]
 
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
@@ -339,22 +337,21 @@ class TestHardwareReuse:
 
         monkeypatch.setattr(detnet, "ideal_forward", recorded)
         gammas = [0.0, 0.01, 0.02, 0.03, 0.04]
-        # every lane runs to the cap, so every chunk stacks detnet and all
+        # every lane runs to the cap, so every wave stacks detnet and all
         # five gammas
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], gammas=gammas))
         harness.run_ber_sweep(only(one, "detnet", "detnet-hw"), params=params)
-        chunk = harness.CHUNK * harness.WAVE
-        assert len(calls) == -(-exp.sweep.max_trials // chunk)
+        assert len(calls) == -(-exp.sweep.max_trials // harness.WAVE)
         sigma = mimo.sigma_from_snr(4.0)
         for i, (p, h, ys, out) in enumerate(calls):
             assert h.shape[0] == 1 + len(gammas) and h.dtype == detnet.DTYPE
             for g in range(len(h)):
                 want = forward(p, h[g], ys[g], keep_cache=False)[0][-1]
                 assert np.array_equal(out[g], want)
-            # the detnet slice is the chunk's drawn channels themselves
-            drawn, _, drawn_ys, _ = harness._draw_chunk(
-                exp.mimo, exp.sweep.symbols_per_slot, exp.seed, 0, i * harness.CHUNK,
-                sigma, min(chunk, exp.sweep.max_trials - i * chunk))
+            # the detnet slice is the wave's drawn channels themselves
+            drawn, _, drawn_ys, _ = harness._draw_wave(
+                exp.mimo, exp.sweep.symbols_per_slot, exp.seed, 0, i, sigma,
+                min(harness.WAVE, exp.sweep.max_trials - i * harness.WAVE))
             assert np.array_equal(h[0], drawn.astype(detnet.DTYPE))
             assert np.array_equal(ys[0], drawn_ys.astype(detnet.DTYPE))
 
@@ -386,10 +383,11 @@ class TestStoppingRule:
 
     def test_stops_at_first_wave_boundary_past_the_targets(self, exp):
         bits_per_trial = exp.sweep.symbols_per_slot * exp.mimo.bits_per_vector  # 56
-        # 1000 bits need 18 trials: the rule is checked after waves of 8
-        row = self.sweep(exp, min_bits=1000, min_errors=1, max_trials=100)
-        assert (row.trials, row.stop_reason) == (24, "target")
-        assert row.bits == 24 * bits_per_trial
+        # 1000 bits need 18 trials: the rule is checked after whole waves
+        trials = -(-18 // harness.WAVE) * harness.WAVE
+        row = self.sweep(exp, min_bits=1000, min_errors=1, max_trials=trials + 50)
+        assert (row.trials, row.stop_reason) == (trials, "target")
+        assert row.bits == trials * bits_per_trial
 
     def test_error_target_also_gates(self, exp):
         row = self.sweep(exp, min_bits=1000, min_errors=400, max_trials=1000)
@@ -403,16 +401,20 @@ class TestStoppingRule:
         assert shorter.stop_reason == "max_trials"
 
     def test_cap_ends_a_partial_wave(self, exp):
-        row = self.sweep(exp, min_bits=10**9, min_errors=1, max_trials=13)
-        assert (row.trials, row.stop_reason) == (13, "max_trials")
+        # the cap falls inside the second wave
+        cap = harness.WAVE + 13
+        row = self.sweep(exp, min_bits=10**9, min_errors=1, max_trials=cap)
+        assert (row.trials, row.stop_reason) == (cap, "max_trials")
 
-    # (min_errors, max_trials): at 4 dB the deep rows, zf and mmse, and ml
-    # and sd stop on the error target after 8, 16 and 24 trials, inside the
-    # first chunk; with the second pair the deep rows, zf and mmse stop on it
-    # after 8, 24 and 29 trials, and the cap of 29 cuts ml's and sd's fourth
-    # wave short
-    @pytest.mark.parametrize("min_errors,max_trials", [(60, 60), (110, 29)])
-    def test_chunk_replays_the_per_wave_rule(self, exp, params, min_errors, max_trials):
+    # (min_errors, max_trials), at 4 dB.  With the first pair the deep rows
+    # stop on the error target after one wave and zf and mmse after two, and
+    # the cap cuts ml's and sd's third wave short.  With the second, detnet-hw
+    # at gamma 0.02 stops after one wave, detnet and gamma 0 after two, and
+    # the classical rows run to the cap
+    @pytest.mark.parametrize("min_errors,max_trials", [
+        (290, 2 * harness.WAVE + 8), (1000, 2 * harness.WAVE + 8)])
+    def test_every_lane_equals_the_per_wave_reference(self, exp, params, min_errors,
+                                                      max_trials):
         one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], min_bits=1,
                                          min_errors=min_errors, max_trials=max_trials))
         rows = harness.run_ber_sweep(one, params=params)
@@ -424,15 +426,10 @@ class TestStoppingRule:
             want = per_wave_reference(one, params, detector, gamma)
             assert (r.errors, r.trials, r.stop_reason, r.mean_nodes, r.mean_pulses,
                     r.mean_t_p_s) == want, (detector, gamma)
-        trials = [got[lane].trials for lane in lanes]
-        assert len(set(trials)) > 2
-        assert max(trials) <= harness.CHUNK * harness.WAVE
-        # detnet stops on its target inside the chunk
-        assert got[("detnet", None)].trials < max_trials
-        assert got[("detnet", None)].stop_reason == "target"
-        if max_trials < harness.CHUNK * harness.WAVE:
-            assert got[("sd", None)].trials == max_trials
-            assert got[("sd", None)].stop_reason == "max_trials"
+        # lanes stop in different waves, and the cap cuts the last wave short
+        stops = {(got[lane].trials, got[lane].stop_reason) for lane in lanes}
+        assert {harness.WAVE, 2 * harness.WAVE} <= {t for t, _ in stops}
+        assert (max_trials, "max_trials") in stops
 
 
 def per_wave_reference(exp, params, detector, gamma):
@@ -480,25 +477,12 @@ def per_wave_reference(exp, params, detector, gamma):
 
 
 class TestManifest:
-    def test_records_the_chunk_and_the_trials_discarded(self, exp, params, tmp_path):
+    def test_records_the_wave_size(self, exp, params, tmp_path):
         training.save_params(tmp_path / "p.npz", params, exp.mimo)
-        text = (TINY.replace("sweep.max_trials = 60", "sweep.max_trials = 300")
-                + f"mode = eval-ber\neval.params = {tmp_path / 'p.npz'}\n")
+        text = TINY + f"mode = eval-ber\neval.params = {tmp_path / 'p.npz'}\n"
         harness.run_pipeline(config.parse_config(text), tmp_path / "out")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        rows = csv.DictReader((tmp_path / "out" / "ber.csv").read_text().splitlines())
-        chunk = harness.CHUNK * harness.WAVE
-        # every lane detects up to the end of its stop's chunk, or the cap;
-        # one row per lane: every detnet-hw row, the others at the first gamma
-        discarded = 0
-        for row in rows:
-            if row["detector"] == "detnet-hw" or row["gamma"] == "0":
-                trials = int(row["trials"])
-                discarded += min(-(-trials // chunk) * chunk, 300) - trials
-        assert discarded > 0
-        assert manifest["sweep"] == {"wave_trials": harness.WAVE,
-                                     "chunk_waves": harness.CHUNK,
-                                     "discarded_trials": discarded}
+        assert manifest["sweep"] == {"wave_trials": 32}
 
 
 class TestCsvText:
