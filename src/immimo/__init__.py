@@ -1,8 +1,8 @@
 """Deep-unfolded MIMO detection on behavioral memristor arrays.
 
 Subpackages:
-    mimo       MIMO system model on real rails (complex channel draw and its
-               real embedding, modulation, AWGN, nearest-level demapping)
+    mimo       MIMO system model on real rails (channel draw into the real
+               embedding, modulation, AWGN, nearest-level demapping)
     device     pulse-programmed memristor behavior and programming latency
     detnet     forward/backward pass of the unfolded detector, and its
                mapping onto the programmed channel and exact weight arrays

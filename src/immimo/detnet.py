@@ -66,8 +66,7 @@ DTYPE = np.float32
 class DetNetParams:
     """Trainable parameter set, stacked along a leading block axis.
 
-    Shapes: w1 (L, S, 2n_t + a_size), b1 (L, S), w2 (L, 2n_t, S), b2 (L, 2n_t),
-    w3 (L, a_size, S), b3 (L, a_size), alpha1 (L,), alpha2 (L,).
+    param_shapes gives each array's shape.
     """
 
     w1: np.ndarray
@@ -110,25 +109,25 @@ class DetNetParams:
             raise ValueError("alpha gains must stay strictly positive")
 
 
+def param_shapes(config):
+    """The shape of each parameter array, keyed and ordered as PARAM_KEYS."""
+    L, S, x, a = config.L, config.S, 2 * config.n_t, config.a_size
+    return {"w1": (L, S, x + a), "b1": (L, S), "w2": (L, x, S), "b2": (L, x),
+            "w3": (L, a, S), "b3": (L, a), "alpha1": (L,), "alpha2": (L,)}
+
+
 def init_params(config, rng):
     """He-initialized weights, zero biases, small positive step gains."""
-    d_in = 2 * config.n_t + config.a_size
-    L, S, a = config.L, config.S, config.a_size
-    x_dim = 2 * config.n_t
-
-    def he(shape, fan_in):
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-    return DetNetParams(
-        w1=he((L, S, d_in), d_in),
-        b1=np.zeros((L, S)),
-        w2=he((L, x_dim, S), S),
-        b2=np.zeros((L, x_dim)),
-        w3=he((L, a, S), S),
-        b3=np.zeros((L, a)),
-        alpha1=np.full(L, 1e-2),
-        alpha2=np.full(L, 1e-2),
-    )
+    arrays = {}
+    for key, shape in param_shapes(config).items():
+        if key.startswith("w"):
+            # fan-in is the width of the vector the matrix multiplies
+            arrays[key] = rng.normal(0.0, np.sqrt(2.0 / shape[-1]), size=shape)
+        elif key.startswith("b"):
+            arrays[key] = np.zeros(shape)
+        else:
+            arrays[key] = np.full(shape, 1e-2)
+    return DetNetParams(**arrays)
 
 
 def _fused_output(params):

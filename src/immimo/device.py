@@ -211,18 +211,6 @@ def program_matrix(h_real, spec):
     )
 
 
-def total_programming_latency(config, spec, rng):
-    """Simulated total programming latency T_p for one channel realization.
-
-    See ProgrammingResult.t_p.  Latency depends on the pulse counts alone, so
-    only the channel is drawn from rng.
-    """
-    from . import mimo
-
-    h = mimo.to_real(mimo.generate_channel(config, rng))
-    return program_matrix(h, spec).t_p
-
-
 def row_latency_bound(n_t, spec):
     """Closed-form bound on the expected latency of programming one row."""
     if n_t < 2:

@@ -155,7 +155,7 @@ def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
     programming noise's unit normals z (trials, 2n_r, 2n_t).
     """
     rng = np.random.default_rng([seed, snr_index, wave_index])
-    h = mimo.to_real(mimo.generate_channel(cfg, rng, count=WAVE))
+    h = mimo.generate_channel(cfg, rng, count=WAVE)
     bits = mimo.random_bits(cfg, rng, count=WAVE * vectors).reshape(WAVE, vectors, -1)
     ys = mimo.transmit(h, mimo.modulate(bits, cfg), sigma, rng)
     z = rng.standard_normal(h.shape)
@@ -351,9 +351,8 @@ def run_pipeline(exp, out_dir):
 
     elif exp.mode == "latency":
         bound, t_c = _latency_pair(exp)
-        sims = [
-            dev.total_programming_latency(cfg, spec, rng) for _ in range(exp.latency.trials)
-        ]
+        sims = [dev.program_matrix(mimo.generate_channel(cfg, rng), spec).t_p
+                for _ in range(exp.latency.trials)]
         name = "latency.csv"
         records = [{
             "t_p_bound_s": bound, "t_p_sim_mean_s": np.mean(sims),
@@ -380,7 +379,7 @@ def run_pipeline(exp, out_dir):
         name = "program_sim.csv"
         records = []
         for t in range(exp.latency.trials):
-            h = mimo.to_real(mimo.generate_channel(cfg, rng))
+            h = mimo.generate_channel(cfg, rng)
             result = dev.program_matrix(h, spec)
             dh = result.realized(spec, rng.standard_normal(h.shape)) - result.h_clipped
             records.append({

@@ -4,7 +4,8 @@ The physical link is y~ = H~ x~ + n~ with H~ an N_r x N_t complex matrix whose
 real and imaginary parts are i.i.d. standard normal (so E|h~_ij|^2 = 2), x~ a
 vector of constellation symbols normalized to unit expected power, and n~
 circularly symmetric Gaussian noise with per-real-dimension standard deviation
-sigma_n.  Complex numbers appear only in the channel draw and its embedding
+sigma_n.  The code holds no complex numbers: the channel is drawn straight
+into its real embedding
 
     y = H x + n,   H = [[Re H~, -Im H~], [Im H~, Re H~]],
 
@@ -122,23 +123,22 @@ _ALPHABET_CACHE = {}
 
 
 def generate_channel(config, rng, count=None):
-    """Draw an n_r x n_t Rayleigh-fading matrix, CN(0, 2) per entry.
+    """Draw a Rayleigh-fading channel on real rails, shape (2n_r, 2n_t).
 
-    With count, a stack of count matrices, shape (count, n_r, n_t).
+    H~ is n_r x n_t with entries CN(0, 2): one standard_normal call draws
+    its real parts and then its imaginary parts, which are written into the
+    embedding [[Re H~, -Im H~], [Im H~, Re H~]] in place.  With count, a
+    stack of count channels, shape (count, 2n_r, 2n_t).
     """
-    shape = (config.n_r, config.n_t) if count is None else (count, config.n_r, config.n_t)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def to_real(h_complex):
-    """Complex-to-real channel embedding [[Re, -Im], [Im, Re]].
-
-    Accepts a leading batch dimension.
-    """
-    re, im = h_complex.real, h_complex.imag
-    top = np.concatenate([re, -im], axis=-1)
-    bottom = np.concatenate([im, re], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    n_r, n_t = config.n_r, config.n_t
+    lead = () if count is None else (count,)
+    re, im = rng.standard_normal((2,) + lead + (n_r, n_t))
+    h = np.empty(lead + (2 * n_r, 2 * n_t))
+    h[..., :n_r, :n_t] = re
+    h[..., n_r:, n_t:] = re
+    h[..., n_r:, :n_t] = im
+    np.negative(im, out=h[..., :n_r, n_t:])
+    return h
 
 
 def modulate(bits, config):

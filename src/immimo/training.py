@@ -98,17 +98,10 @@ def draw_batch(config, train_cfg, spec, rng):
     Returns (x (B, 1, 2n_t), H_in = H + dH (B, 2n_r, 2n_t),
     y_in = y0 + n (B, 1, 2n_r)) for batch size B.
     """
-    b, n_r, n_t = train_cfg.batch_size, config.n_r, config.n_t
+    b = train_cfg.batch_size
     bits = mimo.random_bits(config, rng, count=b)
     x = mimo.modulate(bits, config)
-    # mimo.generate_channel's draws, the real parts and then the imaginary
-    # parts, written straight into the embedding of mimo.to_real
-    re, im = rng.standard_normal((2, b, n_r, n_t))
-    h = np.empty((b, 2 * n_r, 2 * n_t))
-    h[:, :n_r, :n_t] = re
-    h[:, n_r:, n_t:] = re
-    h[:, n_r:, :n_t] = im
-    np.negative(im, out=h[:, :n_r, n_t:])
+    h = mimo.generate_channel(config, rng, count=b)
     y = (h @ x[..., None])[..., 0]
 
     lo, hi = train_cfg.snr_low_db, train_cfg.snr_high_db
@@ -211,11 +204,7 @@ def load_params(path, expected_config=None):
                 raise ValueError(
                     f"checkpoint {attr}={got} does not match configured {want}"
                 )
-    # the shapes of detnet.DetNetParams, as the header sizes them
-    L, S, x, a = config.L, config.S, 2 * config.n_t, config.a_size
-    shapes = {"w1": (L, S, x + a), "b1": (L, S), "w2": (L, x, S), "b2": (L, x),
-              "w3": (L, a, S), "b3": (L, a), "alpha1": (L,), "alpha2": (L,)}
-    for key, shape in shapes.items():
+    for key, shape in detnet.param_shapes(config).items():
         got = getattr(params, key).shape
         if got != shape:
             raise ValueError(f"checkpoint {key} has shape {got}; its header implies {shape}")

@@ -17,7 +17,7 @@ def cfg(mod="qpsk", n_t=4, n_r=6):
 
 
 def noiseless_instance(c, rng):
-    h = mimo.to_real(mimo.generate_channel(c, rng))
+    h = mimo.generate_channel(c, rng)
     bits = mimo.random_bits(c, rng)[0]
     x = mimo.modulate(bits, c)
     return h, x, h @ x
@@ -55,7 +55,7 @@ class TestZf:
 
     def test_square_invertible_is_inverse(self, rng):
         c = cfg(n_t=3, n_r=3)
-        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h = mimo.generate_channel(c, rng)
         y = rng.standard_normal(6)
         assert np.allclose(zf_soft(h, y, c), np.linalg.solve(h, y), atol=1e-8)
 
@@ -72,7 +72,7 @@ class TestZf:
         c = cfg(n_t=2, n_r=3)
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(3)])
+            h = np.stack([mimo.generate_channel(c, rng) for _ in range(3)])
             h[seed % 3, :, 1] = h[seed % 3, :, 0]
             ys = rng.standard_normal((3, 2, 6))
             with pytest.raises(baselines.RankDeficientChannel):
@@ -95,7 +95,7 @@ class TestMmse:
 
     def test_rank_deficient_channel_is_regularized(self, rng):
         c = cfg(n_t=2, n_r=3)
-        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h = mimo.generate_channel(c, rng)
         h[:, 1] = h[:, 0]
         assert np.all(np.isfinite(mmse_soft(h, rng.standard_normal(6), 0.3, c)))
 
@@ -153,7 +153,7 @@ def ml_metrics_expanded(h_real, ys, config):
 
 
 def wave(c, rng, snr, channels=8, vectors=14):
-    h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(channels)])
+    h = np.stack([mimo.generate_channel(c, rng) for _ in range(channels)])
     bits = mimo.random_bits(c, rng, count=channels * vectors).reshape(channels, vectors, -1)
     ys = np.stack([mimo.transmit(h[w], mimo.modulate(bits[w], c),
                                  mimo.sigma_from_snr(snr), rng) for w in range(channels)])
@@ -219,7 +219,7 @@ class TestMlMetric:
 class TestStackedChannels:
     def test_stack_matches_per_channel(self, rng):
         c = cfg(n_t=3, n_r=4)
-        h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(5)])
+        h = np.stack([mimo.generate_channel(c, rng) for _ in range(5)])
         ys = rng.standard_normal((5, 6, 8))
         ml = baselines.ml_detect_batch(h, ys, c)
         zf = baselines.linear_soft_batch(h, ys, c)
@@ -239,7 +239,7 @@ class TestSphereDecoder:
     def test_matches_exhaustive(self, mod, n_t, n_r, rng):
         c = cfg(mod, n_t=n_t, n_r=n_r)
         for _ in range(60):
-            h = mimo.to_real(mimo.generate_channel(c, rng))
+            h = mimo.generate_channel(c, rng)
             bits = mimo.random_bits(c, rng)[0]
             x = mimo.modulate(bits, c)
             y = mimo.transmit(h, x, 0.4, rng)
@@ -270,7 +270,7 @@ class TestSphereDecoder:
 
     def test_rank_deficiency_signals(self, rng):
         c = cfg(n_t=2, n_r=3)
-        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h = mimo.generate_channel(c, rng)
         h[:, 2] = h[:, 0]
         with pytest.raises(baselines.RankDeficientChannel):
             baselines.sphere_decode(h, np.zeros(6), c)
@@ -284,7 +284,7 @@ class TestDetectorOrdering:
         errs = {"zf": 0, "mmse": 0, "ml": 0}
         total = 0
         for _ in range(1200):
-            h = mimo.to_real(mimo.generate_channel(c, rng))
+            h = mimo.generate_channel(c, rng)
             bits = mimo.random_bits(c, rng, count=14)
             x = mimo.modulate(bits, c)
             ys = mimo.transmit(h, x, sigma, rng)
@@ -357,7 +357,7 @@ class TestPinnedSearch:
         for snr, (nodes, payloads) in pinned.items():
             got_nodes, got_payloads = [], []
             for _ in range(3):
-                h = mimo.to_real(mimo.generate_channel(c, rng))
+                h = mimo.generate_channel(c, rng)
                 bits = mimo.random_bits(c, rng, count=4)
                 ys = mimo.transmit(h, mimo.modulate(bits, c), mimo.sigma_from_snr(snr), rng)
                 for y in ys:
@@ -405,7 +405,7 @@ class TestStackedSphereDecoder:
         c = cfg(mod, n_t=n_t, n_r=n_r)
         rng = np.random.default_rng(12)
         for snr in (0.0, 6.0, 14.0, 30.0):
-            h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(8)])
+            h = np.stack([mimo.generate_channel(c, rng) for _ in range(8)])
             bits = mimo.random_bits(c, rng, count=8 * 14).reshape(8, 14, -1)
             ys = np.stack([mimo.transmit(h[w], mimo.modulate(bits[w], c),
                                          mimo.sigma_from_snr(snr), rng) for w in range(8)])
@@ -418,7 +418,7 @@ class TestStackedSphereDecoder:
 
     def test_one_rank_deficient_channel_in_a_stack_raises(self, rng):
         c = cfg(n_t=2, n_r=3)
-        h = np.stack([mimo.to_real(mimo.generate_channel(c, rng)) for _ in range(4)])
+        h = np.stack([mimo.generate_channel(c, rng) for _ in range(4)])
         h[2, :, 3] = h[2, :, 1]
         with pytest.raises(baselines.RankDeficientChannel):
             baselines.sphere_decode(h, rng.standard_normal((4, 5, 6)), c)

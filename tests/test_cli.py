@@ -57,8 +57,8 @@ def test_checkpoint_header_mismatch_exits_2(tmp_path, capsys):
 
 def test_rank_deficient_channel_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mimo, "generate_channel",
-                        lambda config, rng, count: np.zeros((count, config.n_r, config.n_t),
-                                                            complex))
+                        lambda config, rng, count: np.zeros((count, 2 * config.n_r,
+                                                             2 * config.n_t)))
     code, err = run(tmp_path, SWEEP + "sweep.detectors = zf\n", capsys)
     assert code == cli.EXIT_NUMERIC
     assert_one_line(err, "numeric failure:")
@@ -115,17 +115,20 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
     ("bounds", "bounds.varpi2 = 0", "bounds.varpi2 must be > 0"),
     ("bounds", "bounds.sigma_n = -0.3", "bounds.sigma_n must be >= 0"),
     ("eval-ber", "sweep.min_errors = -5", "sweep.min_errors must be >= 0"),
-    # 10^(7000/20) overflows a float
+    # 10^(7000/20) overflows a float; the floor rejects it first
     ("eval-ber", "sweep.snr_db = 10, -7000",
-     "sweep.snr_db: SNR -7000.0 dB: its noise std overflows"),
+     "sweep.snr_db: SNR -7000.0 dB is below the floor of -100 dB"),
     ("train", "train.snr_low_db = -7000",
-     "train.snr_low_db: SNR -7000.0 dB: its noise std overflows"),
+     "train.snr_low_db: SNR -7000.0 dB is below the floor of -100 dB"),
+    ("eval-ber", "sweep.snr_db = -101", "sweep.snr_db: SNR -101.0 dB is below the floor"),
+    ("train", "train.snr_low_db = -101", "train.snr_low_db: SNR -101.0 dB is below the floor"),
 ], ids=["weighting", "gamma-high", "gamma-negative", "trials-zero", "trials-negative",
         "snr-repeat", "gamma-repeat", "detector-repeat", "no-detector", "seed-negative",
         "t-array-negative", "t-adder-negative", "t-relu-negative", "snr-nan",
         "t-array-nan", "sigma-n-nan", "gamma-inf", "lr-minus-inf", "varpi2-infinity",
         "detector-unknown", "varpi1-negative", "varpi2-zero", "sigma-n-negative",
-        "min-errors-negative", "snr-overflow", "train-snr-overflow"])
+        "min-errors-negative", "snr-overflow", "train-snr-overflow", "snr-below-floor",
+        "train-snr-below-floor"])
 def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message):
     # SWEEP without its snr_db line, so that each case sets its key once
     base = SWEEP.replace("sweep.snr_db = 10\n", "")
@@ -133,6 +136,16 @@ def test_invalid_value_exits_2_when_parsed(tmp_path, capsys, mode, line, message
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, f"config error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode,lines", [
+    ("eval-ber", "sweep.snr_db = -100\nsweep.detectors = zf, ml, sd\n"),
+    ("train", "train.snr_low_db = -100\ntrain.epochs = 2\n"),
+], ids=["sweep", "train"])
+def test_snr_at_the_floor_runs(tmp_path, capsys, mode, lines):
+    base = SWEEP.replace("sweep.snr_db = 10\n", "")
+    code, err = run(tmp_path, base + lines, capsys, mode=mode)
+    assert (code, err) == (cli.EXIT_OK, "")
 
 
 def test_oversized_ml_exits_2_when_parsed(tmp_path, capsys):

@@ -16,7 +16,7 @@ def small_cfg(**kw):
 def random_instance(cfg, seed, sigma=0.3):
     """One channel h, one vector x and its received y, as rows: y is (1, 2n_r)."""
     rng = np.random.default_rng(seed)
-    h = mimo.to_real(mimo.generate_channel(cfg, rng))
+    h = mimo.generate_channel(cfg, rng)
     x = mimo.modulate(mimo.random_bits(cfg, rng)[0], cfg)
     y = mimo.transmit(h, x, sigma, rng)
     return h, x, y[None], rng
@@ -51,6 +51,9 @@ class TestInit:
         assert p.w2.shape == (3, 4, 16)
         assert p.w3.shape == (3, 8, 16)
         assert (p.L, p.S, p.x_dim, p.a_size) == (3, 16, 4, 8)
+        shapes = detnet.param_shapes(cfg)
+        assert tuple(shapes) == detnet.PARAM_KEYS
+        assert {k: v.shape for k, v in p.as_dict().items()} == shapes
 
 
 class TestForward:
@@ -68,10 +71,7 @@ class TestForward:
         cfg = small_cfg()
         p = detnet.init_params(cfg, np.random.default_rng(1))
         rng = np.random.default_rng(2)
-        hs = mimo.to_real(
-            rng.standard_normal((5, cfg.n_r, cfg.n_t))
-            + 1j * rng.standard_normal((5, cfg.n_r, cfg.n_t))
-        )
+        hs = mimo.generate_channel(cfg, rng, count=5)
         ys = rng.standard_normal((5, 3, 2 * cfg.n_r))
         batched, _ = detnet.ideal_forward(p, hs, ys)
         for i in range(5):
@@ -104,11 +104,11 @@ class TestForward:
         assert detnet.ideal_forward(p, h, y)[0][-1].shape == (4, 1, 2 * cfg.n_t)
 
     def test_antenna_permutation_equivariance(self):
-        # permuting complex antennas permutes both rails of s_1 consistently
+        # permuting complex antennas, both rails of each, permutes the rails of s_1
         cfg = small_cfg(n_t=3, n_r=4, L=1)
         p = detnet.init_params(cfg, np.random.default_rng(3))
         rng = np.random.default_rng(4)
-        hc = mimo.generate_channel(cfg, rng)
+        h = mimo.generate_channel(cfg, rng)
         y = rng.standard_normal(2 * cfg.n_r)
         perm = np.array([2, 0, 1])
         rail_perm = np.concatenate([perm, perm + cfg.n_t])
@@ -117,7 +117,7 @@ class TestForward:
             hty = h_real.T @ y
             return -p.alpha1[0] * hty  # x_0 = 0 so s_1 = -alpha1 H^T y
 
-        assert np.allclose(s1(mimo.to_real(hc[:, perm])), s1(mimo.to_real(hc))[rail_perm])
+        assert np.allclose(s1(h[:, rail_perm]), s1(h)[rail_perm])
 
 
 def desk_cfg(**kw):
@@ -144,7 +144,7 @@ class TestChannelBlock:
         params = detnet.init_params(cfg, rng)
         params.alpha1[:] = alpha1
         params.alpha2[:] = alpha2
-        h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
+        h = np.clip(mimo.generate_channel(cfg, rng), -3, 3)
         h_hw = realize(h, luo_at(gamma), rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
@@ -176,7 +176,7 @@ class TestNeuralBlock:
         cfg = desk_cfg(L=2)
         params = detnet.init_params(cfg, rng)
         edit(params)
-        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h = mimo.generate_channel(cfg, rng)
         h_hw = realize(h, luo_at(0.02), rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
         trajectory, cache = detnet.ideal_forward(params, h_hw, y)
@@ -225,7 +225,7 @@ class TestNeuralBlock:
         rng = np.random.default_rng(77)
         cfg = desk_cfg()
         params = detnet.init_params(cfg, rng)
-        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h = mimo.generate_channel(cfg, rng)
         h_hw = realize(h, luo_at(0.02), rng)
         with pytest.raises(ValueError):
             detect(params, h_hw, np.zeros((1, 2 * cfg.n_r - 1)))
@@ -238,7 +238,7 @@ class TestHardwareForward:
         rng = np.random.default_rng(77)
         cfg = desk_cfg()
         params = detnet.init_params(cfg, rng)
-        h = mimo.to_real(mimo.generate_channel(cfg, rng))
+        h = mimo.generate_channel(cfg, rng)
         h_hw = realize(h, luo_at(0.02), rng)
         y = rng.standard_normal((1, 12))
         assert np.array_equal(detect(params, h_hw, y), detect(params, h_hw, y))
@@ -250,7 +250,7 @@ class TestHardwareForward:
         params = detnet.init_params(cfg, rng)
         worst = 0.0
         for _ in range(20):
-            h = np.clip(mimo.to_real(mimo.generate_channel(cfg, rng)), -3, 3)
+            h = np.clip(mimo.generate_channel(cfg, rng), -3, 3)
             y = rng.standard_normal((1, 12))
             x_hw = detect(params, realize(h, luo_at(0.0), rng), y)
             x_ideal = detnet.ideal_forward(params, h, y)[0][-1]
@@ -265,7 +265,7 @@ class TestHardwareForward:
             acc = []
             loc_rng = np.random.default_rng(11)
             for _ in range(200):
-                h = mimo.to_real(mimo.generate_channel(cfg, loc_rng))
+                h = mimo.generate_channel(cfg, loc_rng)
                 y = loc_rng.standard_normal((1, 12))
                 x_hw = detect(params, realize(h, luo_at(gamma), loc_rng), y)
                 x_id = detnet.ideal_forward(params, h, y)[0][-1]
@@ -310,10 +310,10 @@ class TestLoss:
 def stacked_instance(cfg, seed, channels, n_vec, sigma=0.3):
     """A stack of channels (*channels, 2n_r, 2n_t), each carrying n_vec rows."""
     rng = np.random.default_rng(seed)
-    h_c = rng.standard_normal(channels + (cfg.n_r, cfg.n_t)) + 1j * rng.standard_normal(
-        channels + (cfg.n_r, cfg.n_t))
-    h = mimo.to_real(h_c / np.sqrt(2))
-    bits = mimo.random_bits(cfg, rng, count=int(np.prod(channels, dtype=int)) * n_vec)
+    count = int(np.prod(channels, dtype=int))
+    h = mimo.generate_channel(cfg, rng, count=count).reshape(
+        channels + (2 * cfg.n_r, 2 * cfg.n_t)) / np.sqrt(2)
+    bits = mimo.random_bits(cfg, rng, count=count * n_vec)
     x = mimo.modulate(bits, cfg).reshape(channels + (n_vec, 2 * cfg.n_t))
     y = x @ np.swapaxes(h, -1, -2) + sigma * rng.standard_normal(
         channels + (n_vec, 2 * cfg.n_r))

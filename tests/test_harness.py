@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -87,6 +88,20 @@ class TestSweep:
             for g in exp.sweep.gammas:
                 sd, ml = rows[("sd", snr, g)], rows[("ml", snr, g)]
                 assert (sd.bits, sd.errors, sd.trials) == (ml.bits, ml.errors, ml.trials)
+
+    @pytest.mark.parametrize("size", ["mimo.n_t = 2\nmimo.n_r = 3\n",
+                                      "mimo.n_t = 2\nmimo.n_r = 2\nmimo.modulation = qam16\n"],
+                             ids=["2x3-qpsk", "2x2-qam16"])
+    def test_sd_matches_ml_at_the_snr_floor(self, size):
+        # at the floor they still agree; far below it their metrics tie
+        # within float64 resolution and they break ties differently
+        for seed in (1, 2, 3):
+            exp = config.parse_config(
+                f"seed = {seed}\n{size}sweep.snr_db = {config.SNR_FLOOR_DB}\n"
+                "sweep.detectors = ml, sd\nsweep.max_trials = 64\n")
+            ml, sd = harness.run_ber_sweep(exp)
+            assert (ml.detector, sd.detector) == ("ml", "sd")
+            assert (sd.bits, sd.errors, sd.trials) == (ml.bits, ml.errors, ml.trials)
 
     def test_mean_nodes_counts_tree_nodes_per_vector(self, exp, monkeypatch):
         calls = []  # (channels, tree nodes) of each sphere_decode call
@@ -188,7 +203,7 @@ class TestWaveDraws:
     def test_one_stream_in_the_documented_order(self, exp, seed, snr_index, wave):
         cfg, vectors, sigma = exp.mimo, exp.sweep.symbols_per_slot, 0.3
         rng = np.random.default_rng([seed, snr_index, wave])
-        h = mimo.to_real(mimo.generate_channel(cfg, rng, count=harness.WAVE))
+        h = mimo.generate_channel(cfg, rng, count=harness.WAVE)
         bits = rng.integers(0, 2, size=(harness.WAVE, vectors, cfg.bits_per_vector),
                             dtype=np.int8)
         x = mimo.modulate(bits, cfg)
@@ -485,6 +500,21 @@ class TestManifest:
         assert manifest["sweep"] == {"wave_trials": 32}
 
 
+class TestLatencyMode:
+    def test_mean_is_over_the_programmed_channel_draws(self, tmp_path):
+        # the mode draws each trial's channel, and nothing else, from the seed
+        text = "seed = 9\nmode = latency\nmimo.n_t = 2\nmimo.n_r = 3\nlatency.trials = 7\n"
+        exp = config.parse_config(text)
+        harness.run_pipeline(exp, tmp_path / "out")
+        with open(tmp_path / "out" / "latency.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        rng = np.random.default_rng(9)
+        sims = [device.program_matrix(mimo.generate_channel(exp.mimo, rng), exp.device).t_p
+                for _ in range(7)]
+        assert row["t_p_sim_mean_s"] == f"{np.mean(sims):.12g}"
+        assert row["t_p_sim_max_s"] == f"{np.max(sims):.12g}"
+
+
 class TestCsvText:
     def test_floats_python_and_numpy_as_12g(self):
         text = harness.csv_text([{"a": 1 / 3, "b": np.float64(2e-7), "c": np.float32(0.1),
@@ -537,7 +567,7 @@ class TestBatchedSphereDecoder:
         rng = np.random.default_rng(9)
         for snr in (0.0, 10.0):
             for _ in range(15):
-                h = mimo.to_real(mimo.generate_channel(c, rng))
+                h = mimo.generate_channel(c, rng)
                 bits = mimo.random_bits(c, rng, count=7)
                 ys = mimo.transmit(h, mimo.modulate(bits, c),
                                    mimo.sigma_from_snr(snr), rng)
@@ -553,6 +583,6 @@ class TestBatchedSphereDecoder:
     def test_single_vector_keeps_its_shape(self):
         c = MimoConfig(n_t=2, n_r=3)
         rng = np.random.default_rng(4)
-        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h = mimo.generate_channel(c, rng)
         out = baselines.sphere_decode(h, rng.standard_normal(6), c)
         assert out.x_hat_real.shape == (4,)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from immimo import baselines, mimo
 from immimo.mimo import MimoConfig
+from oracles import complex_channel, to_real
 
 
 @pytest.fixture
@@ -19,9 +20,12 @@ def cfg(mod="qpsk", n_t=2, n_r=2, **kw):
 
 
 def to_complex(h_real):
-    """Inverse of mimo.to_real (the top blocks are authoritative)."""
-    n_r, n_t = h_real.shape[0] // 2, h_real.shape[1] // 2
-    return h_real[:n_r, :n_t] + 1j * h_real[n_r:, :n_t]
+    """Inverse of to_real (the left blocks are authoritative).
+
+    Accepts a leading batch dimension.
+    """
+    n_r, n_t = h_real.shape[-2] // 2, h_real.shape[-1] // 2
+    return h_real[..., :n_r, :n_t] + 1j * h_real[..., n_r:, :n_t]
 
 
 def embed(v_complex):
@@ -85,7 +89,7 @@ class TestConfig:
 class TestChannel:
     def test_shape_and_determinism(self, rng):
         h = mimo.generate_channel(cfg(n_t=1, n_r=1), rng)
-        assert h.shape == (1, 1)
+        assert h.shape == (2, 2)
         h1 = mimo.generate_channel(cfg(), np.random.default_rng(5))
         h2 = mimo.generate_channel(cfg(), np.random.default_rng(5))
         assert np.array_equal(h1, h2)
@@ -93,34 +97,44 @@ class TestChannel:
     def test_count_draws_a_stack_from_the_same_stream(self):
         c = cfg(n_t=3, n_r=4)
         stack = mimo.generate_channel(c, np.random.default_rng(5), count=3)
-        assert stack.shape == (3, 4, 3)
+        assert stack.shape == (3, 8, 6)
         one = mimo.generate_channel(c, np.random.default_rng(5), count=1)
         assert np.array_equal(one[0], mimo.generate_channel(c, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("count", [None, 1, 3])
+    def test_equals_the_embedded_complex_draw(self, count):
+        # the same seed, drawn as a complex matrix and embedded, to the bit
+        c = cfg(n_t=3, n_r=4)
+        for seed in range(5):
+            got = mimo.generate_channel(c, np.random.default_rng(seed), count=count)
+            want = to_real(complex_channel(c, np.random.default_rng(seed), count=count))
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_entry_power_is_two(self, rng):
         # E|h|^2 = 2 since real and imaginary parts are both unit variance
         c = cfg(n_t=5, n_r=5)
-        samples = np.concatenate(
-            [np.abs(mimo.generate_channel(c, rng)) ** 2 for _ in range(4000)]
-        )
+        samples = np.abs(to_complex(mimo.generate_channel(c, rng, count=4000))) ** 2
         assert samples.size == 100_000
         assert 1.98 <= samples.mean() <= 2.02
 
 
 class TestRealEmbedding:
+    """The oracle's embedding, which mimo.generate_channel must equal."""
+
     def test_real_scalar(self):
-        assert np.array_equal(mimo.to_real(np.array([[1 + 0j]])), [[1, 0], [0, 1]])
+        assert np.array_equal(to_real(np.array([[1 + 0j]])), [[1, 0], [0, 1]])
 
     def test_imag_scalar(self):
-        assert np.array_equal(mimo.to_real(np.array([[0 + 1j]])), [[0, -1], [1, 0]])
+        assert np.array_equal(to_real(np.array([[0 + 1j]])), [[0, -1], [1, 0]])
 
     def test_round_trip(self, rng):
         for _ in range(100):
-            h = mimo.generate_channel(cfg(n_t=3, n_r=4), rng)
-            assert np.array_equal(to_complex(mimo.to_real(h)), h)
+            h = complex_channel(cfg(n_t=3, n_r=4), rng)
+            assert np.array_equal(to_complex(to_real(h)), h)
 
     def test_block_structure(self, rng):
-        h = mimo.to_real(mimo.generate_channel(cfg(n_t=3, n_r=4), rng))
+        h = to_real(complex_channel(cfg(n_t=3, n_r=4), rng))
         n_r, n_t = 4, 3
         assert np.array_equal(h[:n_r, :n_t], h[n_r:, n_t:])
         assert np.array_equal(h[n_r:, :n_t], -h[:n_r, n_t:])
@@ -128,9 +142,9 @@ class TestRealEmbedding:
     def test_embedding_preserves_products(self, rng):
         # to_real(H) @ embed(x) == embed(H @ x)
         for _ in range(100):
-            h = mimo.generate_channel(cfg(n_t=3, n_r=5), rng)
+            h = complex_channel(cfg(n_t=3, n_r=5), rng)
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            lhs = mimo.to_real(h) @ embed(x)
+            lhs = to_real(h) @ embed(x)
             assert np.allclose(lhs, embed(h @ x), rtol=1e-12, atol=1e-12)
 
 
@@ -232,13 +246,13 @@ class TestAlphabetCache:
 class TestTransmit:
     def test_noise_free(self, rng):
         c = cfg()
-        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h = mimo.generate_channel(c, rng)
         x = mimo.modulate(mimo.random_bits(c, rng)[0], c)
         assert np.array_equal(mimo.transmit(h, x, 0.0, rng), h @ x)
 
     def test_channel_stack_sends_each_channel_its_rows(self, rng):
         c = cfg("qpsk", n_t=4, n_r=6)
-        h = mimo.to_real(mimo.generate_channel(c, rng, count=3))
+        h = mimo.generate_channel(c, rng, count=3)
         x = mimo.modulate(mimo.random_bits(c, rng, count=15).reshape(3, 5, -1), c)
         y = mimo.transmit(h, x, 0.0, rng)
         assert y.shape == (3, 5, 12)
@@ -247,7 +261,7 @@ class TestTransmit:
 
     def test_noise_variance(self, rng):
         c = cfg(n_t=1, n_r=1)
-        h = mimo.to_real(mimo.generate_channel(c, rng))
+        h = mimo.generate_channel(c, rng)
         draws = np.stack(
             [mimo.transmit(h, np.zeros(2), 0.3, rng) for _ in range(50_000)]
         )
@@ -255,7 +269,7 @@ class TestTransmit:
 
     def test_seeded_reproducibility(self):
         c = cfg()
-        h = mimo.to_real(mimo.generate_channel(c, np.random.default_rng(0)))
+        h = mimo.generate_channel(c, np.random.default_rng(0))
         x = mimo.modulate(mimo.random_bits(c, np.random.default_rng(1))[0], c)
         y1 = mimo.transmit(h, x, 0.5, np.random.default_rng(7))
         y2 = mimo.transmit(h, x, 0.5, np.random.default_rng(7))
@@ -270,7 +284,7 @@ class TestTransmit:
         per_channel = 500
         sig = np.empty(n_draws)
         for i in range(n_draws // per_channel):
-            h = mimo.to_real(mimo.generate_channel(c, rng))
+            h = mimo.generate_channel(c, rng)
             bits = mimo.random_bits(c, rng, count=per_channel)
             x = mimo.modulate(bits, c)
             sig[i * per_channel:(i + 1) * per_channel] = np.sum((x @ h.T) ** 2, axis=-1)
@@ -291,6 +305,6 @@ class TestSigmaFromSnr:
 def test_embedding_product_property(n_t, seed):
     rng = np.random.default_rng(seed)
     c = MimoConfig(n_t=n_t, n_r=n_t + 2)
-    h = mimo.generate_channel(c, rng)
+    h = complex_channel(c, rng)
     x = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-    assert np.allclose(mimo.to_real(h) @ embed(x), embed(h @ x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(to_real(h) @ embed(x), embed(h @ x), rtol=1e-12, atol=1e-12)

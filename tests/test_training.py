@@ -5,6 +5,7 @@ import pytest
 
 from immimo import detnet, device, mimo, training
 from immimo.mimo import MimoConfig
+from oracles import complex_channel, to_real
 
 
 class DictAdam:
@@ -93,8 +94,7 @@ class TestDrawBatch:
             # the same stream again: bits first, then the complex channel
             rng = np.random.default_rng(3)
             mimo.random_bits(cfg, rng, count=tc.batch_size)
-            shape = (tc.batch_size, cfg.n_r, cfg.n_t)
-            h = mimo.to_real(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            h = to_real(complex_channel(cfg, rng, count=tc.batch_size))
             assert np.array_equal(h_in, h) == exact
 
     def test_received_rows_carry_the_noiseless_product(self, luo):
