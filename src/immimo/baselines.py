@@ -5,13 +5,18 @@ constellation alphabets from :mod:`immimo.mimo`.  The sphere decoder runs a
 QR-based depth-first search with Schnorr-Euchner enumeration over the 2n_t
 real rails and shrinks its radius at every leaf, so it returns exactly the
 exhaustive-ML decision while visiting far fewer nodes at high SNR.  It takes
-a whole stack of channels per call: one numpy pass runs the search's first
-descent, to the Babai point, for every vector, and settles the vectors whose
-search would stop right there; only the rest are searched in Python.  Its
-node count, reported per channel, is the search's either way.
+a whole stack of channels per call: one numpy pass on level-major
+(rail, channel, vector) arrays runs the search's first descent, to the Babai
+point, for every vector, cancelling each decided rail from every lower level
+in the search's own top-down order.  The search then resumes at that Babai
+leaf: only the levels whose second sibling beats the Babai metric are walked
+in Python, and a vector with none is done without Python work.  Its node
+count, summed over the stack, is the search's from the root either way.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +131,6 @@ def ml_detect_batch(h_real, ys, config):
     return x_cands.T[best]
 
 
-# A vector is settled when every second-best sibling's partial metric exceeds
-# its Babai metric by this relative margin; the exact search would then prune
-# every sibling, so the Babai point is its decision.
-SETTLE_MARGIN = 1e-9
-
-
 def sphere_decode(h_real, ys, config):
     """Sphere decoder with Schnorr-Euchner enumeration for many channels.
 
@@ -144,14 +143,17 @@ def sphere_decode(h_real, ys, config):
 
     One stacked QR factors every channel.  The search's first leaf is the
     Babai (successive-interference-cancellation) point, so one numpy pass
-    runs that first descent for every vector at once and also takes, at each
-    level, the partial metric of the second-best sibling.  A vector is
-    settled when all of those exceed its Babai metric by SETTLE_MARGIN: the
-    search would prune every sibling after the first leaf, so the decision
-    is the Babai point and the node count is sum over levels of
-    min(2, |alphabet|).  Only unsettled vectors run the depth-first search,
-    from the same R and reduced targets, so decisions and node counts equal
-    a per-vector search's.
+    runs that first descent for every vector at once, on level-major
+    (rail, channel, vector) arrays.  At each level it keeps the cancelled
+    target, the partial metric of the levels above and the metric of the
+    second-best sibling, and it cancels the decided rail from every lower
+    level's running target in one operation, top-down, in the order the
+    search subtracts.  The search then walks back up the Babai path, trying
+    one sibling per multi-point level: a vector whose siblings all reach its
+    Babai metric is done with sum over levels of min(2, |alphabet|) nodes,
+    and only the levels whose sibling metric is below it are handed to
+    :func:`_search`, at the Babai leaf.  Decisions and node counts equal
+    those of a per-vector search from the root.
     """
     h_real = np.asarray(h_real, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -161,71 +163,102 @@ def sphere_decode(h_real, ys, config):
     if np.any(diag < 1e-12 * diag.max(axis=-1, keepdims=True)):
         raise RankDeficientChannel("QR exposed a numerically zero pivot")
     y_red = np.atleast_2d(ys) @ q  # (..., n_vec, 2n_t)
+    del q
     out_shape = y_red.shape[:-2] + ys.shape[-2:-1] + (n_rails,)
     r = np.broadcast_to(r, y_red.shape[:-2] + r.shape[-2:]).reshape(-1, n_rails, n_rails)
     targets = y_red.reshape(r.shape[0], -1, n_rails)
     alphabets = mimo.rail_alphabets(config)
 
-    # first descent for every vector; (channel, vector) arrays, with the
-    # per-node arithmetic in the search's order so that both agree bitwise
-    x = np.empty(targets.shape)
-    partial = np.zeros(targets.shape[:2])
-    sibling = np.full(targets.shape[:2], math.inf)
+    # first descent for every vector on (rail, channel, vector) arrays.  The
+    # running targets are a copy: for one channel's single vector, moveaxis
+    # gives a contiguous view of the targets the search still reads.
+    uppers = np.moveaxis(targets, -1, 0).copy()
+    cols = np.ascontiguousarray(r.transpose(2, 1, 0))[..., None]  # cols[j, i] = R[i, j]
+    x = np.empty_like(uppers)
+    # partials[level]: metric of the levels at and above level on the Babai
+    # path, so partials[0] is the Babai metric and partials[n_rails] is 0
+    partials = np.zeros((n_rails + 1,) + uppers.shape[1:])
+    siblings = np.full_like(uppers, math.inf)
     for level in range(n_rails - 1, -1, -1):
-        upper = targets[..., level]
-        for j in range(level + 1, n_rails):
-            upper = upper - r[:, level, j, None] * x[..., j]
-        pivot = r[:, level, level, None]
-        alpha = alphabets[level]
+        upper, pivot, alpha = uppers[level], cols[level, level], alphabets[level]
+        above = partials[level + 1]
         if len(alpha) > 1:
             # Schnorr-Euchner order as in the search: nearest first, ties in
             # alphabet order, and two-point rails swap only when strictly closer
-            dist = np.abs(alpha - (upper / pivot)[..., None])
+            center = upper / pivot
             if len(alpha) == 2:
-                first = (dist[..., 1] < dist[..., 0]).astype(np.intp)
-                second = 1 - first
+                closer = np.abs(alpha[1] - center) < np.abs(alpha[0] - center)
+                x[level] = np.where(closer, alpha[1], alpha[0])
+                second = np.where(closer, alpha[0], alpha[1])
             else:
+                dist = np.abs(alpha - center[..., None])
                 order = np.argsort(dist, axis=-1, kind="stable")
-                first, second = order[..., 0], order[..., 1]
-            inc = upper - pivot * alpha[second]
-            sibling = np.minimum(sibling, partial + inc * inc)
-            x[..., level] = alpha[first]
+                x[level], second = alpha[order[..., 0]], alpha[order[..., 1]]
+            inc = upper - pivot * second
+            np.add(above, inc * inc, out=siblings[level])
         else:
-            x[..., level] = alpha[0]
-        inc = upper - pivot * x[..., level]
-        partial = partial + inc * inc
-    settled = sibling > partial * (1.0 + SETTLE_MARGIN)
-    nodes = np.count_nonzero(settled, axis=-1) * sum(min(2, len(a)) for a in alphabets)
+            x[level] = alpha[0]
+        inc = upper - pivot * x[level]
+        np.add(above, inc * inc, out=partials[level])
+        uppers[:level] -= cols[level, :level] * x[level]
+    nodes = partials[0].size * sum(min(2, len(a)) for a in alphabets)
 
+    # the levels whose second sibling beats the Babai metric, ordered by
+    # vector and then level; every other vector is done at its Babai point
+    beaten = (siblings < partials[0]).reshape(n_rails, -1).T  # (vector, level)
+    vecs, levels = np.divmod(np.flatnonzero(beaten), n_rails)
+    opened = zip(vecs.tolist(), levels.tolist(),
+                 uppers.reshape(n_rails, -1)[levels, vecs].tolist(),
+                 partials.reshape(n_rails + 1, -1)[levels + 1, vecs].tolist())
+    flat_x, metrics = x.reshape(n_rails, -1), partials[0].ravel()
     alphabets = [a.tolist() for a in alphabets]
-    for c, v in np.argwhere(~settled):
-        x[c, v], searched = _search(r[c].tolist(), alphabets, targets[c, v].tolist())
-        nodes[c] += searched
-    return DetectorOutput(x_hat_real=x.reshape(out_shape), node_count=int(nodes.sum()))
+    channel = None
+    for vec, group in itertools.groupby(opened, key=operator.itemgetter(0)):
+        c, v = divmod(vec, targets.shape[1])
+        if c != channel:
+            channel, rows = c, r[c].tolist()
+        babai = flat_x[:, vec].tolist()
+        best, searched = _search(rows, alphabets, targets[c, v].tolist(), babai,
+                                 float(metrics[vec]), (entry[1:] for entry in group))
+        if best is not babai:
+            flat_x[:, vec] = best
+        nodes += searched
+    x_hat = np.moveaxis(x, 0, -1).reshape(out_shape)
+    return DetectorOutput(x_hat_real=x_hat, node_count=nodes)
 
 
-def _search(rows, alphabets, target):
-    """Exact depth-first search for one reduced target over one channel's R.
+def _search(rows, alphabets, target, babai, babai_metric, resumes):
+    """Depth-first search for one reduced target, resumed at its Babai leaf.
 
-    rows is R as nested lists, alphabets the per-rail candidate lists.  The
-    search runs on Python floats: per-node numpy scalar arithmetic costs more
-    than the arithmetic itself at these sizes.  The radius shrinks at every
-    leaf, so the result is the ML decision.  Returns it, as a list of rail
-    values, and the number of tree nodes visited.
+    rows is R as nested lists, alphabets the per-rail candidate lists,
+    babai the first leaf's rails and babai_metric its metric.  resumes holds,
+    in ascending level order, (level, cancelled target, metric of the levels
+    above) for each level whose second sibling beats the Babai metric; every
+    other level would prune it.  Walking back up the Babai path, the search
+    tries each such level's siblings after the first in Schnorr-Euchner
+    order against the best metric so far, subtracting the decided rails
+    top-down as the first descent does, so both agree bitwise.  The
+    search runs on Python floats: per-node numpy scalar arithmetic costs
+    more than the arithmetic itself at these sizes.  The radius shrinks at
+    every leaf, so the result is the ML decision.  Returns it, as a list of
+    rail values (babai itself when no leaf beats it), and the number of tree
+    nodes visited beyond the Babai path and its second siblings.
     """
     n_rails = len(rows)
-    x_work = [0.0] * n_rails
-    best_x = list(x_work)
-    best_metric = math.inf
+    x_work = list(babai)
+    best_x = babai
+    best_metric = babai_metric
     node_count = 0
 
-    def descend(level, partial):
+    def descend(level, partial, upper=None, first=0):
         nonlocal best_metric, best_x, node_count
         row = rows[level]
-        # interference-cancelled target for this rail
-        upper = target[level]
-        for j in range(level + 1, n_rails):
-            upper -= row[j] * x_work[j]
+        if upper is None:
+            # interference-cancelled target for this rail, top-down as in
+            # the first descent
+            upper = target[level]
+            for j in range(n_rails - 1, level, -1):
+                upper -= row[j] * x_work[j]
         pivot = row[level]
         center = upper / pivot
         # Schnorr-Euchner: try candidates closest to the unconstrained
@@ -238,7 +271,7 @@ def _search(rows, alphabets, target):
                 alpha = alpha[::-1]
         else:
             alpha = sorted(alpha, key=lambda v: abs(v - center))
-        for value in alpha:
+        for value in alpha[first:]:
             inc = upper - pivot * value
             metric = partial + inc * inc
             node_count += 1
@@ -252,5 +285,10 @@ def _search(rows, alphabets, target):
                 best_metric = metric
                 best_x = list(x_work)
 
-    descend(n_rails - 1, 0.0)
+    for level, upper, partial in resumes:
+        node_count -= 1  # the second sibling is counted with the Babai path
+        descend(level, partial, upper, first=1)
+    # descend holds itself in its closure; dropping it frees this frame's
+    # lists now rather than at the next garbage collection
+    del descend
     return best_x, node_count

@@ -185,15 +185,31 @@ def transmit(h_real, x_real, sigma_n, rng):
 def _nearest_levels(x_real, config):
     """Index of the nearest level on each bit-carrying rail.
 
-    Every such rail shares one alphabet, so one argmin covers them all.  Ties
-    break toward the lexicographically smaller bit pattern because the
-    levels are stored in bit-lexicographic order and argmin keeps the first
-    minimum.
+    Every such rail shares one alphabet, so one pass per level covers them
+    all, on whole arrays: a level takes a rail only when strictly closer
+    than the levels before it.  Ties therefore break toward the
+    lexicographically smaller bit pattern, because the levels are stored in
+    bit-lexicographic order, and a NaN rail, closer to no level, gets
+    level 0.
     """
     # BPSK's quadrature rails carry no bits and are always decided as 0
     n_rails = config.n_t if config.modulation is Modulation.BPSK else 2 * config.n_t
-    x = np.asarray(x_real, dtype=float)[..., :n_rails]
-    return np.argmin(np.abs(x[..., None] - rail_alphabets(config)[0]), axis=-1)
+    x = np.asarray(x_real)[..., :n_rails]
+    levels = rail_alphabets(config)[0]
+    # distances in float64 whatever x's type, in two buffers reused across
+    # levels: at a stacked wave's size every fresh temporary costs page
+    # faults.  Two blocks rather than one of twice the size: that block,
+    # above glibc's 128 KiB mmap threshold on the deep lanes of a ref-sweep
+    # wave, raised the sweep's peak RSS.
+    nearest, dist = np.empty(x.shape), np.empty(x.shape)
+    np.abs(np.subtract(x, levels[0], out=nearest, dtype=float), out=nearest)
+    for i in range(1, len(levels)):
+        np.abs(np.subtract(x, levels[i], out=dist, dtype=float), out=dist)
+        closer = dist < nearest
+        idx = closer.astype(np.intp) if i == 1 else np.where(closer, i, idx)
+        if i + 1 < len(levels):
+            np.minimum(nearest, dist, out=nearest)
+    return idx
 
 
 def decide_rails(x_real, config):

@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from immimo import baselines, mimo
+from immimo import baselines, harness, mimo
 from immimo.mimo import MimoConfig
 
 
@@ -395,6 +396,123 @@ class TestPinnedSearch:
         assert (out.node_count, out.x_hat_real.tolist()) == (nodes, x_hat)
         assert out.x_hat_real.tolist() == baselines.ml_detect_batch(
             self.BOUNDARY_H, np.array([y]), c)[0].tolist()
+
+
+def search_from_root(rows, alphabets, target):
+    """Depth-first search for one reduced target from the root of the tree.
+
+    The Schnorr-Euchner search sphere_decode resumes at the Babai leaf, run
+    whole: rows is R as nested lists, alphabets the per-rail candidate
+    lists.  Returns the decision, as a list of rail values, and the number
+    of tree nodes visited.
+    """
+    n_rails = len(rows)
+    x_work = [0.0] * n_rails
+    best_x = list(x_work)
+    best_metric = math.inf
+    node_count = 0
+
+    def descend(level, partial):
+        nonlocal best_metric, best_x, node_count
+        row = rows[level]
+        upper = target[level]
+        for j in range(level + 1, n_rails):
+            upper -= row[j] * x_work[j]
+        pivot = row[level]
+        center = upper / pivot
+        alpha = alphabets[level]
+        if len(alpha) == 2:
+            if abs(alpha[1] - center) < abs(alpha[0] - center):
+                alpha = alpha[::-1]
+        else:
+            alpha = sorted(alpha, key=lambda v: abs(v - center))
+        for value in alpha:
+            inc = upper - pivot * value
+            metric = partial + inc * inc
+            node_count += 1
+            if metric >= best_metric:
+                break
+            x_work[level] = value
+            if level:
+                descend(level - 1, metric)
+            else:
+                best_metric = metric
+                best_x = list(x_work)
+
+    descend(n_rails - 1, 0.0)
+    return best_x, node_count
+
+
+def sphere_decode_from_root(h_real, ys, config):
+    """Decisions (ys's leading shape, 2n_t) and per-vector node counts of
+    search_from_root, on the R and reduced targets sphere_decode computes."""
+    q, r = np.linalg.qr(np.asarray(h_real, dtype=float))
+    ys = np.asarray(ys, dtype=float)
+    y_red = np.atleast_2d(ys) @ q
+    n_rails = r.shape[-1]
+    r = np.broadcast_to(r, y_red.shape[:-2] + r.shape[-2:]).reshape(-1, n_rails, n_rails)
+    alphabets = [a.tolist() for a in mimo.rail_alphabets(config)]
+    found = [search_from_root(r[c].tolist(), alphabets, target)
+             for c, targets in enumerate(y_red.reshape(r.shape[0], -1, n_rails).tolist())
+             for target in targets]
+    x_hat = np.array([x for x, _ in found]).reshape(ys.shape[:-1] + (n_rails,))
+    return x_hat, np.array([nodes for _, nodes in found]).reshape(ys.shape[:-1])
+
+
+class TestResumedSearch:
+    """The search resumed at the Babai leaf against the search from the root."""
+
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("qpsk", 4, 6), ("bpsk", 4, 6), ("qam16", 2, 3),
+    ])
+    def test_decisions_and_nodes_equal_the_search_from_the_root(self, mod, n_t, n_r):
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        rng = np.random.default_rng(41)
+        for snr in (0.0, 6.0, 14.0, 30.0):
+            h, ys = wave(c, rng, snr, channels=6, vectors=10)
+            x_hat, nodes = sphere_decode_from_root(h, ys, c)
+            stacked = baselines.sphere_decode(h, ys, c)
+            assert np.array_equal(stacked.x_hat_real, x_hat), snr
+            assert stacked.node_count == nodes.sum(), snr
+            # every vector alone, as a 1-D y and as one row: a single
+            # vector's level-major targets are a view of its own targets
+            for w in range(6):
+                for v in range(10):
+                    for y in (ys[w, v], ys[w, v:v + 1]):
+                        one = baselines.sphere_decode(h[w], y, c)
+                        want_x, want_nodes = sphere_decode_from_root(h[w], y, c)
+                        assert np.array_equal(one.x_hat_real, want_x)
+                        assert one.node_count == want_nodes.sum()
+
+    def test_a_searched_vector_equals_the_oracle(self):
+        # at 0 dB most 4x4 QPSK vectors leave the Babai point
+        c = cfg(n_t=4, n_r=4)
+        rng = np.random.default_rng(42)
+        leave = 0
+        for _ in range(100):
+            h = mimo.generate_channel(c, rng)
+            y = mimo.transmit(h, mimo.modulate(mimo.random_bits(c, rng)[0], c), 1.0, rng)
+            out = baselines.sphere_decode(h, y, c)
+            want_x, want_nodes = sphere_decode_from_root(h, y, c)
+            assert np.array_equal(out.x_hat_real, want_x)
+            assert out.node_count == want_nodes
+            leave += out.node_count > 16
+        assert leave > 50
+
+    def test_one_wave_allocates_little_beyond_its_arrays(self):
+        # a 6 dB ref-sweep wave: seed 1, SNR index 0, wave 0
+        c = cfg()
+        h, _, ys, _ = harness._draw_wave(c, 14, 1, 0, 0, mimo.sigma_from_snr(6.0))
+        baselines.sphere_decode(h, ys, c)  # fills the alphabet cache
+        wave_bytes = ys.shape[0] * ys.shape[1] * 2 * c.n_t * 8  # one (32, 14, 8) array
+        tracemalloc.start()
+        try:
+            out = baselines.sphere_decode(h, ys, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.node_count > ys.shape[0] * ys.shape[1] * 16  # vectors were searched
+        assert peak <= 10 * wave_bytes
 
 
 class TestStackedSphereDecoder:

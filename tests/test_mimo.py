@@ -231,6 +231,56 @@ class TestComplexOracle:
                               expected)
 
 
+def argmin_levels(x_real, config):
+    """Nearest level per bit-carrying rail as one broadcast argmin.
+
+    argmin keeps the first minimum, so ties go to the lower level index, and
+    a NaN rail, whose distances are all NaN, gets level 0.
+    """
+    n_rails = config.n_t if config.modulation is mimo.Modulation.BPSK else 2 * config.n_t
+    x = np.asarray(x_real, dtype=float)[..., :n_rails]
+    return np.argmin(np.abs(x[..., None] - mimo.rail_alphabets(config)[0]), axis=-1)
+
+
+class TestRailDecisions:
+    """demodulate and decide_rails against the broadcast-argmin oracle."""
+
+    @staticmethod
+    def stacked_soft(c, rng, dtype):
+        # (lanes, trials, vectors, rails), spread past the outer levels
+        soft = rng.standard_normal((3, 4, 50, 2 * c.n_t)) * 0.6
+        levels = mimo.rail_alphabets(c)[0]
+        between = (levels[:, None] + levels[None, :]) / 2
+        # every rail of a row on one midpoint between two levels, then
+        # non-finite rails
+        specials = np.concatenate([between.ravel(), [np.inf, -np.inf, np.nan]])
+        soft[0, 0, :specials.size] = specials[:, None]
+        soft[1, 2, 0, ::2] = np.nan
+        soft[2, 3, 0, 1::2] = -np.inf
+        return soft.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mod", MODS)
+    def test_equal_to_the_argmin_oracle(self, mod, dtype, rng, monkeypatch):
+        c = cfg(mod, n_t=4, n_r=4)
+        soft = self.stacked_soft(c, rng, dtype)
+        got = mimo.demodulate(soft, c), mimo.decide_rails(soft, c)
+        monkeypatch.setattr(mimo, "_nearest_levels", argmin_levels)
+        want = mimo.demodulate(soft, c), mimo.decide_rails(soft, c)
+        assert got[0].shape == (3, 4, 50, c.bits_per_vector)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mod,tie,lower", [("qpsk", 0.0, 0), ("qam16", 0.0, 1)])
+    def test_a_tie_goes_to_the_lower_index_and_nan_to_level_0(self, mod, tie, lower, dtype):
+        # 0 is exactly midway between +s and -s: the distances tie bitwise
+        c = cfg(mod, n_t=2, n_r=2)
+        x = np.array([tie, np.nan, np.inf, -np.inf], dtype=dtype)
+        assert mimo._nearest_levels(x, c).tolist() == [lower, 0, 0, 0]
+        assert argmin_levels(x, c).tolist() == [lower, 0, 0, 0]
+
+
 class TestAlphabetCache:
     @pytest.mark.parametrize("mod", MODS)
     def test_cached_per_size_and_read_only(self, mod):
