@@ -280,20 +280,6 @@ def build_config(sections):
     return exp
 
 
-def _unit_text(value, scale):
-    """Shortest decimal text v with float(v) * scale == value, if one exists.
-
-    Device keys are given in config units (microsiemens, nanoseconds) and
-    scaled on parsing, so the echo looks for text that scales back to the
-    stored value exactly.
-    """
-    for digits in range(1, 18):
-        text = f"{value / scale:.{digits}g}"
-        if float(text) * scale == value:
-            return text
-    return repr(value / scale)
-
-
 def _value_text(value, kind):
     if isinstance(kind, tuple):
         return ", ".join(_value_text(v, kind[1]) for v in value)
@@ -307,18 +293,11 @@ def config_echo(cfg):
 
     One line per `_SCHEMA` key, in table order, but for device.preset, whose
     values are written out, and an unset eval.params.
-    parse_config(config_echo(cfg)) == cfg: floats are written with repr and
-    device values in config units that scale back exactly.
+    parse_config(config_echo(cfg)) == cfg: floats are written with repr.
     """
     lines = []
     for key, (section, attr, kind) in _SCHEMA.items():
         target = cfg if section == "root" else getattr(cfg, section)
-        if attr in dev.CONFIG_UNITS:
-            spec_field, scale = dev.CONFIG_UNITS[attr]
-            text = _unit_text(getattr(target, spec_field), scale)
-        elif key != "device.preset" and getattr(target, attr) is not None:
-            text = _value_text(getattr(target, attr), kind)
-        else:
-            continue
-        lines.append(f"{key} = {text}")
+        if key != "device.preset" and getattr(target, attr) is not None:
+            lines.append(f"{key} = {_value_text(getattr(target, attr), kind)}")
     return "\n".join(lines) + "\n"

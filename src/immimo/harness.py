@@ -206,9 +206,6 @@ def run_ber_sweep(exp, params=None):
             raise ConfigError("deep detectors need trained params (eval.params)")
         params = params.astype(detnet.DTYPE)
         params.validate()
-    # only detnet-hw reads gamma, so only it has gammas checked
-    hw_specs = ({g: exp.device.at_gamma(g) for g in sweep.gammas}
-                if HW_DETECTOR in detectors else {})
 
     # one lane per detector; detnet-hw gets one per gamma
     lanes = [
@@ -239,7 +236,7 @@ def run_ber_sweep(exp, params=None):
                 t0 = time.perf_counter()
                 # one slice per deep lane: H itself, or H + dH at a gamma
                 h_deep = np.stack([h if row.detector == "detnet"
-                                   else program.realized(hw_specs[row.gamma], z)
+                                   else program.realized(row.gamma, z)
                                    for row in deep_rows], dtype=detnet.DTYPE)
                 ys_deep = np.broadcast_to(ys.astype(detnet.DTYPE),
                                           (len(deep_rows),) + ys.shape)
@@ -381,7 +378,7 @@ def run_pipeline(exp, out_dir):
         for t in range(exp.latency.trials):
             h = mimo.generate_channel(cfg, rng)
             result = dev.program_matrix(h, spec)
-            dh = result.realized(spec, rng.standard_normal(h.shape)) - result.h_clipped
+            dh = result.realized(spec.gamma, rng.standard_normal(h.shape)) - result.h_clipped
             records.append({
                 "trial": t, "t_p_s": result.t_p,
                 "total_pulses": int(result.pulse_counts.sum()), "dh_std": np.std(dh),

@@ -23,6 +23,9 @@ from . import mimo
 
 CHECKPOINT_VERSION = 1
 
+# the least value of a step gain after an Adam step
+ALPHA_FLOOR = 1e-6
+
 
 class TrainingDiverged(Exception):
     """Loss became non-finite; carries the epoch for diagnostics."""
@@ -37,7 +40,6 @@ class TrainConfig:
     snr_high_db: float = 13.0
     gamma_train: float = 0.02
     loss_weighting: str = "lnk"
-    alpha_floor: float = 1e-6
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -111,7 +113,7 @@ def draw_batch(config, train_cfg, spec, rng):
     y += noise
 
     if train_cfg.gamma_train > 0:
-        dh = dev.sample_dh_matrix(h, spec.at_gamma(train_cfg.gamma_train), rng)
+        dh = dev.sample_dh_matrix(h, spec.n_p, train_cfg.gamma_train, rng)
         dh += h
         h = dh
     return x[:, None], h, y[:, None]
@@ -156,8 +158,8 @@ def train(config, train_cfg, spec, rng, params=None):
         detnet.backward(params, cache, x, train_cfg.loss_weighting, out=grads)
         opt.step(flat, flat_grad)
         # alphas map to resistor values; project back into the feasible set
-        np.clip(params.alpha1, train_cfg.alpha_floor, None, out=params.alpha1)
-        np.clip(params.alpha2, train_cfg.alpha_floor, None, out=params.alpha2)
+        np.clip(params.alpha1, ALPHA_FLOOR, None, out=params.alpha1)
+        np.clip(params.alpha2, ALPHA_FLOOR, None, out=params.alpha2)
 
     return params, history
 

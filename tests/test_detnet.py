@@ -127,12 +127,12 @@ def desk_cfg(**kw):
 
 
 def luo_at(gamma):
-    return device.DeviceSpec(g_on=27.5e-6, g_off=1e-6, n_p=150, gamma=gamma, dt_w=0.63e-9)
+    return device.DeviceSpec(g_on_us=27.5, g_off_us=1.0, n_p=150, gamma=gamma, dt_w_ns=0.63)
 
 
 def realize(h, spec, rng):
     """h programmed at spec and realized with unit normals drawn from rng."""
-    return device.program_matrix(h, spec).realized(spec, rng.standard_normal(h.shape))
+    return device.program_matrix(h, spec).realized(spec.gamma, rng.standard_normal(h.shape))
 
 
 class TestChannelBlock:

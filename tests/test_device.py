@@ -6,6 +6,7 @@ from scipy import stats
 
 from immimo import device, mimo
 from immimo.device import DeviceSpec
+import oracles
 
 
 @pytest.fixture
@@ -19,7 +20,13 @@ def rng():
 
 
 # Scalar oracles for the vectorized programming model: one entry, one cell,
-# one pulse train at a time.
+# one pulse train at a time, in the conductances of tests/oracles.py.
+
+
+def g_range(spec):
+    """G_on - G_off in siemens."""
+    g_on, g_off = oracles.conductances(spec)
+    return g_on - g_off
 
 
 def target_pair(h_entry, spec):
@@ -28,14 +35,15 @@ def target_pair(h_entry, spec):
     Only one cell of the pair moves away from G_off; a zero entry programs
     neither.  Returns ((g_plus, g_minus), target_dg).
     """
-    mu = device.map_coefficient(spec)
+    mu = oracles.map_coefficient(spec)
+    _, g_off = oracles.conductances(spec)
     h = float(np.clip(h_entry, -device.H_CLIP, device.H_CLIP))
     target_dg = mu * abs(h)
     if h > 0:
-        return (spec.g_off + target_dg, spec.g_off), target_dg
+        return (g_off + target_dg, g_off), target_dg
     if h < 0:
-        return (spec.g_off, spec.g_off + target_dg), target_dg
-    return (spec.g_off, spec.g_off), 0.0
+        return (g_off, g_off + target_dg), target_dg
+    return (g_off, g_off), 0.0
 
 
 def program_cell(target_dg, spec, rng):
@@ -44,10 +52,10 @@ def program_cell(target_dg, spec, rng):
     Every pulse contributes (G_on - G_off)/N_p plus an independent Gaussian
     C2C draw; the result is not clipped to the physical range.
     """
-    n = device.pulse_count(target_dg, spec)
-    achieved = n * spec.g_range / spec.n_p
+    n = oracles.pulse_count(target_dg, spec)
+    achieved = n * g_range(spec) / spec.n_p
     if n > 0 and spec.gamma > 0:
-        achieved += rng.normal(0.0, spec.sigma_dg, size=n).sum()
+        achieved += rng.normal(0.0, spec.gamma * g_range(spec), size=n).sum()
     return achieved, n
 
 
@@ -66,13 +74,13 @@ def simulate_dh_pulse_train(h_entry, spec, rng, trials):
     dh = (achieved_dg - target_dg)/mu.  Quantization of the pulse count shows
     up as a deterministic offset, C2C noise as the spread.
     """
-    mu = device.map_coefficient(spec)
+    mu = oracles.map_coefficient(spec)
     _, target_dg = target_pair(h_entry, spec)
-    n = device.pulse_count(target_dg, spec)
-    base = n * spec.g_range / spec.n_p - target_dg
+    n = oracles.pulse_count(target_dg, spec)
+    base = n * g_range(spec) / spec.n_p - target_dg
     if n == 0 or spec.gamma == 0.0:
         return np.full(trials, base / mu)
-    noise = rng.normal(0.0, spec.sigma_dg, size=(trials, n)).sum(axis=1)
+    noise = rng.normal(0.0, spec.gamma * g_range(spec), size=(trials, n)).sum(axis=1)
     return (base + noise) / mu
 
 
@@ -80,13 +88,14 @@ class TestDeviceSpec:
     def test_presets_exist(self):
         for name in ("zeng2023", "jerry2017", "luo2022"):
             spec = device.device_preset(name)
-            assert spec.g_on > spec.g_off > 0
+            assert spec.g_on_us > spec.g_off_us > 0
 
     def test_luo_values(self, luo):
-        assert luo.g_on == pytest.approx(27.5e-6)
-        assert luo.g_off == pytest.approx(1e-6)
+        assert luo.g_on_us == 27.5
+        assert luo.g_off_us == 1.0
         assert luo.n_p == 150
-        assert luo.gamma == pytest.approx(0.0365)
+        assert luo.gamma == 0.0365
+        assert luo.dt_w_ns == 0.63
         assert luo.dt_w == pytest.approx(0.63e-9)
 
     def test_default_preset_is_luo(self):
@@ -98,31 +107,33 @@ class TestDeviceSpec:
 
     def test_gamma_warning_band(self):
         with pytest.warns(UserWarning):
-            DeviceSpec(g_on=2e-6, g_off=1e-6, n_p=10, gamma=0.055, dt_w=1e-9)
+            DeviceSpec(g_on_us=2.0, g_off_us=1.0, n_p=10, gamma=0.055, dt_w_ns=1.0)
         with pytest.raises(ValueError):
-            DeviceSpec(g_on=2e-6, g_off=1e-6, n_p=10, gamma=0.07, dt_w=1e-9)
+            DeviceSpec(g_on_us=2.0, g_off_us=1.0, n_p=10, gamma=0.07, dt_w_ns=1.0)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            DeviceSpec(g_on=1e-6, g_off=2e-6, n_p=10, gamma=0.01, dt_w=1e-9)
+            DeviceSpec(g_on_us=1.0, g_off_us=2.0, n_p=10, gamma=0.01, dt_w_ns=1.0)
         with pytest.raises(ValueError):
-            DeviceSpec(g_on=2e-6, g_off=1e-6, n_p=0, gamma=0.01, dt_w=1e-9)
+            DeviceSpec(g_on_us=2.0, g_off_us=1.0, n_p=0, gamma=0.01, dt_w_ns=1.0)
+        with pytest.raises(ValueError):
+            DeviceSpec(g_on_us=2.0, g_off_us=1.0, n_p=10, gamma=0.01, dt_w_ns=0.0)
 
 
 class TestMapping:
     def test_luo_mu(self, luo):
-        assert device.map_coefficient(luo) == pytest.approx(8.8333e-6, rel=1e-4)
+        assert oracles.map_coefficient(luo) == pytest.approx(8.8333e-6, rel=1e-4)
 
     def test_unit_range(self):
-        spec = DeviceSpec(g_on=4.0, g_off=1.0, n_p=10, gamma=0.01, dt_w=1e-9)
-        assert device.map_coefficient(spec) == pytest.approx(1.0)
+        spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=10, gamma=0.01, dt_w_ns=1.0)
+        assert oracles.map_coefficient(spec) == pytest.approx(1e-6)
 
     def test_three_sigma_identity(self, luo):
-        mu = device.map_coefficient(luo)
-        assert mu * 3 + luo.g_off == pytest.approx(luo.g_on)
+        g_on, g_off = oracles.conductances(luo)
+        assert oracles.map_coefficient(luo) * 3 + g_off == pytest.approx(g_on)
 
     def test_negative_entry(self):
-        spec = DeviceSpec(g_on=4e-6, g_off=1e-6, n_p=10, gamma=0.01, dt_w=1e-9)
+        spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=10, gamma=0.01, dt_w_ns=1.0)
         (gp, gm), dg = target_pair(-2.0, spec)
         assert gp == pytest.approx(1e-6)
         assert gm == pytest.approx(3e-6)
@@ -130,33 +141,30 @@ class TestMapping:
 
     def test_zero_entry(self, luo):
         (gp, gm), dg = target_pair(0.0, luo)
-        assert gp == gm == luo.g_off
+        assert gp == gm == oracles.conductances(luo)[1]
         assert dg == 0.0
 
     def test_full_scale_reaches_g_on(self, luo):
         (gp, _), dg = target_pair(3.0, luo)
-        assert gp == pytest.approx(luo.g_on)
-        assert device.pulse_count(dg, luo) == luo.n_p
+        assert gp == pytest.approx(oracles.conductances(luo)[0])
+        assert oracles.pulse_count(dg, luo) == luo.n_p
+        assert device.program_matrix(np.full((1, 1), 3.0), luo).pulse_counts[0, 0] == luo.n_p
 
     def test_clips_beyond_three(self, luo):
         (gp, _), _ = target_pair(5.7, luo)
-        assert gp == pytest.approx(luo.g_on)
+        assert gp == pytest.approx(oracles.conductances(luo)[0])
 
 
 class TestProgramCell:
     def test_noiseless_is_exact(self, rng):
-        spec = DeviceSpec(g_on=4e-6, g_off=1e-6, n_p=30, gamma=0.0, dt_w=1e-9)
+        spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=30, gamma=0.0, dt_w_ns=1.0)
         achieved, n = program_cell(1.3e-6, spec, rng)
         assert n == 13
-        assert achieved == pytest.approx(13 * spec.g_range / 30)
+        assert achieved == pytest.approx(13 * g_range(spec) / 30)
 
     def test_full_range_pulse_count(self, luo, rng):
-        _, n = program_cell(luo.g_range, luo, rng)
+        _, n = program_cell(g_range(luo), luo, rng)
         assert n == luo.n_p
-
-    def test_out_of_range_target(self, luo, rng):
-        with pytest.raises(ValueError):
-            program_cell(2 * luo.g_range, luo, rng)
 
     def test_variance_matches_law(self, luo, rng):
         # Var[dh] = 3 gamma^2 N_p |h| for the pulse train
@@ -173,8 +181,9 @@ class TestSampleDh:
         assert sample_dh(0.0, luo, rng) == 0.0
 
     def test_zero_gamma(self, rng):
-        spec = DeviceSpec(g_on=4e-6, g_off=1e-6, n_p=30, gamma=0.0, dt_w=1e-9)
+        spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=30, gamma=0.0, dt_w_ns=1.0)
         assert sample_dh(1.5, spec, rng) == 0.0
+        assert np.all(device.sample_dh_matrix(np.full(5, 1.5), spec.n_p, 0.0, rng) == 0.0)
 
     def test_matches_pulse_train_distribution(self, luo, rng):
         # closed form and pulse-train oracle agree (two-sample KS)
@@ -186,14 +195,14 @@ class TestSampleDh:
 
     def test_matrix_variant_matches_pulse_train_distribution(self, luo, rng):
         h = 1.5
-        fast = device.sample_dh_matrix(np.full(10_000, h), luo, rng)
+        fast = device.sample_dh_matrix(np.full(10_000, h), luo.n_p, luo.gamma, rng)
         oracle = simulate_dh_pulse_train(h, luo, rng, trials=10_000)
         _, p_value = stats.ks_2samp(fast, oracle)
         assert p_value > 0.01
 
     def test_matrix_variant_matches_law(self, luo, rng):
         h = np.full((200, 50), 1.2)
-        dh = device.sample_dh_matrix(h, luo, rng)
+        dh = device.sample_dh_matrix(h, luo.n_p, luo.gamma, rng)
         expected = 3 * luo.gamma**2 * luo.n_p * 1.2
         assert abs(dh.var() / expected - 1) < 0.05
 
@@ -204,14 +213,14 @@ class TestProgramMatrix:
         assert result.pulse_counts.sum() == 0
         assert result.total_latency == 0.0
         z = rng.standard_normal((4, 6))
-        assert np.array_equal(result.realized(luo, z), np.zeros((4, 6)))
+        assert np.array_equal(result.realized(luo.gamma, z), np.zeros((4, 6)))
 
     def test_noiseless_quantization_bound(self, rng):
-        spec = DeviceSpec(g_on=4e-6, g_off=1e-6, n_p=150, gamma=0.0, dt_w=1e-9)
+        spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=150, gamma=0.0, dt_w_ns=1.0)
         h = np.clip(rng.standard_normal((12, 8)), -3, 3)
         result = device.program_matrix(h, spec)
-        step_err = spec.g_range / (2 * spec.n_p * device.map_coefficient(spec))
-        realized = result.realized(spec, rng.standard_normal(h.shape))
+        step_err = g_range(spec) / (2 * spec.n_p * oracles.map_coefficient(spec))
+        realized = result.realized(spec.gamma, rng.standard_normal(h.shape))
         assert np.abs(realized - h).max() <= step_err + 1e-12
 
     def test_row_latency_is_max_in_row(self, luo):
@@ -230,10 +239,10 @@ class TestProgramMatrix:
         # the 5% tolerance sits above 3 sigma
         h = np.clip(rng.standard_normal((100, 100)), -3, 3)
         result = device.program_matrix(h, luo)
-        step = luo.g_range / luo.n_p / device.map_coefficient(luo)
+        step = g_range(luo) / luo.n_p / oracles.map_coefficient(luo)
         h_q = np.sign(h) * result.pulse_counts * step
         on = result.pulse_counts > 0
-        realized = result.realized(luo, rng.standard_normal(h.shape))
+        realized = result.realized(luo.gamma, rng.standard_normal(h.shape))
         z = (realized - h_q)[on] / np.sqrt(
             3 * luo.gamma**2 * luo.n_p * np.abs(h_q[on]))
         assert z.size >= 9_800
@@ -242,14 +251,14 @@ class TestProgramMatrix:
 
     def test_cells_without_pulses_stay_exact(self, luo, rng):
         # zero-pulse cells at the start, between pulsed cells and at the end:
-        # their noise sigma_dg * sqrt(0) * z vanishes whatever z is
+        # their noise 3 gamma sqrt(0) z vanishes whatever z is
         h = np.array([[0.0, 1.2, 0.0, 0.0, -0.8, 0.004],
                       [2.5, -0.003, 0.0, 1.0, 0.0, 0.0]])
         result = device.program_matrix(h, luo)
         zero = result.pulse_counts == 0
         assert zero.sum() == 8
         for _ in range(20):
-            realized = result.realized(luo, rng.standard_normal(h.shape))
+            realized = result.realized(luo.gamma, rng.standard_normal(h.shape))
             assert np.all(realized[zero] == 0.0)
             assert np.all(realized[~zero] != h[~zero])
 
@@ -257,7 +266,7 @@ class TestProgramMatrix:
         h = rng.standard_normal((2, 3, 12, 8))
         z = rng.standard_normal(h.shape)
         stack = device.program_matrix(h, luo)
-        realized = stack.realized(luo, z)
+        realized = stack.realized(luo.gamma, z)
         singles = []
         for idx in np.ndindex(h.shape[:2]):
             one = device.program_matrix(h[idx], luo)
@@ -266,15 +275,14 @@ class TestProgramMatrix:
             assert np.array_equal(stack.pulse_counts[idx], one.pulse_counts)
             row_latency = luo.dt_w * stack.pulse_counts[idx].max(axis=-1)
             assert one.total_latency == pytest.approx(row_latency.sum(), rel=1e-12)
-            assert np.array_equal(realized[idx], one.realized(luo, z[idx]))
+            assert np.array_equal(realized[idx], one.realized(luo.gamma, z[idx]))
         # a stack's latency is the sum over every row of every matrix
         assert stack.total_latency == pytest.approx(sum(singles), rel=1e-12)
 
     def test_round_trip_within_quantization(self, luo, rng):
-        spec = replace(luo, gamma=0.0)
         h = np.clip(rng.standard_normal((6, 4)), -3, 3)
-        realized = device.program_matrix(h, spec).realized(spec, rng.standard_normal(h.shape))
-        assert np.abs(realized - h).max() <= 3.0 / (2 * spec.n_p) + 1e-12
+        realized = device.program_matrix(h, luo).realized(0.0, rng.standard_normal(h.shape))
+        assert np.abs(realized - h).max() <= 3.0 / (2 * luo.n_p) + 1e-12
 
     def test_rejects_non_matrix(self, luo):
         with pytest.raises(ValueError):
@@ -290,12 +298,8 @@ class TestRealizeAtGamma:
 
     @staticmethod
     def quantized(h, spec):
-        """The noiseless stored channel, from the pulse counts alone."""
-        hc = np.clip(h, -device.H_CLIP, device.H_CLIP)
-        q = device.program_matrix(h, spec).pulse_counts * (spec.g_range / spec.n_p)
-        g_plus = np.where(hc > 0, spec.g_off + q, spec.g_off)
-        g_minus = np.where(hc < 0, spec.g_off + q, spec.g_off)
-        return (g_plus - g_minus) / device.map_coefficient(spec)
+        """The noiseless stored channel, read back from the conductance pairs."""
+        return oracles.conductance_realized(h, spec, 0.0, np.zeros(np.shape(h)))
 
     def test_matches_literal_pulse_train_at_every_gamma(self, luo):
         # |h| = 1.5 takes exactly N_p / 2 pulses, so the pulse-train oracle's
@@ -308,37 +312,38 @@ class TestRealizeAtGamma:
         result = device.program_matrix(h, luo)
         for gamma in (0.01, 0.02, 0.04):
             spec = replace(luo, gamma=gamma)
-            realized = result.realized(spec, rng.standard_normal(h.shape))
+            realized = result.realized(gamma, rng.standard_normal(h.shape))
             dh = realized - self.quantized(h, spec)
             oracle = simulate_dh_pulse_train(1.5, spec, rng, trials=10_000)
             _, p_value = stats.ks_2samp(dh.ravel(), oracle)
             assert p_value > 0.001
 
     def test_one_draw_scales_linearly_with_gamma(self, luo):
-        # a cell's n pulses add sigma_dg sqrt(n) z, and sigma_dg / mu = 3 gamma
+        # a cell's n pulses add gamma (G_on - G_off) sqrt(n) z, and
+        # (G_on - G_off) / mu = 3
         z = np.random.default_rng(8).standard_normal(self.H.shape)
         result = device.program_matrix(self.H, luo)
         n = result.pulse_counts
         for gamma in (0.01, 0.02, 0.04):
-            spec = replace(luo, gamma=gamma)
-            dh = result.realized(spec, z) - self.quantized(self.H, spec)
+            dh = result.realized(gamma, z) - self.quantized(self.H, luo)
             expected = np.sign(self.H) * 3.0 * gamma * np.sqrt(n) * z
             assert np.abs(dh - expected).max() <= 1e-14
 
     def test_gamma_zero_is_the_quantized_channel(self, luo):
-        spec = replace(luo, gamma=0.0)
         result = device.program_matrix(self.H, luo)
         z = np.random.default_rng(8).standard_normal(self.H.shape)
-        assert np.array_equal(result.realized(spec, z), self.quantized(self.H, spec))
-
+        exact = result.realized(0.0, z)
+        # the draws leave no trace at gamma zero
+        assert np.array_equal(exact, result.realized(0.0, np.zeros(self.H.shape)))
+        assert np.abs(exact - self.quantized(self.H, luo)).max() <= 1e-12
 
     def test_one_programming_realizes_at_another_gamma(self, luo, rng):
         h = np.clip(rng.standard_normal((12, 8)), -3, 3)
         result = device.program_matrix(h, luo)
         z = rng.standard_normal(h.shape)
-        exact = result.realized(replace(luo, gamma=0.0), z)
+        exact = result.realized(0.0, z)
         assert np.abs(exact - h).max() <= 3.0 / (2 * luo.n_p) + 1e-12
-        assert np.abs(result.realized(luo, z) - h).max() > 3.0 / (2 * luo.n_p)
+        assert np.abs(result.realized(luo.gamma, z) - h).max() > 3.0 / (2 * luo.n_p)
 
 
 def drawn_t_p(cfg, spec, rng):
@@ -348,7 +353,7 @@ def drawn_t_p(cfg, spec, rng):
 
 class TestProgrammingLatency:
     def test_single_pulse_cap(self, rng):
-        spec = DeviceSpec(g_on=4e-6, g_off=1e-6, n_p=1, gamma=0.01, dt_w=1e-9)
+        spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=1, gamma=0.01, dt_w_ns=1.0)
         cfg = mimo.MimoConfig(n_t=4, n_r=6)
         for _ in range(10):
             t_p = drawn_t_p(cfg, spec, rng)
@@ -362,7 +367,7 @@ class TestProgrammingLatency:
         assert abs(means[1] / means[0] - 2) < 0.1 * 2
 
     def test_monotone_in_np_and_nr(self, rng):
-        base = dict(g_on=27.5e-6, g_off=1e-6, gamma=0.0365, dt_w=0.63e-9)
+        base = dict(g_on_us=27.5, g_off_us=1.0, gamma=0.0365, dt_w_ns=0.63)
         mean_tp = {}
         for n_p in (50, 150):
             for n_r in (4, 8):
@@ -398,3 +403,25 @@ class TestLemma1Law:
         ratio = dh.var() / (3 * luo.gamma**2 * luo.n_p * h)
         assert 0.95 <= ratio <= 1.05
         assert abs(dh.mean()) <= 3 * dh.std() / np.sqrt(dh.size)
+
+
+class TestConductanceOracle:
+    """Channel-unit programming equals the conductance model it reduces to."""
+
+    @pytest.mark.parametrize("preset", ["luo2022", "jerry2017", "zeng2023"])
+    def test_matches_the_conductance_model(self, preset):
+        spec = device.device_preset(preset)
+        rng = np.random.default_rng(31)
+        # about 4.5% of the entries lie beyond the clip at |h| = 3
+        h = 1.5 * rng.standard_normal((2, 3, 12, 8))
+        z = rng.standard_normal(h.shape)
+        result = device.program_matrix(h, spec)
+        assert np.array_equal(result.pulse_counts, oracles.program_pulses(h, spec))
+        assert result.total_latency == oracles.programming_latency(h, spec)
+        for gamma in (0.0, 0.005, 0.0365, 0.055):
+            got = result.realized(gamma, z)
+            want = oracles.conductance_realized(h, spec, gamma, z)
+            assert np.abs(got - want).max() <= 1e-12
+        for n_t in (2, 4, 64):
+            assert device.row_latency_bound(n_t, spec) == pytest.approx(
+                oracles.row_latency_bound(n_t, spec), rel=1e-12)

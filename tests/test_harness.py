@@ -264,7 +264,7 @@ class TestPrecision:
         waves = [harness._draw_wave(cfg, 14, 7, 1, w, mimo.sigma_from_snr(10.0))
                  for w in range(400 // harness.WAVE)]
         h, bits, ys, z = (np.concatenate(a) for a in zip(*waves))
-        h_hw = device.program_matrix(h, spec).realized(spec.at_gamma(0.02), z)
+        h_hw = device.program_matrix(h, spec).realized(0.02, z)
         x64 = detnet.ideal_forward(params.astype(np.float64), h_hw, ys)[0][-1]
         x32 = detnet.ideal_forward(params, h_hw.astype(np.float32),
                                    ys.astype(np.float32))[0][-1]
@@ -476,7 +476,7 @@ def per_wave_reference(exp, params, detector, gamma):
                 program = device.program_matrix(h, exp.device)
                 pulses += int(program.pulse_counts.sum())
                 t_p += program.t_p
-                h = program.realized(exp.device.at_gamma(gamma), z)
+                h = program.realized(gamma, z)
             x_hat = detnet.ideal_forward(params, h.astype(detnet.DTYPE),
                                          ys.astype(detnet.DTYPE), keep_cache=False)[0][-1]
         errors += int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != sent))

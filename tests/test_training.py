@@ -125,8 +125,8 @@ def reference_train(config, train_cfg, spec, rng, params):
         trajectory, cache = detnet.ideal_forward(params, h_in, y_in)
         history.append(detnet.loss(trajectory, x, train_cfg.loss_weighting))
         opt.step(pdict, detnet.backward(params, cache, x, train_cfg.loss_weighting))
-        np.clip(params.alpha1, train_cfg.alpha_floor, None, out=params.alpha1)
-        np.clip(params.alpha2, train_cfg.alpha_floor, None, out=params.alpha2)
+        np.clip(params.alpha1, training.ALPHA_FLOOR, None, out=params.alpha1)
+        np.clip(params.alpha2, training.ALPHA_FLOOR, None, out=params.alpha2)
     return params, np.array(history)
 
 
@@ -170,11 +170,11 @@ class TestTrain:
     def test_alphas_stay_at_or_above_floor(self, luo):
         # a large learning rate drives some gains below the floor
         cfg = small_cfg()
-        tc = small_train(lr=0.5, alpha_floor=1e-3)
+        tc = small_train(lr=0.5)
         params, _ = training.train(cfg, tc, luo, np.random.default_rng(9))
         alphas = np.concatenate([params.alpha1, params.alpha2])
-        assert np.all(alphas >= 1e-3)
-        assert np.any(alphas == 1e-3)
+        assert np.all(alphas >= training.ALPHA_FLOOR)
+        assert np.any(alphas == training.ALPHA_FLOOR)
         params.validate()
 
     def test_does_not_mutate_the_params_passed_in(self, luo):
