@@ -18,15 +18,30 @@ ln(k+1) is available as an alternative that keeps block 1 in the loss.
 All functions here are pure numpy and take one layout, vectors as rows: a
 stack of channels H (..., 2n_r, 2n_t) and the vectors received through them,
 ys (..., n_vec, 2n_r), one row per vector.  Then H^T y is ys @ H and H^T H x
-is x @ H^T H, each one stacked product, and the dense layers act on all N
-rows at once as (N, d) @ (d, S) products.  A single vector is ys = y[None].
+is x @ H^T H, each one stacked product.  A single vector is ys = y[None].
 
+Inside, the two modes of ideal_forward lay the block loop out differently.
 Only training keeps the forward pass's cache: backward reads every block's
-intermediates, stacked over the L blocks.  Detection needs x_L alone, so the
-BER sweep runs the block loop with keep_cache=False, on one set of per-block
-buffers.  Its memory then does not grow with L, and the sweep detects every
-deep lane of a wave in one stacked call: the channel H for `detnet` and the
-realized H + dH at each programming-noise level for `detnet-hw`.
+intermediates, stacked over the L blocks with the N vectors as rows, and its
+parameter gradients are sums over those rows, so the cached loop runs on
+rows, the dense layers as (N, d) @ (d, S) products.  A feature-major training
+pass measured slower and changes the loss history from the first epoch (see
+ROADMAP.md).  Detection needs x_L alone, so the BER sweep runs the block loop
+with keep_cache=False, and that loop runs feature-major, as a crossbar
+applies each input vector as a column: one (2n_t + a_size, N) buffer holds
+x_k over a_k, the dense layers are W1 u and [W2; W3] z, and a_k lands in
+place with no copy.  Its memory does not grow with L, and the sweep detects
+every deep lane of a wave in one stacked call: the channel H for `detnet`
+and the realized H + dH at each programming-noise level for `detnet-hw`.
+
+The two loops do the same arithmetic in the same order; only the layout BLAS
+sees differs, and BLAS picks its kernel by layout and size.  At the shapes
+tests/test_detnet.py's TestCacheFree pins bit for bit (one vector, a wave of
+8 channels with 14 vectors each, and that wave at 5 programming-noise
+levels) the cache-free x_L equals the cached pass's bit for bit.  Elsewhere,
+for instance a wave capped at one trial, x_L agrees to rounding and the
+decisions have been equal at every shape tested; only a value within
+rounding of a decision boundary could fall the other way.
 
 On hardware the same pass runs on differential memristor arrays in two roles:
 
@@ -150,9 +165,10 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
     np.result_type(params.w1, h_real, ys, np.float32), so float32 params and
     inputs run in float32 and any float64 one makes it float64.
 
-    With keep_cache=False every block reuses one set of buffers in place of
-    the stacked cache, so memory does not grow with L; the trajectory is then
-    [x_L] alone, bit-identical to the cached pass's, and the cache is None.
+    With keep_cache=False the trajectory is [x_L] alone and the cache is
+    None.  That loop runs feature-major on one set of buffers, so memory does
+    not grow with L: x_L agrees with the cached pass's to rounding, bit for
+    bit at the shapes TestCacheFree pins (see the module docstring).
     """
     h_real, ys = np.asarray(h_real), np.asarray(ys)
     dtype = np.result_type(params.w1, h_real, ys, np.float32)
@@ -165,41 +181,72 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
         )
     hty = ys @ h_real
     hth = np.ascontiguousarray(np.swapaxes(h_real, -1, -2)) @ h_real
+    if not keep_cache:
+        return [_last_block_output(params, hty, hth)], None
     n_rows = int(np.prod(hty.shape[:-1], dtype=np.int64))
     L, x_dim = params.L, params.x_dim
     w23, b23 = _fused_output(params)
-    # block k writes slot k of the stacks backprop reads, or the one slot
-    slots = L if keep_cache else 1
-    hthxs = np.empty((slots,) + hty.shape, dtype)
-    us = np.empty((slots, n_rows, x_dim + params.a_size), dtype)
-    zs = np.empty((slots, n_rows, params.S), dtype)
-    xas = np.empty((slots, n_rows, x_dim + params.a_size), dtype)  # [x_k, a_k]
+    # block k writes slot k of the stacks backprop reads
+    hthxs = np.empty((L,) + hty.shape, dtype)
+    us = np.empty((L, n_rows, x_dim + params.a_size), dtype)
+    zs = np.empty((L, n_rows, params.S), dtype)
+    xas = np.empty((L, n_rows, x_dim + params.a_size), dtype)  # [x_k, a_k]
 
     x = np.zeros(hty.shape, dtype)
     a = 0.0
     trajectory = []
     for k in range(L):
-        j = k if keep_cache else 0
-        hthx = np.matmul(x, hth, out=hthxs[j])  # (H^T H x)^T = x^T H^T H
+        hthx = np.matmul(x, hth, out=hthxs[k])  # (H^T H x)^T = x^T H^T H
         s = x - params.alpha1[k] * hty + params.alpha2[k] * hthx
-        us[j, :, :x_dim] = s.reshape(n_rows, x_dim)
-        us[j, :, x_dim:] = a
-        z = np.matmul(us[j], params.w1[k].T, out=zs[j])
+        us[k, :, :x_dim] = s.reshape(n_rows, x_dim)
+        us[k, :, x_dim:] = a
+        z = np.matmul(us[k], params.w1[k].T, out=zs[k])
         z += params.b1[k]
         np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
-        # x_{k-1} and a_{k-1} are read above, before the slot is overwritten
-        xa = np.matmul(z, w23[k].T, out=xas[j])
+        xa = np.matmul(z, w23[k].T, out=xas[k])
         xa += b23[k]
         x = xa[:, :x_dim].reshape(hty.shape)
         a = xa[:, x_dim:]
-        if keep_cache:
-            trajectory.append(x)
+        trajectory.append(x)
 
-    if not keep_cache:
-        return [x], None
     cache = {"hty": hty, "hth": hth, "hthx": hthxs, "u": us, "z": zs,
              "trajectory": trajectory}
     return trajectory, cache
+
+
+def _last_block_output(params, hty, hth):
+    """x_L from the rows H^T y (..., n_vec, 2n_t) and the Gram stack H^T H.
+
+    Runs feature-major, one column per vector: u holds x_k in its first 2n_t
+    rows, overwritten in place by s_{k+1}, and a_k in the rest, so each
+    block is two products, W1 u and [W2; W3] z, with no copy between them.
+    """
+    x_dim = params.x_dim
+    # (2n_t, ..., n_vec): one contiguous row per feature
+    hty = np.ascontiguousarray(np.moveaxis(hty, -1, 0))
+    hthx = np.empty_like(hty)
+    step = np.empty_like(hty)
+    u = np.zeros((x_dim + params.a_size, hty[0].size), hty.dtype)
+    z = np.empty((params.S, u.shape[1]), hty.dtype)
+    x = u[:x_dim].reshape(hty.shape)
+    w23, b23 = _fused_output(params)
+    for k in range(params.L):
+        # x^T H^T H, oriented as in the cached pass so that it rounds alike;
+        # H^T H keeps h's leading dims, so one channel broadcasts over many
+        # vector sets
+        np.matmul(np.moveaxis(x, 0, -1), hth, out=np.moveaxis(hthx, 0, -1))
+        # s_k = (x_{k-1} - alpha1 H^T y) + alpha2 H^T H x_{k-1}, in place
+        np.multiply(hty, params.alpha1[k], out=step)
+        x -= step
+        hthx *= params.alpha2[k]
+        x += hthx
+        np.matmul(params.w1[k], u, out=z)
+        z += params.b1[k][:, None]
+        np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
+        # x_k and a_k land in u, over s_k and a_{k-1}
+        np.matmul(w23[k], z, out=u)
+        u += b23[k][:, None]
+    return np.moveaxis(x, 0, -1)
 
 
 def loss_weights(L, weighting="lnk"):

@@ -9,8 +9,9 @@ so detector differences are paired and the sphere decoder reproduces
 exhaustive ML to the bit.  `detnet-hw` programs each channel once, and
 every gamma realizes that programming with the same unit normals, which
 gamma only scales.  Adding or removing a detector or a gamma therefore never
-changes another row.  Detectors that ignore gamma run once per SNR and their
-row is copied to every gamma.
+changes another row's draws, nor its counts, up to the rounding noted below.
+Detectors that ignore gamma run once per SNR and their row is copied to
+every gamma.
 The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
 pass (detnet.DTYPE): the draws, the programming and every other detector
 stay float64, and the params, each wave's received vectors and each channel
@@ -20,14 +21,22 @@ Trials run in waves of WAVE, and the wave is the sweep's one unit: at an SNR
 point each step draws one wave and every lane still running detects all of
 it, each classical detector in one call, and every running deep lane in one
 forward pass over a stack of channels, the same arithmetic per lane as a
-pass of its own.  `detnet` adds the wave's channels H to the stack; each
-running `detnet-hw` gamma adds H + dH, the one programming of the wave's
-channels realized at that gamma.  A BER point, one SweepRow, then adds the
-whole wave to its totals and stops once it has at least `min_bits` bits AND
-`min_errors` bit errors (confidence at low BER), capped at `max_trials`
-channel realizations; each detector stops on its own.  Every emitted row
-carries a Wilson 95% interval, a flag for points with fewer than 10 errors,
-the trials run, why the point stopped and the means derived from its totals.
+pass of its own.  It rounds alike too when BLAS runs the stack's columns
+through the same kernels as one lane's.  Under OpenBLAS's Haswell kernels it
+does at every full wave: they tile columns by at most 16, and a full wave's
+32 trials give each lane a multiple of 16 columns.  At a wave capped by
+`max_trials` the two column counts may take different kernels, so a lane's
+x_L agrees only to rounding, and a decision within rounding of a level
+boundary could change with the lanes beside it; none has in any case tested
+(see :mod:`immimo.detnet`).  `detnet` adds the wave's channels H to the
+stack; each running `detnet-hw` gamma adds H + dH, the one programming of
+the wave's channels realized at that gamma.  A BER point, one SweepRow, then
+adds the whole wave to its totals and stops once it has at least `min_bits`
+bits AND `min_errors` bit errors (confidence at low BER), capped at
+`max_trials` channel realizations; each detector stops on its own.  Every
+emitted row carries a Wilson 95% interval, a flag for points with fewer than
+10 errors, the trials run, why the point stopped and the means derived from
+its totals.
 
 Artifacts: every mode writes one CSV table plus manifest.json (`train` also
 its checkpoint).  A mode builds its table as records, dicts of column ->

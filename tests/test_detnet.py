@@ -510,6 +510,35 @@ class TestCacheFree:
         assert x_l.shape == want.shape == h.shape[:-2] + (y.shape[-2], 8)
         assert np.array_equal(x_l, want)
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("h_shape, y_shape", [
+        ((12, 8), (5, 14, 12)),  # one channel broadcast over vector sets
+        ((1, 12, 8), (1, 14, 12)),  # a wave capped at one trial
+        ((5, 12, 8), (5, 1, 12)),  # one vector per channel
+        ((5, 2, 12, 8), (5, 2, 1, 12)),  # nested leading dims
+    ])
+    def test_edge_shapes_decide_as_the_cached_pass(self, h_shape, y_shape, dtype, rtol):
+        # BLAS picks its kernel by layout and size, so at these shapes the
+        # feature-major loop may round unlike the row one: x_L is held to
+        # rounding and the decisions to equality
+        cfg = MimoConfig(n_t=4, n_r=6, L=10)
+        h, _, y, rng = stacked_instance(cfg, 11, y_shape[:-2], y_shape[-2])
+        h = h[(0,) * (len(y_shape) - len(h_shape))]
+        p = detnet.init_params(cfg, rng)
+        # init leaves the biases zero and the two gains equal; here each must
+        # reach x_L in its own place
+        for key in ("b1", "b2", "b3"):
+            setattr(p, key, rng.normal(0.0, 0.1, getattr(p, key).shape))
+        p.alpha1, p.alpha2 = rng.uniform(0.005, 0.05, (2, cfg.L))
+        p = p.astype(dtype)
+        h, y = h.astype(dtype), y.astype(dtype)
+        x_l = detect(p, h, y)
+        want = detnet.ideal_forward(p, h, y)[0][-1]
+        assert x_l.dtype == want.dtype == dtype
+        assert x_l.shape == want.shape == y_shape[:-1] + (8,)
+        assert np.max(np.abs(x_l - want)) <= rtol * np.max(np.abs(want))
+        assert np.array_equal(mimo.demodulate(x_l, cfg), mimo.demodulate(want, cfg))
+
     def test_gamma_stack_equals_the_per_gamma_calls_bit_for_bit(self):
         p, h, y = reference_inputs("gamma-stack", np.float32)
         stacked = detect(p, h, y)
