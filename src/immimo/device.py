@@ -19,10 +19,12 @@ variance is 3 gamma^2 N_p |h|.  The conductances appear only as the ratio
 G_on / (G_on - G_off) in the row-latency bound.
 
 Programming is therefore split in two.  program_matrix is deterministic: it
-clips the channel, counts the pulses and times the rows, and draws nothing.
-ProgrammingResult.realized takes the cells' unit normals and forms the stored
-channel at a given gamma, so one programming event, with one set of draws,
-can be realized at every gamma of a noise sweep.
+clips the channel and counts the pulses, and draws nothing; the rows are
+timed when the latency is first read.  ProgrammingResult.realized takes the
+cells' unit normals and forms the stored channel at a given gamma, so one
+programming event, with one set of draws, can be realized at every gamma of
+a noise sweep.  Training realizes each batch through the same pair, so the
+sweep and training share this one programming-noise law.
 
 Rows are programmed sequentially; cells within a row are programmed in
 parallel, so a row costs dt_w times the largest pulse count in the row.
@@ -30,6 +32,7 @@ parallel, so a row costs dt_w times the largest pulse count in the row.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,25 +101,6 @@ def device_preset(name=DEFAULT_PRESET, **overrides):
     return DeviceSpec(**{**DEVICE_PRESETS[name], **overrides})
 
 
-def sample_dh_matrix(h_real, n_p, gamma, rng):
-    """Closed-form draw of the channel perturbation dH, entry by entry.
-
-    Fast path for training-time noise injection on a device of N_p pulses
-    at C2C level gamma: dh | h ~ N(0, 3 gamma^2 N_p |h|) for every entry of
-    a matrix (or batch of matrices), with |h| saturated at 3 to mirror the
-    conductance-range clip of the pulse-train path.
-    """
-    std = np.abs(np.asarray(h_real, dtype=float))
-    if gamma == 0.0:
-        return np.zeros_like(std)
-    np.minimum(std, H_CLIP, out=std)
-    std *= 3.0 * gamma**2 * n_p
-    np.sqrt(std, out=std)
-    dh = rng.standard_normal(std.shape)
-    dh *= std
-    return dh
-
-
 @dataclass
 class ProgrammingResult:
     """Outcome of programming a real channel matrix, or a stack of them.
@@ -127,9 +111,14 @@ class ProgrammingResult:
     """
 
     h_clipped: np.ndarray
-    pulse_counts: np.ndarray
-    total_latency: float  # dt_w * max pulse count of a row, summed over rows
+    pulse_counts: np.ndarray  # whole numbers, held as floats for realized()
     n_p: int
+    dt_w: float  # pulse width in seconds
+
+    @cached_property
+    def total_latency(self):
+        """dt_w * max pulse count of a row, summed over rows, in seconds."""
+        return float((self.dt_w * self.pulse_counts.max(axis=-1)).sum())
 
     @property
     def t_p(self):
@@ -145,11 +134,16 @@ class ProgrammingResult:
         """Channel actually stored on the arrays at C2C level gamma: H + dH.
 
         z holds one N(0, 1) draw per cell, in h's shape; a cell's n pulses
-        store 3 n / N_p and add 3 gamma sqrt(n) z, so cells without pulses
-        stay exact.
+        store sign(h) 3 (n / N_p + gamma sqrt(n) z), so a cell without pulses
+        stores exactly 0.
         """
         n = self.pulse_counts
-        return np.sign(self.h_clipped) * 3.0 * (n / self.n_p + gamma * np.sqrt(n) * z)
+        out = np.sqrt(n)
+        out *= gamma
+        out *= z
+        out += n / self.n_p
+        out *= np.copysign(3.0, self.h_clipped)
+        return out
 
 
 def program_matrix(h_real, spec):
@@ -164,13 +158,11 @@ def program_matrix(h_real, spec):
     if h.ndim < 2:
         raise ValueError("channel must be a matrix or a stack of matrices")
     hc = np.clip(h, -H_CLIP, H_CLIP)
-    counts = np.rint(np.abs(hc) * spec.n_p / H_CLIP).astype(int)
-    return ProgrammingResult(
-        h_clipped=hc,
-        pulse_counts=counts,
-        total_latency=float((spec.dt_w * counts.max(axis=-1)).sum()),
-        n_p=spec.n_p,
-    )
+    counts = np.abs(hc)
+    counts *= spec.n_p
+    counts /= H_CLIP
+    np.rint(counts, out=counts)
+    return ProgrammingResult(h_clipped=hc, pulse_counts=counts, n_p=spec.n_p, dt_w=spec.dt_w)
 
 
 def row_latency_bound(n_t, spec):

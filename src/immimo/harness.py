@@ -241,6 +241,7 @@ def run_ber_sweep(exp, params=None):
                 # the one reprogramming event per channel realization, for the
                 # whole wave, realized at every gamma still running
                 program = dev.program_matrix(h, exp.device)
+                pulses, t_p = int(program.pulse_counts.sum()), program.t_p
             if deep_rows:
                 t0 = time.perf_counter()
                 # one slice per deep lane: H itself, or H + dH at a gamma
@@ -269,8 +270,8 @@ def run_ber_sweep(exp, params=None):
                 if nodes is not None:
                     row.nodes = (row.nodes or 0) + nodes
                 if row.detector == HW_DETECTOR:
-                    row.pulses = (row.pulses or 0) + int(program.pulse_counts.sum())
-                    row.t_p_s = (row.t_p_s or 0.0) + program.t_p
+                    row.pulses = (row.pulses or 0) + pulses
+                    row.t_p_s = (row.t_p_s or 0.0) + t_p
                 if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
                     row.stop_reason = "target"
             active = [row for row in active if row.stop_reason is None]

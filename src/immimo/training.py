@@ -1,12 +1,14 @@
 """Noise-aware training of the unfolded detector.
 
-Every epoch draws a fresh batch of (x, H, y0 = Hx, n, dH): channel noise n at
-an SNR sampled uniformly from the training range, and dH from the closed-form
-programming-noise law at the training C2C level.  The forward pass runs on
-the perturbed pair (H + dH, y0 + n) while the loss targets the true x, so the
-network learns representations that tolerate both noise sources.  Training is
-plain Adam on the manually backpropagated gradients; the step gains alpha are
-clamped to stay strictly positive because they map to physical resistances.
+Every epoch draws a fresh batch of (x, H, y0 = Hx, n): channel noise n at an
+SNR sampled uniformly from the training range.  Above a training C2C level of
+zero, H is programmed and realized with one unit normal per cell
+(device.program_matrix, ProgrammingResult.realized), the law the sweep's
+`detnet-hw` lanes detect on; at zero it stays exact, as for `detnet`.  The
+forward pass runs on (H + dH, y0 + n) while the loss targets the true x, so
+the network learns to tolerate both noise sources.  Training is plain Adam on
+the manually backpropagated gradients; the step gains alpha are clamped to
+stay strictly positive because they map to physical resistances.
 The parameters, their gradients and Adam's moments are held in detnet.DTYPE,
 float32, and each batch is cast to it before the forward pass, so the
 trained checkpoint is float32.
@@ -98,7 +100,9 @@ def draw_batch(config, train_cfg, spec, rng):
     """One epoch's training samples as rows, one vector per channel.
 
     Returns (x (B, 1, 2n_t), H_in = H + dH (B, 2n_r, 2n_t),
-    y_in = y0 + n (B, 1, 2n_r)) for batch size B.
+    y_in = y0 + n (B, 1, 2n_r)) for batch size B.  H + dH is H programmed on
+    `spec` and realized at gamma_train, as the sweep stores it; at
+    gamma_train 0, H itself.
     """
     b = train_cfg.batch_size
     bits = mimo.random_bits(config, rng, count=b)
@@ -113,9 +117,8 @@ def draw_batch(config, train_cfg, spec, rng):
     y += noise
 
     if train_cfg.gamma_train > 0:
-        dh = dev.sample_dh_matrix(h, spec.n_p, train_cfg.gamma_train, rng)
-        dh += h
-        h = dh
+        z = rng.standard_normal(h.shape)
+        h = dev.program_matrix(h, spec).realized(train_cfg.gamma_train, z)
     return x[:, None], h, y[:, None]
 
 
@@ -186,7 +189,10 @@ def load_params(path, expected_config=None):
     expected_config is given, is any header mismatch.
     """
     # np.load leaks the file it opened when the file is not a zip archive
-    with open(path, "rb") as file, np.load(file, allow_pickle=False) as data:
+    with open(path, "rb") as file:
+        data = np.load(file, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz checkpoint")
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")

@@ -223,6 +223,17 @@ def test_checkpoint_array_disagreeing_with_its_header_exits_2(tmp_path, capsys, 
     assert_one_line(err, f"config error: eval.params {str(ckpt)!r}: checkpoint {key} has shape")
 
 
+def test_npy_checkpoint_exits_2(tmp_path, capsys):
+    # np.load returns a bare array for a file np.save wrote
+    np.save(tmp_path / "p.npy", np.zeros(3))
+    text = SWEEP + f"sweep.detectors = detnet\neval.params = {tmp_path / 'p.npy'}\n"
+    code, err = run(tmp_path, text, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, "config error: eval.params")
+    assert err.endswith(": not an .npz checkpoint\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode,text,write", [
     # at n_t 2, n_r 3 the default varpi2 = 0.05 puts phi below 1
     pytest.param("bounds", SWEEP, None, id="bound-regime"),

@@ -177,13 +177,14 @@ class TestProgramCell:
 
 
 class TestSampleDh:
+    """The dh law: the closed-form oracle, and realized() against the pulse train."""
+
     def test_zero_entry(self, luo, rng):
         assert sample_dh(0.0, luo, rng) == 0.0
 
     def test_zero_gamma(self, rng):
         spec = DeviceSpec(g_on_us=4.0, g_off_us=1.0, n_p=30, gamma=0.0, dt_w_ns=1.0)
         assert sample_dh(1.5, spec, rng) == 0.0
-        assert np.all(device.sample_dh_matrix(np.full(5, 1.5), spec.n_p, 0.0, rng) == 0.0)
 
     def test_matches_pulse_train_distribution(self, luo, rng):
         # closed form and pulse-train oracle agree (two-sample KS)
@@ -193,16 +194,20 @@ class TestSampleDh:
         _, p_value = stats.ks_2samp(fast, oracle)
         assert p_value > 0.01
 
-    def test_matrix_variant_matches_pulse_train_distribution(self, luo, rng):
-        h = 1.5
-        fast = device.sample_dh_matrix(np.full(10_000, h), luo.n_p, luo.gamma, rng)
-        oracle = simulate_dh_pulse_train(h, luo, rng, trials=10_000)
-        _, p_value = stats.ks_2samp(fast, oracle)
+    def test_realized_matches_pulse_train_distribution(self, luo, rng):
+        # |h| = 1.5 takes exactly N_p / 2 pulses on luo2022, so the realized
+        # channel carries no quantization offset
+        h = np.full((100, 100), 1.5)
+        realized = device.program_matrix(h, luo).realized(luo.gamma,
+                                                          rng.standard_normal(h.shape))
+        oracle = simulate_dh_pulse_train(1.5, luo, rng, trials=10_000)
+        _, p_value = stats.ks_2samp((realized - h).ravel(), oracle)
         assert p_value > 0.01
 
-    def test_matrix_variant_matches_law(self, luo, rng):
+    def test_realized_matches_law(self, luo, rng):
+        # |h| = 1.2 takes exactly 60 pulses, stored as 1.2 up to rounding
         h = np.full((200, 50), 1.2)
-        dh = device.sample_dh_matrix(h, luo.n_p, luo.gamma, rng)
+        dh = device.program_matrix(h, luo).realized(luo.gamma, rng.standard_normal(h.shape)) - h
         expected = 3 * luo.gamma**2 * luo.n_p * 1.2
         assert abs(dh.var() / expected - 1) < 0.05
 

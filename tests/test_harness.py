@@ -514,6 +514,23 @@ class TestLatencyMode:
         assert row["t_p_sim_mean_s"] == f"{np.mean(sims):.12g}"
         assert row["t_p_sim_max_s"] == f"{np.max(sims):.12g}"
 
+    @pytest.mark.parametrize("preset", sorted(device.DEVICE_PRESETS))
+    def test_abstract_latency_claims_hold_at_the_reference_size(self, tmp_path, preset):
+        # reprogramming plus computation meets the 6G budget of 0.1 ms,
+        # reprogramming dominates computation, and the simulated mean stays
+        # under its closed-form bound; at seed 1 the mean T_p reads 1.33 us
+        # (bound 1.76) on luo2022, 33.7 (44.0) on jerry2017 and 36.0 (70.2)
+        # on zeng2023, against a T_c of 30 ns
+        text = ("seed = 1\nmode = latency\nmimo.n_t = 4\nmimo.n_r = 6\n"
+                f"device.preset = {preset}\n")
+        harness.run_pipeline(config.parse_config(text), tmp_path / "out")
+        with open(tmp_path / "out" / "latency.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        t_p, t_c, bound = (float(row[k]) for k in ("t_p_sim_mean_s", "t_c_s", "t_p_bound_s"))
+        assert t_p + t_c < 1e-4
+        assert t_p >= 10 * t_c
+        assert t_p <= bound
+
 
 class TestCsvText:
     def test_floats_python_and_numpy_as_12g(self):

@@ -97,6 +97,20 @@ class TestDrawBatch:
             h = to_real(complex_channel(cfg, rng, count=tc.batch_size))
             assert np.array_equal(h_in, h) == exact
 
+    def test_realizes_the_programmed_batch_as_the_sweep_does(self, luo):
+        cfg, tc = small_cfg(), small_train(gamma_train=0.02)
+        _, h_in, _ = training.draw_batch(cfg, tc, luo, np.random.default_rng(3))
+        # the same stream again: bits, channel, SNRs, channel noise, then one
+        # unit normal per cell
+        rng = np.random.default_rng(3)
+        mimo.random_bits(cfg, rng, count=tc.batch_size)
+        h = mimo.generate_channel(cfg, rng, count=tc.batch_size)
+        rng.uniform(tc.snr_low_db, tc.snr_high_db, size=tc.batch_size)
+        rng.standard_normal((tc.batch_size, 2 * cfg.n_r))
+        z = rng.standard_normal(h.shape)
+        want = device.program_matrix(h, luo).realized(tc.gamma_train, z)
+        assert np.array_equal(h_in, want)
+
     def test_received_rows_carry_the_noiseless_product(self, luo):
         # at a very high training SNR, y_in is H x up to tiny noise
         cfg = small_cfg()
