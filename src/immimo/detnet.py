@@ -28,17 +28,22 @@ rows, the dense layers as (N, d) @ (d, S) products.  A feature-major training
 pass measured slower and changes the loss history from the first epoch (see
 ROADMAP.md).  Detection needs x_L alone, so the BER sweep runs the block loop
 with keep_cache=False, and that loop runs feature-major, as a crossbar
-applies each input vector as a column: one (2n_t + a_size, N) buffer holds
-x_k over a_k, the dense layers are W1 u and [W2; W3] z, and a_k lands in
-place with no copy.  Its memory does not grow with L, and the sweep detects
-every deep lane of a wave in one stacked call: the channel H for `detnet`
-and the realized H + dH at each programming-noise level for `detnet-hw`.
+applies each input vector as a column: one (2n_t + a_size + 1, N) buffer
+holds x_k over a_k over a constant-one row, and z carries a constant-one
+row too, so each bias rides in its product as one more weight column.  The
+dense layers are [W1 | b1] u and [W2 | b2; W3 | b3] z, with no elementwise
+bias pass, and a_k lands in place with no copy.  Its memory does not grow
+with L, and the sweep detects every deep lane of a wave in one stacked call:
+the channel H for `detnet` and the realized H + dH at each programming-noise
+level for `detnet-hw`.
 
-The two loops do the same arithmetic in the same order; only the layout BLAS
-sees differs, and BLAS picks its kernel by layout and size.  At the shapes
-tests/test_detnet.py's TestCacheFree pins bit for bit (one vector, a wave of
-8 channels with 14 vectors each, and that wave at 5 programming-noise
-levels) the cache-free x_L equals the cached pass's bit for bit.  Elsewhere,
+The two loops do the same arithmetic in the same order: the bias enters the
+cache-free loop's BLAS sum last, with weight 1, where the cached loop adds
+it after the product.  Only the layout and width BLAS sees differ, and BLAS
+picks its kernel by layout and size.  At the shapes tests/test_detnet.py's
+TestCacheFree pins bit for bit (one vector, a wave of 8 channels with 14
+vectors each, and that wave at 5 programming-noise levels, with nonzero
+biases) the cache-free x_L equals the cached pass's bit for bit.  Elsewhere,
 for instance a wave capped at one trial, x_L agrees to rounding and the
 decisions have been equal at every shape tested; only a value within
 rounding of a decision boundary could fall the other way.
@@ -48,8 +53,9 @@ On hardware the same pass runs on differential memristor arrays in two roles:
 * channel-dependent arrays hold the real channel H; they are programmed open
   loop (imprecise, see :mod:`immimo.device`) once per channel realization and
   reused by every block for both the H^T y and H^T H x_{k-1} paths;
-* weight arrays hold the trained W1/W2/W3 matrices; weights are tuned offline
-  with verification, so their mapping is treated as exact.
+* weight arrays hold the trained [W1 | b1] and [W2 | b2; W3 | b3] matrices,
+  each bias a column of conductances driven by a constant input line; weights
+  are tuned offline with verification, so their mapping is treated as exact.
 
 Peripherals (TIAs, inverters, adders, the ReLU rectifier) are ideal: the TIA
 feedback resistances realize the gains alpha1 (one stage) and alpha2 (two
@@ -166,9 +172,10 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
     inputs run in float32 and any float64 one makes it float64.
 
     With keep_cache=False the trajectory is [x_L] alone and the cache is
-    None.  That loop runs feature-major on one set of buffers, so memory does
-    not grow with L: x_L agrees with the cached pass's to rounding, bit for
-    bit at the shapes TestCacheFree pins (see the module docstring).
+    None.  That loop runs feature-major on one set of buffers, with each bias
+    carried in its product, so memory does not grow with L: x_L agrees with
+    the cached pass's to rounding, bit for bit at the shapes TestCacheFree
+    pins (see the module docstring).
     """
     h_real, ys = np.asarray(h_real), np.asarray(ys)
     dtype = np.result_type(params.w1, h_real, ys, np.float32)
@@ -218,35 +225,48 @@ def _last_block_output(params, hty, hth):
     """x_L from the rows H^T y (..., n_vec, 2n_t) and the Gram stack H^T H.
 
     Runs feature-major, one column per vector: u holds x_k in its first 2n_t
-    rows, overwritten in place by s_{k+1}, and a_k in the rest, so each
-    block is two products, W1 u and [W2; W3] z, with no copy between them.
+    rows, overwritten in place by s_{k+1}, then a_k, then a constant-one row,
+    and z ends in a constant-one row too.  So each bias rides in its product
+    as one more weight column, as on a crossbar whose bias conductances are
+    driven by a constant input line, and each block is two products,
+    [W1 | b1] u and [W2 | b2; W3 | b3] z, with no copy between them.  The
+    ones enter each BLAS sum last with weight 1, as the cached pass's bias
+    add does, so x_L stays bit for bit at the shapes TestCacheFree pins.
     """
-    x_dim = params.x_dim
+    x_dim, width = params.x_dim, params.x_dim + params.a_size
     # (2n_t, ..., n_vec): one contiguous row per feature
     hty = np.ascontiguousarray(np.moveaxis(hty, -1, 0))
     hthx = np.empty_like(hty)
     step = np.empty_like(hty)
-    u = np.zeros((x_dim + params.a_size, hty[0].size), hty.dtype)
-    z = np.empty((params.S, u.shape[1]), hty.dtype)
+    u = np.zeros((width + 1, hty[0].size), hty.dtype)
+    u[-1] = 1.0
+    z = np.empty((params.S + 1, u.shape[1]), hty.dtype)
+    z[-1] = 1.0  # the rectifier keeps it: max(1, 0) = 1
+    # one block's [W1 | b1] and [W2 | b2; W3 | b3], refilled per block
+    w1b = np.empty((params.S, width + 1), hty.dtype)
+    w23b = np.empty((width, params.S + 1), hty.dtype)
     x = u[:x_dim].reshape(hty.shape)
-    w23, b23 = _fused_output(params)
+    # x^T H^T H, oriented as in the cached pass so that it rounds alike; H^T H
+    # keeps h's leading dims, so one channel broadcasts over many vector sets
+    x_rows, hthx_rows = np.moveaxis(x, 0, -1), np.moveaxis(hthx, 0, -1)
     for k in range(params.L):
-        # x^T H^T H, oriented as in the cached pass so that it rounds alike;
-        # H^T H keeps h's leading dims, so one channel broadcasts over many
-        # vector sets
-        np.matmul(np.moveaxis(x, 0, -1), hth, out=np.moveaxis(hthx, 0, -1))
+        np.matmul(x_rows, hth, out=hthx_rows)
         # s_k = (x_{k-1} - alpha1 H^T y) + alpha2 H^T H x_{k-1}, in place
         np.multiply(hty, params.alpha1[k], out=step)
         x -= step
         hthx *= params.alpha2[k]
         x += hthx
-        np.matmul(params.w1[k], u, out=z)
-        z += params.b1[k][:, None]
+        w1b[:, :width] = params.w1[k]
+        w1b[:, width] = params.b1[k]
+        np.matmul(w1b, u, out=z[:-1])
         np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
         # x_k and a_k land in u, over s_k and a_{k-1}
-        np.matmul(w23[k], z, out=u)
-        u += b23[k][:, None]
-    return np.moveaxis(x, 0, -1)
+        w23b[:x_dim, :-1] = params.w2[k]
+        w23b[x_dim:, :-1] = params.w3[k]
+        w23b[:x_dim, -1] = params.b2[k]
+        w23b[x_dim:, -1] = params.b3[k]
+        np.matmul(w23b, z, out=u[:width])
+    return x_rows
 
 
 def loss_weights(L, weighting="lnk"):

@@ -25,6 +25,9 @@ from . import mimo
 
 CHECKPOINT_VERSION = 1
 
+# the scalar fields of a checkpoint's header
+HEADER_KEYS = ("version", "n_t", "n_r", "modulation", "L", "S", "a_size")
+
 # the least value of a step gain after an Adam step
 ALPHA_FLOOR = 1e-6
 
@@ -193,16 +196,21 @@ def load_params(path, expected_config=None):
         data = np.load(file, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("not an .npz checkpoint")
-        version = int(data["version"])
+        header = {k: data[k] for k in HEADER_KEYS}
+        for key, value in header.items():
+            if value.ndim != 0:
+                raise ValueError(f"checkpoint {key} has shape {value.shape}; "
+                                 "a header field is a scalar")
+        version = int(header["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         config = mimo.MimoConfig(
-            n_t=int(data["n_t"]),
-            n_r=int(data["n_r"]),
-            modulation=str(data["modulation"]),
-            L=int(data["L"]),
-            S=int(data["S"]),
-            a_size=int(data["a_size"]),
+            n_t=int(header["n_t"]),
+            n_r=int(header["n_r"]),
+            modulation=str(header["modulation"]),
+            L=int(header["L"]),
+            S=int(header["S"]),
+            a_size=int(header["a_size"]),
         )
         params = detnet.DetNetParams(**{k: data[k] for k in detnet.PARAM_KEYS})
     if expected_config is not None:
@@ -213,8 +221,12 @@ def load_params(path, expected_config=None):
                     f"checkpoint {attr}={got} does not match configured {want}"
                 )
     for key, shape in detnet.param_shapes(config).items():
-        got = getattr(params, key).shape
-        if got != shape:
-            raise ValueError(f"checkpoint {key} has shape {got}; its header implies {shape}")
+        value = getattr(params, key)
+        if value.dtype.kind != "f":
+            raise ValueError(f"checkpoint {key} has dtype {value.dtype}; "
+                             "parameters are real floating point")
+        if value.shape != shape:
+            raise ValueError(f"checkpoint {key} has shape {value.shape}; "
+                             f"its header implies {shape}")
     params.validate()
     return params, config

@@ -206,18 +206,23 @@ def write_truncated_checkpoint(path):
 PARAMS_AT_P = SWEEP + "sweep.detectors = detnet\neval.params = {tmp}/p.npz\n"
 
 
+def write_edited_checkpoint(path, key, edit):
+    """A checkpoint of the SWEEP detector whose array `key` is edit(array)."""
+    config = mimo.MimoConfig(n_t=2, n_r=3, L=2, S=8)
+    training.save_params(path, detnet.init_params(config, np.random.default_rng(0)), config)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays[key] = edit(arrays[key])
+    np.savez(path, **arrays)
+
+
 @pytest.mark.parametrize("key,cut", [
     pytest.param("w1", lambda w: w[:, :4], id="w1-narrower-than-S"),
     pytest.param("alpha1", lambda alpha: alpha[:1], id="alpha1-shorter-than-L"),
 ])
 def test_checkpoint_array_disagreeing_with_its_header_exits_2(tmp_path, capsys, key, cut):
-    config = mimo.MimoConfig(n_t=2, n_r=3, L=2, S=8)
     ckpt = tmp_path / "p.npz"
-    training.save_params(ckpt, detnet.init_params(config, np.random.default_rng(0)), config)
-    with np.load(ckpt) as data:
-        arrays = dict(data)
-    arrays[key] = cut(arrays[key])
-    np.savez(ckpt, **arrays)
+    write_edited_checkpoint(ckpt, key, cut)
     code, err = run(tmp_path, PARAMS_AT_P.format(tmp=tmp_path), capsys)
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, f"config error: eval.params {str(ckpt)!r}: checkpoint {key} has shape")
@@ -231,6 +236,21 @@ def test_npy_checkpoint_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert_one_line(err, "config error: eval.params")
     assert err.endswith(": not an .npz checkpoint\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,edit,message", [
+    pytest.param("n_t", lambda n_t: np.full(2, n_t),
+                 "checkpoint n_t has shape (2,); a header field is a scalar", id="array-header-field"),
+    pytest.param("w1", lambda w: w.astype(str), "checkpoint w1 has dtype <U", id="string-params"),
+    pytest.param("w1", lambda w: w + 1j, "checkpoint w1 has dtype complex128", id="complex-params"),
+])
+def test_malformed_checkpoint_field_exits_2(tmp_path, capsys, key, edit, message):
+    ckpt = tmp_path / "p.npz"
+    write_edited_checkpoint(ckpt, key, edit)
+    code, err = run(tmp_path, PARAMS_AT_P.format(tmp=tmp_path), capsys)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, f"config error: eval.params {str(ckpt)!r}: {message}")
     assert not (tmp_path / "out").exists()
 
 

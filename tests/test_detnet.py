@@ -473,12 +473,26 @@ class TestPrecision:
             assert np.max(np.abs(grads[key] - grads64[key])) <= 1e-4 * scale
 
 
+def biased_params(cfg, rng):
+    """init_params with N(0, 0.1) biases and unequal step gains.
+
+    init leaves the biases zero and the two gains equal; here each must reach
+    x_L in its own place, so a dropped bias or swapped gains show.
+    """
+    p = detnet.init_params(cfg, rng)
+    for key in ("b1", "b2", "b3"):
+        setattr(p, key, rng.normal(0.0, 0.1, getattr(p, key).shape))
+    p.alpha1, p.alpha2 = rng.uniform(0.005, 0.05, (2, cfg.L))
+    return p
+
+
 def reference_inputs(shape, dtype, L=10):
     """Params and inputs in dtype at the reference size, 4x6 QPSK with S 64, a 16.
 
     "vector" is one y[None], "wave" an (8, 14) wave and "gamma-stack" a wave
     realized at 5 programming-noise levels: (5, 8) channels with one wave's
-    vectors broadcast over the levels, as the BER sweep detects them.
+    vectors broadcast over the levels, as the BER sweep detects them.  The
+    params have nonzero biases and unequal gains (biased_params).
     """
     cfg = MimoConfig(n_t=4, n_r=6, L=L)
     channels, n_vec = {"vector": ((), 1), "wave": ((8,), 14),
@@ -487,7 +501,7 @@ def reference_inputs(shape, dtype, L=10):
     y = y.astype(dtype)
     if shape == "gamma-stack":
         y = np.broadcast_to(y[0], y.shape)
-    return detnet.init_params(cfg, rng).astype(dtype), h.astype(dtype), y
+    return biased_params(cfg, rng).astype(dtype), h.astype(dtype), y
 
 
 def detect(p, h, y):
@@ -524,13 +538,7 @@ class TestCacheFree:
         cfg = MimoConfig(n_t=4, n_r=6, L=10)
         h, _, y, rng = stacked_instance(cfg, 11, y_shape[:-2], y_shape[-2])
         h = h[(0,) * (len(y_shape) - len(h_shape))]
-        p = detnet.init_params(cfg, rng)
-        # init leaves the biases zero and the two gains equal; here each must
-        # reach x_L in its own place
-        for key in ("b1", "b2", "b3"):
-            setattr(p, key, rng.normal(0.0, 0.1, getattr(p, key).shape))
-        p.alpha1, p.alpha2 = rng.uniform(0.005, 0.05, (2, cfg.L))
-        p = p.astype(dtype)
+        p = biased_params(cfg, rng).astype(dtype)
         h, y = h.astype(dtype), y.astype(dtype)
         x_l = detect(p, h, y)
         want = detnet.ideal_forward(p, h, y)[0][-1]
@@ -544,6 +552,18 @@ class TestCacheFree:
         stacked = detect(p, h, y)
         for g in range(len(h)):
             assert np.array_equal(stacked[g], detect(p, h[g], y[g]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_detection_leaves_params_alone_and_repeats(self, dtype):
+        # the per-block [W | b] buffers must be filled from params, never
+        # through a view of them
+        p, h, y = reference_inputs("gamma-stack", dtype)
+        before = {k: v.copy() for k, v in p.as_dict().items()}
+        first = detect(p, h, y).copy()
+        for key, value in p.as_dict().items():
+            assert value.dtype == before[key].dtype
+            assert np.array_equal(value, before[key]), key
+        assert np.array_equal(detect(p, h, y), first)
 
     def test_nan_input_is_not_decided(self):
         # a NaN in one vector or one channel reaches only the rows it feeds
