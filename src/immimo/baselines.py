@@ -97,38 +97,57 @@ def candidate_matrix(config):
 
 _CANDIDATE_CACHE = {}
 
+# channels whose images and metrics ml_detect_batch builds at a time: at 4x6
+# QPSK, blocks of 1-4 spent more time per wave on numpy calls, and larger
+# ones held more memory for little speed
+ML_BLOCK = 8
+
 
 def ml_detect_batch(h_real, ys, config):
     """Exhaustive ML for many received vectors per channel.
 
-    h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
-    same leading shape; returns (..., n_vec, 2n_t).
+    h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with
+    leading shapes that broadcast; returns (..., n_vec, 2n_t).  The leading
+    dims are flattened into a stack of channels, walked ML_BLOCK channels at
+    a time: each block's images H x and metrics are built in one buffer made
+    once per call, and its decisions go into its rows of one index array.
+    A channel's decisions do not depend on the rest of the stack.
     """
     x_cands = candidate_matrix(config)
     h_real = np.asarray(h_real, float)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n_cand = x_cands.shape[1]
+    n_rows, n_rails = h_real.shape[-2:]
+    n_vec, n_cand = ys.shape[-2], x_cands.shape[1]
     lead = np.broadcast_shapes(h_real.shape[:-2], ys.shape[:-2])
-    shapes = (h_real.shape[:-1] + (n_cand,), lead + (ys.shape[-2], n_cand))
-    sizes = [math.prod(shape) for shape in shapes]
-    # The images H x (..., 2n_r, n_cand) and the metrics (..., n_vec, n_cand)
-    # share one block.  When glibc frees a block it had mapped, it raises its
-    # heap-trim threshold to twice that block's size, so after the first call
-    # one call-sized block stays on a warm heap.  Two blocks, images and
-    # metrics, came within 10% of twice the larger one, and unless an earlier
-    # block had raised the threshold further, the heap shrank and regrew
-    # around every call, with page faults each time.
-    block = np.empty(sum(sizes))
-    images = np.matmul(h_real, x_cands, out=block[:sizes[0]].reshape(shapes[0]))
-    # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row.  Built in
-    # place; scaling by -2 is exact, so the values are those of the
-    # expression ||Hx||^2 - 2 y^T Hx
-    metrics = np.matmul(ys, images, out=block[sizes[0]:].reshape(shapes[1]))
-    metrics *= -2.0
-    np.square(images, out=images)
-    metrics += images.sum(axis=-2)[..., None, :]
-    best = np.argmin(metrics, axis=-1)
-    return x_cands.T[best]
+    # views, unless one side is broadcast over the other's stack
+    h_real = np.broadcast_to(h_real, lead + (n_rows, n_rails)).reshape(-1, n_rows, n_rails)
+    ys = np.broadcast_to(ys, lead + (n_vec, n_rows)).reshape(-1, n_vec, n_rows)
+    n_block = min(ML_BLOCK, len(h_real))
+    # The images (block, 2n_r, n_cand) and the metrics (block, n_vec, n_cand)
+    # share one buffer, about 426 KB at 4x6 QPSK against 1.7 MB for a whole
+    # 32-trial wave.  It is above glibc's initial 128 KiB mmap threshold, so
+    # the first call maps it; freeing it raises the mmap threshold to its
+    # size and the heap-trim threshold to twice that, and every later call
+    # takes it from a heap whose pages stay mapped between calls.  Images and
+    # metrics in two buffers came within 10% of twice the larger one, so the
+    # heap could shrink and regrow around every call, with page faults.
+    buffer = np.empty(n_block * (n_rows + n_vec) * n_cand)
+    split = n_block * n_rows * n_cand
+    block_images = buffer[:split].reshape(n_block, n_rows, n_cand)
+    block_metrics = buffer[split:].reshape(n_block, n_vec, n_cand)
+    best = np.empty((len(h_real), n_vec), dtype=np.intp)
+    for start in range(0, len(h_real), ML_BLOCK):
+        stop = min(start + ML_BLOCK, len(h_real))
+        images = np.matmul(h_real[start:stop], x_cands, out=block_images[:stop - start])
+        # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row.  Built
+        # in place; scaling by -2 is exact, so the values are those of the
+        # expression ||Hx||^2 - 2 y^T Hx
+        metrics = np.matmul(ys[start:stop], images, out=block_metrics[:stop - start])
+        metrics *= -2.0
+        np.square(images, out=images)
+        metrics += images.sum(axis=-2)[..., None, :]
+        np.argmin(metrics, axis=-1, out=best[start:stop])
+    return x_cands.T[best].reshape(lead + (n_vec, n_rails))
 
 
 def sphere_decode(h_real, ys, config):

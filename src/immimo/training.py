@@ -188,8 +188,9 @@ def save_params(path, params, config):
 def load_params(path, expected_config=None):
     """Load a checkpoint; returns (params, config).
 
-    An array whose shape disagrees with the header is rejected, and so, if
-    expected_config is given, is any header mismatch.
+    A header field that is not a scalar, an integer field that does not hold
+    an integer and an array whose shape disagrees with the header are
+    rejected, and so, if expected_config is given, is any header mismatch.
     """
     # np.load leaks the file it opened when the file is not a zip archive
     with open(path, "rb") as file:
@@ -201,6 +202,9 @@ def load_params(path, expected_config=None):
             if value.ndim != 0:
                 raise ValueError(f"checkpoint {key} has shape {value.shape}; "
                                  "a header field is a scalar")
+            if key != "modulation" and value.dtype.kind not in "iu":
+                raise ValueError(f"checkpoint {key} has dtype {value.dtype}; "
+                                 "it is an integer field")
         version = int(header["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")

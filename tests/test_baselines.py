@@ -216,6 +216,50 @@ class TestMlMetric:
         n_cand = 2 ** c.bits_per_vector
         assert live == [8 * (12 + 14) * n_cand * 8]
 
+    @pytest.mark.parametrize("channels,layout", [
+        (1, "stacked"), (7, "stacked"), (9, "stacked"), (29, "stacked"),
+        (1, "unstacked"), (11, "one-channel-broadcast"),
+    ])
+    def test_blocks_decide_as_the_expanded_expression(self, channels, layout, monkeypatch):
+        # one short block, a full block and a short last one, and one channel
+        # flattened from no leading dims or broadcast over a stack of ys
+        c = cfg()
+        rng = np.random.default_rng(24)
+        seen = []
+        argmin = np.argmin
+        monkeypatch.setattr(np, "argmin", lambda a, **kw: seen.append(a.copy())
+                            or argmin(a, **kw))
+        for snr in (0.0, 14.0):
+            h, ys = wave(c, rng, snr, channels=channels)
+            if layout == "unstacked":
+                h, ys = h[0], ys[0]
+            elif layout == "one-channel-broadcast":
+                h = h[0]
+            got = baselines.ml_detect_batch(h, ys, c)
+            want = ml_metrics_expanded(h, ys, c)
+            assert np.array_equal(np.concatenate(seen).reshape(want.shape), want)
+            seen.clear()
+            assert np.array_equal(got, baselines.candidate_matrix(c).T[argmin(want, axis=-1)])
+
+    def test_a_full_wave_peaks_as_one_block_plus_its_decisions(self):
+        c = cfg()
+        h, ys = wave(c, np.random.default_rng(25), 10.0, channels=32)
+        baselines.ml_detect_batch(h, ys, c)  # fills the candidate cache
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                x_hat = baselines.ml_detect_batch(h[:n], ys[:n], c)
+                return tracemalloc.get_traced_memory()[1], x_hat
+            finally:
+                tracemalloc.stop()
+
+        block_peak, _ = peak(baselines.ML_BLOCK)
+        wave_peak, x_hat = peak(32)
+        # the rails and the candidate index of every decision
+        decisions = x_hat.nbytes + x_hat[..., 0].size * np.dtype(np.intp).itemsize
+        assert wave_peak <= block_peak + decisions
+
 
 class TestStackedChannels:
     def test_stack_matches_per_channel(self, rng):

@@ -244,6 +244,12 @@ def test_npy_checkpoint_exits_2(tmp_path, capsys):
                  "checkpoint n_t has shape (2,); a header field is a scalar", id="array-header-field"),
     pytest.param("w1", lambda w: w.astype(str), "checkpoint w1 has dtype <U", id="string-params"),
     pytest.param("w1", lambda w: w + 1j, "checkpoint w1 has dtype complex128", id="complex-params"),
+    # a float integer field would be truncated: n_t 2.9 to 2, version 1.7 to 1
+    pytest.param("n_t", lambda n_t: n_t + 0.9,
+                 "checkpoint n_t has dtype float64; it is an integer field", id="float-n_t"),
+    pytest.param("version", lambda version: version + 0.7,
+                 "checkpoint version has dtype float64; it is an integer field",
+                 id="float-version"),
 ])
 def test_malformed_checkpoint_field_exits_2(tmp_path, capsys, key, edit, message):
     ckpt = tmp_path / "p.npz"
