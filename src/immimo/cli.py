@@ -15,9 +15,10 @@ The subcommand is the run's `mode`: it is passed to the config parse as the
 that depends on the mode runs there.  The other flags override config values
 the same way (--seed, --preset) or name the output directory (--out).
 Exit codes: 0 success, 2 user error (a one-line message, never a traceback;
-a bad config or checkpoint, a file in the way of --out, or a `bounds` run
-with the bound outside its phi > 1 regime), 3 numeric failure (training
-divergence, a rank-deficient channel, floating-point error).
+a bad config or checkpoint, a file in the way of --out or a directory in
+the way of an output file, or a `bounds` run with the bound outside its
+phi > 1 regime), 3 numeric failure (training divergence, a rank-deficient
+channel, floating-point error).
 """
 
 import argparse

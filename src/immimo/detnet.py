@@ -33,9 +33,7 @@ holds x_k over a_k over a constant-one row, and z carries a constant-one
 row too, so each bias rides in its product as one more weight column.  The
 dense layers are [W1 | b1] u and [W2 | b2; W3 | b3] z, with no elementwise
 bias pass, and a_k lands in place with no copy.  Its memory does not grow
-with L, and the sweep detects every deep lane of a wave in one stacked call:
-the channel H for `detnet` and the realized H + dH at each programming-noise
-level for `detnet-hw`.
+with L.
 
 The two loops do the same arithmetic in the same order: the bias enters the
 cache-free loop's BLAS sum last, with weight 1, where the cached loop adds

@@ -8,8 +8,9 @@ detector and gamma at that SNR reuses these draws (common random numbers),
 so detector differences are paired and the sphere decoder reproduces
 exhaustive ML to the bit.  `detnet-hw` programs each channel once, and
 every gamma realizes that programming with the same unit normals, which
-gamma only scales.  Adding or removing a detector or a gamma therefore never
-changes another row's draws, nor its counts, up to the rounding noted below.
+gamma only scales.  Each lane detects in calls of its own, whose inputs are
+these draws alone, so adding or removing a detector or a gamma never
+changes another row, bit for bit, wall_time_s aside.
 Detectors that ignore gamma run once per SNR and their row is copied to
 every gamma.
 The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
@@ -19,18 +20,9 @@ they detect on are cast to float32 before it.
 
 Trials run in waves of WAVE, and the wave is the sweep's one unit: at an SNR
 point each step draws one wave and every lane still running detects all of
-it, each classical detector in one call, and every running deep lane in one
-forward pass over a stack of channels, the same arithmetic per lane as a
-pass of its own.  It rounds alike too when BLAS runs the stack's columns
-through the same kernels as one lane's.  Under OpenBLAS's Haswell kernels it
-does at every full wave: they tile columns by at most 16, and a full wave's
-32 trials give each lane a multiple of 16 columns.  At a wave capped by
-`max_trials` the two column counts may take different kernels, so a lane's
-x_L agrees only to rounding, and a decision within rounding of a level
-boundary could change with the lanes beside it; none has in any case tested
-(see :mod:`immimo.detnet`).  `detnet` adds the wave's channels H to the
-stack; each running `detnet-hw` gamma adds H + dH, the one programming of
-the wave's channels realized at that gamma.  A BER point, one SweepRow, then
+it in one call: `detnet` on the wave's channels H, each running `detnet-hw`
+gamma on H + dH, the one programming of the wave's channels realized at that
+gamma, and each classical detector on H.  A BER point, one SweepRow, then
 adds the whole wave to its totals and stops once it has at least `min_bits`
 bits AND `min_errors` bit errors (confidence at low BER), capped at
 `max_trials` channel realizations; each detector stops on its own.  Every
@@ -61,6 +53,13 @@ from .config import HW_DETECTOR, ConfigError, config_echo
 
 # trials per wave; stopping rules are evaluated only at wave boundaries
 WAVE = 32
+
+# the CSV table each mode writes; `train` also writes its checkpoint
+TABLES = {
+    "train": "loss_history.csv", "eval-ber": "ber.csv", "bounds": "bounds.csv",
+    "latency": "latency.csv", "complexity": "complexity.csv", "flops": "flops.csv",
+    "program-sim": "program_sim.csv",
+}
 
 
 def csv_text(records):
@@ -104,11 +103,10 @@ class SweepRow:
     errors, trials, vectors detected and wall_time_s, plus the sphere
     decoder's tree nodes for `sd`, and the programming pulses and simulated
     programming latency t_p_s for detnet-hw (None for other detectors).
-    wall_time_s is the detection-plus-demapping time of this row's waves; a
-    wave's deep rows (detnet and every detnet-hw gamma) share one timed
-    forward pass, realizing the channel at each gamma included, split evenly
-    over the deep rows in it.  The shared trial draws and channel
-    programming are attributed to no row.
+    wall_time_s is the time this row's own detection and demapping of its
+    waves took, a detnet-hw row's realizing of the channel at its gamma
+    included.  The shared trial draws and channel programming are
+    attributed to no row.
     The means derive from the totals: mean_nodes is tree nodes per
     vector, mean_pulses programming pulses and mean_t_p_s the programming
     latency T_p (device.ProgrammingResult.t_p, as program-sim's t_p_s) per
@@ -171,30 +169,31 @@ def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
     return h[:trials], bits[:trials], ys[:trials], z[:trials]
 
 
-def _detect(detector, h, ys, sigma, cfg):
-    """Hard decisions (trials, vectors, 2n_t) on a wave, and SD's tree nodes.
+def _detect(detector, h, ys, sigma, cfg, params):
+    """Decisions (trials, vectors, 2n_t) on a wave, and SD's tree nodes.
 
-    One call detects a whole wave with zf, mmse, ml or sd; the deep lanes
-    are detected in run_ber_sweep, all of a wave's in one forward pass.
+    One call detects a whole wave with any detector: zf, mmse and the deep
+    detectors return soft outputs, which demapping decides as their nearest
+    symbols, ml and sd hard ones.  For detnet-hw, h is the wave's channel
+    programming realized at the lane's gamma.
     """
     if detector in ("zf", "mmse"):
-        soft = baselines.linear_soft_batch(
+        return baselines.linear_soft_batch(
             h, ys, cfg, sigma_n=sigma if detector == "mmse" else None
-        )
-        return mimo.decide_rails(soft, cfg), None
+        ), None
     if detector == "ml":
         return baselines.ml_detect_batch(h, ys, cfg), None
-    out = baselines.sphere_decode(h, ys, cfg)
-    return out.x_hat_real, out.node_count
+    if detector == "sd":
+        out = baselines.sphere_decode(h, ys, cfg)
+        return out.x_hat_real, out.node_count
+    trajectory, _ = detnet.ideal_forward(params, h.astype(detnet.DTYPE),
+                                         ys.astype(detnet.DTYPE), keep_cache=False)
+    return trajectory[-1], None
 
 
 def _wave_errors(x_hat, bits, cfg):
-    """Bit errors of the decisions x_hat (..., trials, vectors, 2n_t) on a wave.
-
-    One count per leading index: an int for one lane, a list for a stack.
-    """
-    wrong = mimo.demodulate(x_hat, cfg) != bits
-    return np.count_nonzero(wrong, axis=(-3, -2, -1)).tolist()
+    """Bit errors of the decisions x_hat (trials, vectors, 2n_t) on a wave."""
+    return int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
 
 
 def run_ber_sweep(exp, params=None):
@@ -209,8 +208,7 @@ def run_ber_sweep(exp, params=None):
     cfg = exp.mimo
     sweep = exp.sweep
     detectors = sweep.detectors
-    deep = ("detnet", HW_DETECTOR)
-    if any(d in deep for d in detectors):
+    if "detnet" in detectors or HW_DETECTOR in detectors:
         if params is None:
             raise ConfigError("deep detectors need trained params (eval.params)")
         params = params.astype(detnet.DTYPE)
@@ -235,41 +233,25 @@ def run_ber_sweep(exp, params=None):
             trials = min(WAVE, sweep.max_trials - trial)
             h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, trial // WAVE,
                                         sigma, trials)
-            found = []  # (row, errors, seconds, SD nodes)
-            deep_rows = [row for row in active if row.detector in deep]
-            if any(row.detector == HW_DETECTOR for row in deep_rows):
+            if any(row.detector == HW_DETECTOR for row in active):
                 # the one reprogramming event per channel realization, for the
                 # whole wave, realized at every gamma still running
                 program = dev.program_matrix(h, exp.device)
                 pulses, t_p = int(program.pulse_counts.sum()), program.t_p
-            if deep_rows:
-                t0 = time.perf_counter()
-                # one slice per deep lane: H itself, or H + dH at a gamma
-                h_deep = np.stack([h if row.detector == "detnet"
-                                   else program.realized(row.gamma, z)
-                                   for row in deep_rows], dtype=detnet.DTYPE)
-                ys_deep = np.broadcast_to(ys.astype(detnet.DTYPE),
-                                          (len(deep_rows),) + ys.shape)
-                errors = _wave_errors(
-                    detnet.ideal_forward(params, h_deep, ys_deep, keep_cache=False)[0][-1],
-                    bits, cfg)
-                share = (time.perf_counter() - t0) / len(deep_rows)
-                found += [(row, e, share, None) for row, e in zip(deep_rows, errors)]
             for row in active:
-                if row.detector not in deep:
-                    t0 = time.perf_counter()
-                    x_hat, nodes = _detect(row.detector, h, ys, sigma, cfg)
-                    errors = _wave_errors(x_hat, bits, cfg)
-                    found.append((row, errors, time.perf_counter() - t0, nodes))
-            for row, errors, seconds, nodes in found:
-                row.wall_time_s += seconds
+                t0 = time.perf_counter()
+                hw = row.detector == HW_DETECTOR
+                x_hat, nodes = _detect(row.detector,
+                                       program.realized(row.gamma, z) if hw else h,
+                                       ys, sigma, cfg, params)
+                row.errors += _wave_errors(x_hat, bits, cfg)
+                row.wall_time_s += time.perf_counter() - t0
                 row.bits += trials * bits_per_trial
-                row.errors += errors
                 row.trials += trials
                 row.vectors += trials * vectors
                 if nodes is not None:
                     row.nodes = (row.nodes or 0) + nodes
-                if row.detector == HW_DETECTOR:
+                if hw:
                     row.pulses = (row.pulses or 0) + pulses
                     row.t_p_s = (row.t_p_s or 0.0) + t_p
                 if row.bits >= sweep.min_bits and row.errors >= sweep.min_errors:
@@ -314,11 +296,18 @@ def run_pipeline(exp, out_dir):
 
     Returns the list of files written.
     """
+    if exp.mode not in TABLES:
+        raise ConfigError(f"unknown mode {exp.mode!r}")
     out = Path(out_dir)
-    # made only after the run (below), so a file in its way is looked for now
+    # made and written only after the run (below), so what is in their way
+    # is looked for now
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {str(out)!r}: {str(existing)!r} is a file")
+    outputs = ([out / "params.npz"] if exp.mode == "train" else []) + [out / TABLES[exp.mode]]
+    for path in (*outputs, out / "manifest.json"):
+        if path.is_dir():
+            raise ConfigError(f"output {str(path)!r} is a directory")
     started = time.perf_counter()
     rng = np.random.default_rng(exp.seed)
     cfg = exp.mimo
@@ -328,7 +317,6 @@ def run_pipeline(exp, out_dir):
 
     if exp.mode == "train":
         checkpoint, history = training.train(cfg, exp.train, spec, rng)
-        name = "loss_history.csv"
         records = [{"epoch": i, "mean_loss": v} for i, v in enumerate(history, start=1)]
 
     elif exp.mode == "eval-ber":
@@ -338,7 +326,6 @@ def run_pipeline(exp, out_dir):
                 params, _ = training.load_params(exp.params_path, expected_config=cfg)
             except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"eval.params {exp.params_path!r}: {exc}") from exc
-        name = "ber.csv"
         records = [row.record() for row in run_ber_sweep(exp, params=params)]
         recorded["sweep"] = {"wave_trials": WAVE}
 
@@ -353,21 +340,18 @@ def run_pipeline(exp, out_dir):
         except analysis.BoundRegimeError as exc:
             # phi = 2 varpi2 (sqrt(n_t) + sqrt(n_r))^2 must exceed 1
             raise ConfigError(f"bounds.varpi2 = {b.varpi2!r}: {exc}") from exc
-        name = "bounds.csv"
         records = [asdict(report)]
 
     elif exp.mode == "latency":
         bound, t_c = _latency_pair(exp)
         sims = [dev.program_matrix(mimo.generate_channel(cfg, rng), spec).t_p
                 for _ in range(exp.latency.trials)]
-        name = "latency.csv"
         records = [{
             "t_p_bound_s": bound, "t_p_sim_mean_s": np.mean(sims),
             "t_p_sim_max_s": np.max(sims), "t_c_s": t_c, "t_total_bound_s": bound + t_c,
         }]
 
     elif exp.mode == "complexity":
-        name = "complexity.csv"
         records = [asdict(analysis.hardware_complexity(cfg))]
 
     elif exp.mode == "flops":
@@ -375,7 +359,6 @@ def run_pipeline(exp, out_dir):
         symbols = exp.sweep.symbols_per_slot
         bound, t_c = _latency_pair(exp)
         latency = bound + t_c
-        name = "flops.csv"
         records = [{
             "flops_per_symbol": flops, "flops_counted": analysis.count_forward_flops(cfg),
             "symbols": symbols, "latency_s": latency,
@@ -383,7 +366,6 @@ def run_pipeline(exp, out_dir):
         }]
 
     elif exp.mode == "program-sim":
-        name = "program_sim.csv"
         records = []
         for t in range(exp.latency.trials):
             h = mimo.generate_channel(cfg, rng)
@@ -394,23 +376,17 @@ def run_pipeline(exp, out_dir):
                 "total_pulses": int(result.pulse_counts.sum()), "dh_std": np.std(dh),
             })
 
-    else:
-        raise ConfigError(f"unknown mode {exp.mode!r}")
-
     # made only now, so that a user error found while running the mode
     # leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
     if checkpoint is not None:
-        training.save_params(out / "params.npz", checkpoint, cfg)
-        outputs.append(str(out / "params.npz"))
-    (out / name).write_text(csv_text(records), encoding="utf-8")
-    outputs.append(str(out / name))
+        training.save_params(outputs[0], checkpoint, cfg)
+    outputs[-1].write_text(csv_text(records), encoding="utf-8")
     manifest = {
         "version": f"immimo-{__version__}",
         "mode": exp.mode,
         "seed": exp.seed,
-        "outputs": [Path(o).name for o in outputs],
+        "outputs": [o.name for o in outputs],
         "wall_clock_s": round(time.perf_counter() - started, 6),
         "config": config_echo(exp),
         "environment": environment(),
@@ -418,4 +394,4 @@ def run_pipeline(exp, out_dir):
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")
-    return outputs
+    return [str(o) for o in outputs]

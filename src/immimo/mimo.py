@@ -197,10 +197,7 @@ def _nearest_levels(x_real, config):
     x = np.asarray(x_real)[..., :n_rails]
     levels = rail_alphabets(config)[0]
     # distances in float64 whatever x's type, in two buffers reused across
-    # levels: at a stacked wave's size every fresh temporary costs page
-    # faults.  Two blocks rather than one of twice the size: that block,
-    # above glibc's 128 KiB mmap threshold on the deep lanes of a ref-sweep
-    # wave, raised the sweep's peak RSS.
+    # levels
     nearest, dist = np.empty(x.shape), np.empty(x.shape)
     np.abs(np.subtract(x, levels[0], out=nearest, dtype=float), out=nearest)
     for i in range(1, len(levels)):
@@ -210,11 +207,6 @@ def _nearest_levels(x_real, config):
         if i + 1 < len(levels):
             np.minimum(nearest, dist, out=nearest)
     return idx
-
-
-def decide_rails(x_real, config):
-    """Snap each real rail to its nearest alphabet value."""
-    return _level_rails(_nearest_levels(x_real, config), config)
 
 
 def demodulate(x_hat_real, config):

@@ -291,6 +291,26 @@ def test_out_blocked_by_a_file_exits_2_naming_it(tmp_path, capsys, under):
     assert (tmp_path / "f").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("mode,blocked", [
+    pytest.param("complexity", "complexity.csv", id="csv"),
+    pytest.param("complexity", "manifest.json", id="manifest"),
+    pytest.param("train", "params.npz", id="params"),
+])
+def test_directory_in_the_way_of_an_output_exits_2_writing_nothing(tmp_path, capsys,
+                                                                    monkeypatch, mode,
+                                                                    blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    # found before the mode runs, so no training is thrown away
+    monkeypatch.setattr(training, "train", None)
+    code, err = run(tmp_path, SWEEP + "train.epochs = 1\ntrain.batch_size = 4\n", capsys,
+                    mode=mode)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, f"config error: output {str(out / blocked)!r} is a directory\n")
+    assert [p.name for p in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
+
+
 def test_manifest_records_the_environment(tmp_path, capsys):
     code, err = run(tmp_path, SWEEP, capsys, mode="complexity")
     assert (code, err) == (cli.EXIT_OK, "")

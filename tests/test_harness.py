@@ -303,7 +303,8 @@ class TestHardwareReuse:
             lambda h, *a: programs.append(np.shape(h)) or program_matrix(h, *a))
         monkeypatch.setattr(
             detnet, "ideal_forward",
-            lambda p, h, ys, **k: forwards.append(h.shape) or forward(p, h, ys, **k))
+            lambda p, h, ys, **k: forwards.append((h.shape, h.dtype))
+            or forward(p, h, ys, **k))
         # at 4 dB gamma 0.02 reaches 1000 errors in the first wave and gamma 0
         # in the second, at 12 dB both in the first; the programming runs
         # while any gamma still needs the wave.  zf never gets there, so
@@ -321,13 +322,13 @@ class TestHardwareReuse:
         assert [r.trials for r in hw] == [2 * harness.WAVE, harness.WAVE,
                                           harness.WAVE, harness.WAVE]
         # one program per wave, of all the wave's channels
-        channel = (2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
+        channel = (harness.WAVE, 2 * exp.mimo.n_r, 2 * exp.mimo.n_t)
         waves = [(snr, t) for snr, n in needed.items() for t in range(0, n, harness.WAVE)]
-        assert programs == [(harness.WAVE,) + channel] * len(waves)
-        # and one forward call per wave detects every gamma still running
-        assert [f[1:] for f in forwards] == programs
-        assert [f[0] for f in forwards] == [
-            sum(r.trials > t for r in hw if r.snr_db == snr) for snr, t in waves]
+        assert programs == [channel] * len(waves)
+        # and one forward call per gamma still running in the wave, on all
+        # of the wave's channels
+        assert forwards == [(channel, detnet.DTYPE)] * sum(
+            r.trials > t for snr, t in waves for r in hw if r.snr_db == snr)
 
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
@@ -340,35 +341,6 @@ class TestHardwareReuse:
             for r in rows:
                 assert r.mean_pulses == sum(pulses[:r.trials]) / r.trials
                 assert r.mean_pulses > 0
-
-    def test_one_stacked_call_equals_the_per_gamma_calls(self, exp, params, monkeypatch):
-        calls = []
-        forward = detnet.ideal_forward
-
-        def recorded(p, h, ys, keep_cache=True):
-            trajectory, cache = forward(p, h, ys, keep_cache=keep_cache)
-            calls.append((p, h, ys, trajectory[-1]))
-            return trajectory, cache
-
-        monkeypatch.setattr(detnet, "ideal_forward", recorded)
-        gammas = [0.0, 0.01, 0.02, 0.03, 0.04]
-        # every lane runs to the cap, so every wave stacks detnet and all
-        # five gammas
-        one = replace(exp, sweep=replace(exp.sweep, snr_db=[4.0], gammas=gammas))
-        harness.run_ber_sweep(only(one, "detnet", "detnet-hw"), params=params)
-        assert len(calls) == -(-exp.sweep.max_trials // harness.WAVE)
-        sigma = mimo.sigma_from_snr(4.0)
-        for i, (p, h, ys, out) in enumerate(calls):
-            assert h.shape[0] == 1 + len(gammas) and h.dtype == detnet.DTYPE
-            for g in range(len(h)):
-                want = forward(p, h[g], ys[g], keep_cache=False)[0][-1]
-                assert np.array_equal(out[g], want)
-            # the detnet slice is the wave's drawn channels themselves
-            drawn, _, drawn_ys, _ = harness._draw_wave(
-                exp.mimo, exp.sweep.symbols_per_slot, exp.seed, 0, i, sigma,
-                min(harness.WAVE, exp.sweep.max_trials - i * harness.WAVE))
-            assert np.array_equal(h[0], drawn.astype(detnet.DTYPE))
-            assert np.array_equal(ys[0], drawn_ys.astype(detnet.DTYPE))
 
     def test_detnet_alone_programs_nothing(self, exp, params, monkeypatch):
         programs = []
@@ -463,9 +435,8 @@ def per_wave_reference(exp, params, detector, gamma):
         h, sent, ys, z = harness._draw_wave(cfg, vectors, exp.seed, 0,
                                             trials // harness.WAVE, sigma, count)
         if detector in ("zf", "mmse"):
-            soft = baselines.linear_soft_batch(
+            x_hat = baselines.linear_soft_batch(
                 h, ys, cfg, sigma_n=sigma if detector == "mmse" else None)
-            x_hat = mimo.decide_rails(soft, cfg)
         elif detector == "ml":
             x_hat = baselines.ml_detect_batch(h, ys, cfg)
         elif detector == "sd":
