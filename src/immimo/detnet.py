@@ -33,7 +33,11 @@ holds x_k over a_k over a constant-one row, and z carries a constant-one
 row too, so each bias rides in its product as one more weight column.  The
 dense layers are [W1 | b1] u and [W2 | b2; W3 | b3] z, with no elementwise
 bias pass, and a_k lands in place with no copy.  Its memory does not grow
-with L.
+with L.  The weight stacks [W1 | b1] and [W2 | b2; W3 | b3] are packed once
+into DetectionWeights (detection_weights), as the weight crossbars are
+programmed once, and the loop only indexes them: the BER sweep packs once
+per sweep and passes the packed value, while a caller that passes
+DetNetParams pays the packing on every call.
 
 The two loops do the same arithmetic in the same order: the bias enters the
 cache-free loop's BLAS sum last, with weight 1, where the cached loop adds
@@ -128,6 +132,48 @@ class DetNetParams:
             raise ValueError("alpha gains must stay strictly positive")
 
 
+@dataclass(frozen=True)
+class DetectionWeights:
+    """The weight arrays as detection reads them, packed once from DetNetParams.
+
+    w1b is the stack [W1 | b1], (L, S, 2n_t + a_size + 1), and w23b the stack
+    [W2 | b2; W3 | b3], (L, 2n_t + a_size, S + 1): each block's two weight
+    crossbars with their bias columns.  alpha1 and alpha2 are the gains.  A
+    snapshot: its arrays are read-only copies, so later edits to the params
+    it was packed from do not reach it.
+    """
+
+    w1b: np.ndarray
+    w23b: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    x_dim: int
+
+
+def detection_weights(params):
+    """Pack params for the cache-free detection loop.
+
+    The arrays take the dtype of params.w1, at least float32.  The BER sweep
+    packs once, as the weight arrays are programmed once, offline.
+    """
+    dtype = np.result_type(params.w1, np.float32)
+    x_dim, width = params.x_dim, params.x_dim + params.a_size
+    # filled in place: packing allocates nothing but the stacks
+    w1b = np.empty((params.L, params.S, width + 1), dtype)
+    w1b[..., :-1] = params.w1
+    w1b[..., -1] = params.b1
+    w23b = np.empty((params.L, width, params.S + 1), dtype)
+    w23b[:, :x_dim, :-1] = params.w2
+    w23b[:, x_dim:, :-1] = params.w3
+    w23b[:, :x_dim, -1] = params.b2
+    w23b[:, x_dim:, -1] = params.b3
+    arrays = {"w1b": w1b, "w23b": w23b,
+              "alpha1": params.alpha1.astype(dtype), "alpha2": params.alpha2.astype(dtype)}
+    for value in arrays.values():
+        value.flags.writeable = False
+    return DetectionWeights(**arrays, x_dim=params.x_dim)
+
+
 def param_shapes(config):
     """The shape of each parameter array, keyed and ordered as PARAM_KEYS."""
     L, S, x, a = config.L, config.S, 2 * config.n_t, config.a_size
@@ -173,10 +219,15 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
     None.  That loop runs feature-major on one set of buffers, with each bias
     carried in its product, so memory does not grow with L: x_L agrees with
     the cached pass's to rounding, bit for bit at the shapes TestCacheFree
-    pins (see the module docstring).
+    pins (see the module docstring).  It also takes params already packed
+    by detection_weights, whose w1b then stands for params.w1 in the result
+    type; DetNetParams are packed on entry.
     """
     h_real, ys = np.asarray(h_real), np.asarray(ys)
-    dtype = np.result_type(params.w1, h_real, ys, np.float32)
+    packed = isinstance(params, DetectionWeights)
+    if packed and keep_cache:
+        raise TypeError("the cached pass takes DetNetParams, not DetectionWeights")
+    dtype = np.result_type(params.w1b if packed else params.w1, h_real, ys, np.float32)
     h_real = h_real.astype(dtype, copy=False)
     ys = ys.astype(dtype, copy=False)
     if ys.ndim < h_real.ndim:
@@ -187,7 +238,8 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
     hty = ys @ h_real
     hth = np.ascontiguousarray(np.swapaxes(h_real, -1, -2)) @ h_real
     if not keep_cache:
-        return [_last_block_output(params, hty, hth)], None
+        weights = params if packed else detection_weights(params)
+        return [_last_block_output(weights, hty, hth)], None
     n_rows = int(np.prod(hty.shape[:-1], dtype=np.int64))
     L, x_dim = params.L, params.x_dim
     w23, b23 = _fused_output(params)
@@ -219,8 +271,8 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
     return trajectory, cache
 
 
-def _last_block_output(params, hty, hth):
-    """x_L from the rows H^T y (..., n_vec, 2n_t) and the Gram stack H^T H.
+def _last_block_output(weights, hty, hth):
+    """x_L from DetectionWeights, the rows H^T y (..., n_vec, 2n_t) and H^T H.
 
     Runs feature-major, one column per vector: u holds x_k in its first 2n_t
     rows, overwritten in place by s_{k+1}, then a_k, then a constant-one row,
@@ -228,42 +280,39 @@ def _last_block_output(params, hty, hth):
     as one more weight column, as on a crossbar whose bias conductances are
     driven by a constant input line, and each block is two products,
     [W1 | b1] u and [W2 | b2; W3 | b3] z, with no copy between them.  The
-    ones enter each BLAS sum last with weight 1, as the cached pass's bias
-    add does, so x_L stays bit for bit at the shapes TestCacheFree pins.
+    weight stacks are packed once, as the weight crossbars are programmed
+    once, and block k only indexes them; weights in another dtype than the
+    inputs' are cast once per call.  The ones enter each BLAS sum last with
+    weight 1, as the cached pass's bias add does, so x_L stays bit for bit at
+    the shapes TestCacheFree pins.
     """
-    x_dim, width = params.x_dim, params.x_dim + params.a_size
+    w1b = weights.w1b.astype(hty.dtype, copy=False)
+    w23b = weights.w23b.astype(hty.dtype, copy=False)
+    x_dim, width = weights.x_dim, w23b.shape[1]
+    L, S = w1b.shape[:2]
     # (2n_t, ..., n_vec): one contiguous row per feature
     hty = np.ascontiguousarray(np.moveaxis(hty, -1, 0))
     hthx = np.empty_like(hty)
     step = np.empty_like(hty)
     u = np.zeros((width + 1, hty[0].size), hty.dtype)
     u[-1] = 1.0
-    z = np.empty((params.S + 1, u.shape[1]), hty.dtype)
+    z = np.empty((S + 1, u.shape[1]), hty.dtype)
     z[-1] = 1.0  # the rectifier keeps it: max(1, 0) = 1
-    # one block's [W1 | b1] and [W2 | b2; W3 | b3], refilled per block
-    w1b = np.empty((params.S, width + 1), hty.dtype)
-    w23b = np.empty((width, params.S + 1), hty.dtype)
     x = u[:x_dim].reshape(hty.shape)
     # x^T H^T H, oriented as in the cached pass so that it rounds alike; H^T H
     # keeps h's leading dims, so one channel broadcasts over many vector sets
     x_rows, hthx_rows = np.moveaxis(x, 0, -1), np.moveaxis(hthx, 0, -1)
-    for k in range(params.L):
+    for k in range(L):
         np.matmul(x_rows, hth, out=hthx_rows)
         # s_k = (x_{k-1} - alpha1 H^T y) + alpha2 H^T H x_{k-1}, in place
-        np.multiply(hty, params.alpha1[k], out=step)
+        np.multiply(hty, weights.alpha1[k], out=step)
         x -= step
-        hthx *= params.alpha2[k]
+        hthx *= weights.alpha2[k]
         x += hthx
-        w1b[:, :width] = params.w1[k]
-        w1b[:, width] = params.b1[k]
-        np.matmul(w1b, u, out=z[:-1])
+        np.matmul(w1b[k], u, out=z[:-1])
         np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
         # x_k and a_k land in u, over s_k and a_{k-1}
-        w23b[:x_dim, :-1] = params.w2[k]
-        w23b[x_dim:, :-1] = params.w3[k]
-        w23b[:x_dim, -1] = params.b2[k]
-        w23b[x_dim:, -1] = params.b3[k]
-        np.matmul(w23b, z, out=u[:width])
+        np.matmul(w23b[k], z, out=u[:width])
     return x_rows
 
 

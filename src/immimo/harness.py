@@ -16,7 +16,10 @@ every gamma.
 The deep detectors (`detnet`, `detnet-hw`) decide from a float32 forward
 pass (detnet.DTYPE): the draws, the programming and every other detector
 stay float64, and the params, each wave's received vectors and each channel
-they detect on are cast to float32 before it.
+they detect on are cast to float32 before it.  The params are cast, checked
+and then packed once per sweep into the stacks [W1 | b1] and
+[W2 | b2; W3 | b3] (detnet.DetectionWeights), as the weight arrays are
+programmed once, offline; every deep call of the sweep reads those stacks.
 
 Trials run in waves of WAVE, and the wave is the sweep's one unit: at an SNR
 point each step draws one wave and every lane still running detects all of
@@ -169,13 +172,14 @@ def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
     return h[:trials], bits[:trials], ys[:trials], z[:trials]
 
 
-def _detect(detector, h, ys, sigma, cfg, params):
+def _detect(detector, h, ys, sigma, cfg, weights):
     """Decisions (trials, vectors, 2n_t) on a wave, and SD's tree nodes.
 
     One call detects a whole wave with any detector: zf, mmse and the deep
     detectors return soft outputs, which demapping decides as their nearest
     symbols, ml and sd hard ones.  For detnet-hw, h is the wave's channel
-    programming realized at the lane's gamma.
+    programming realized at the lane's gamma.  weights are the sweep's
+    packed detnet.DetectionWeights.
     """
     if detector in ("zf", "mmse"):
         return baselines.linear_soft_batch(
@@ -186,7 +190,7 @@ def _detect(detector, h, ys, sigma, cfg, params):
     if detector == "sd":
         out = baselines.sphere_decode(h, ys, cfg)
         return out.x_hat_real, out.node_count
-    trajectory, _ = detnet.ideal_forward(params, h.astype(detnet.DTYPE),
+    trajectory, _ = detnet.ideal_forward(weights, h.astype(detnet.DTYPE),
                                          ys.astype(detnet.DTYPE), keep_cache=False)
     return trajectory[-1], None
 
@@ -208,11 +212,16 @@ def run_ber_sweep(exp, params=None):
     cfg = exp.mimo
     sweep = exp.sweep
     detectors = sweep.detectors
+    weights = None
     if "detnet" in detectors or HW_DETECTOR in detectors:
         if params is None:
             raise ConfigError("deep detectors need trained params (eval.params)")
         params = params.astype(detnet.DTYPE)
         params.validate()
+        # packed once, as the weight arrays are programmed once; the float32
+        # copy is not kept besides
+        weights = detnet.detection_weights(params)
+    del params
 
     # one lane per detector; detnet-hw gets one per gamma
     lanes = [
@@ -243,7 +252,7 @@ def run_ber_sweep(exp, params=None):
                 hw = row.detector == HW_DETECTOR
                 x_hat, nodes = _detect(row.detector,
                                        program.realized(row.gamma, z) if hw else h,
-                                       ys, sigma, cfg, params)
+                                       ys, sigma, cfg, weights)
                 row.errors += _wave_errors(x_hat, bits, cfg)
                 row.wall_time_s += time.perf_counter() - t0
                 row.bits += trials * bits_per_trial

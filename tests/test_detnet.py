@@ -592,3 +592,56 @@ class TestCacheFree:
         assert peaks[10, False] <= 1.5 * peaks[2, False]
         # the stacked cache backprop reads grows with L
         assert peaks[10, True] > 1.5 * peaks[2, True]
+
+
+class TestDetectionWeights:
+    """detection_weights packs [W1 | b1] and [W2 | b2; W3 | b3] once."""
+
+    def test_packs_each_block_with_its_bias_columns(self):
+        p, _, _ = reference_inputs("vector", np.float64)
+        weights = detnet.detection_weights(p)
+        assert weights.w1b.shape == (p.L, p.S, p.x_dim + p.a_size + 1)
+        assert weights.w23b.shape == (p.L, p.x_dim + p.a_size, p.S + 1)
+        assert np.array_equal(weights.w1b, np.concatenate([p.w1, p.b1[..., None]], -1))
+        w2b = np.concatenate([p.w2, p.b2[..., None]], -1)
+        w3b = np.concatenate([p.w3, p.b3[..., None]], -1)
+        assert np.array_equal(weights.w23b, np.concatenate([w2b, w3b], 1))
+        assert np.array_equal(weights.alpha1, p.alpha1)
+        assert np.array_equal(weights.alpha2, p.alpha2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", ["vector", "wave", "gamma-stack"])
+    def test_packed_x_l_equals_the_params_call_bit_for_bit(self, shape, dtype):
+        p, h, y = reference_inputs(shape, dtype)
+        x_l = detect(detnet.detection_weights(p), h, y)
+        want = detect(p, h, y)
+        assert x_l.dtype == want.dtype == dtype
+        assert np.array_equal(x_l, want)
+
+    def test_float32_weights_with_float64_inputs_run_in_float64(self):
+        p, h, y = reference_inputs("wave", np.float32)
+        h, y = h.astype(np.float64), y.astype(np.float64)
+        weights = detnet.detection_weights(p)
+        assert weights.w1b.dtype == np.float32
+        x_l = detect(weights, h, y)
+        want = detect(p, h, y)
+        assert x_l.dtype == want.dtype == np.float64
+        assert np.array_equal(x_l, want)
+        # not the float32 result
+        assert not np.array_equal(x_l, detect(p, h.astype(np.float32), y.astype(np.float32)))
+
+    def test_a_snapshot_of_the_params(self):
+        p, h, y = reference_inputs("wave", np.float32)
+        weights = detnet.detection_weights(p)
+        before = detect(weights, h, y).copy()
+        for key in detnet.PARAM_KEYS:
+            getattr(p, key)[...] *= 2.0  # the gains stay positive
+        assert not np.array_equal(detect(p, h, y), before)
+        assert np.array_equal(detect(weights, h, y), before)
+        with pytest.raises(ValueError):
+            weights.w1b[0, 0, 0] = 0.0
+
+    def test_the_cached_pass_needs_params(self):
+        p, h, y = reference_inputs("vector", np.float32)
+        with pytest.raises(TypeError):
+            detnet.ideal_forward(detnet.detection_weights(p), h, y)

@@ -330,6 +330,25 @@ class TestHardwareReuse:
         assert forwards == [(channel, detnet.DTYPE)] * sum(
             r.trials > t for snr, t in waves for r in hw if r.snr_db == snr)
 
+    def test_the_weights_are_packed_once_per_sweep(self, exp, params, monkeypatch):
+        packs, forwards = [], []
+        pack, forward = detnet.detection_weights, detnet.ideal_forward
+        monkeypatch.setattr(detnet, "detection_weights",
+                            lambda p, *a: packs.append(pack(p, *a)) or packs[-1])
+        monkeypatch.setattr(detnet, "ideal_forward",
+                            lambda p, h, ys, **k: forwards.append(type(p))
+                            or forward(p, h, ys, **k))
+        deep = harness.run_ber_sweep(only(exp, "detnet", "detnet-hw"), params=params)
+        assert len(exp.sweep.snr_db) == len(exp.sweep.gammas) == 2
+        # every lane runs past one wave, and every call reads the one packing,
+        # made from the params cast to float32
+        assert all(r.trials > harness.WAVE for r in deep)
+        assert [w.w1b.dtype for w in packs] == [detnet.DTYPE]
+        assert len(forwards) > 6 and set(forwards) == {detnet.DetectionWeights}
+        packs.clear()
+        harness.run_ber_sweep(only(exp, "zf", "ml"), params=params)
+        assert packs == []
+
     def test_mean_pulses_counts_each_programmed_channel(self, exp, params):
         result = harness.run_ber_sweep(only(exp, "detnet-hw"), params=params)
         for snr_index, snr in enumerate(exp.sweep.snr_db):
