@@ -20,34 +20,35 @@ stack of channels H (..., 2n_r, 2n_t) and the vectors received through them,
 ys (..., n_vec, 2n_r), one row per vector.  Then H^T y is ys @ H and H^T H x
 is x @ H^T H, each one stacked product.  A single vector is ys = y[None].
 
-Inside, the two modes of ideal_forward lay the block loop out differently.
-Only training keeps the forward pass's cache: backward reads every block's
-intermediates, stacked over the L blocks with the N vectors as rows, and its
-parameter gradients are sums over those rows, so the cached loop runs on
-rows, the dense layers as (N, d) @ (d, S) products.  A feature-major training
-pass measured slower and changes the loss history from the first epoch (see
-ROADMAP.md).  Detection needs x_L alone, so the BER sweep runs the block loop
-with keep_cache=False, and that loop runs feature-major, as a crossbar
-applies each input vector as a column: one (2n_t + a_size + 1, N) buffer
-holds x_k over a_k over a constant-one row, and z carries a constant-one
-row too, so each bias rides in its product as one more weight column.  The
-dense layers are [W1 | b1] u and [W2 | b2; W3 | b3] z, with no elementwise
-bias pass, and a_k lands in place with no copy.  Its memory does not grow
-with L.  The weight stacks [W1 | b1] and [W2 | b2; W3 | b3] are packed once
-into DetectionWeights (detection_weights), as the weight crossbars are
-programmed once, and the loop only indexes them: the BER sweep packs once
-per sweep and passes the packed value, while a caller that passes
-DetNetParams pays the packing on every call.
+The forward pass is split at the paper's module boundary, one function per
+role.  channel_products(h_real, ys), the channel-dependent module, forms
+G = H^T H and the rows H^T y, the only places H enters.  forward(params,
+gram, hty), the training pass, runs the L blocks from them and keeps the
+cache that backward reads.  ideal_forward(weights, gram, hty), the detection
+pass, runs the same blocks and returns x_L alone; it reads DetectionWeights,
+the stacks [W1 | b1] and [W2 | b2; W3 | b3] that detection_weights packs
+once, as the weight crossbars are programmed once, offline.
+
+Two block loops remain, each laid out for its pass.  backward reads every
+block's intermediates, stacked over the L blocks with the N vectors as rows,
+and its parameter gradients are sums over those rows, so the training pass
+runs on rows, the dense layers as (N, d) @ (d, S) products; a feature-major
+training pass measured slower and changes the loss history from the first
+epoch (see ROADMAP.md).  The detection pass runs feature-major, as a
+crossbar applies each input vector as a column: one (2n_t + a_size + 1, N)
+buffer holds x_k over a_k over a constant-one row, and z carries a
+constant-one row too, so each bias rides in its product as one more weight
+column and a_k lands in place with no copy.  Its memory does not grow with L.
 
 The two loops do the same arithmetic in the same order: the bias enters the
-cache-free loop's BLAS sum last, with weight 1, where the cached loop adds
+detection loop's BLAS sum last, with weight 1, where the training loop adds
 it after the product.  Only the layout and width BLAS sees differ, and BLAS
 picks its kernel by layout and size.  At the shapes tests/test_detnet.py's
 TestCacheFree pins bit for bit (one vector, a wave of 8 channels with 14
 vectors each, and that wave at 5 programming-noise levels, with nonzero
-biases) the cache-free x_L equals the cached pass's bit for bit.  Elsewhere,
-for instance a wave capped at one trial, x_L agrees to rounding and the
-decisions have been equal at every shape tested; only a value within
+biases) the detection pass's x_L equals the training pass's bit for bit.
+Elsewhere, for instance a wave capped at one trial, x_L agrees to rounding
+and the decisions have been equal at every shape tested; only a value within
 rounding of a decision boundary could fall the other way.
 
 On hardware the same pass runs on differential memristor arrays in two roles:
@@ -67,12 +68,13 @@ divided out; no volt/ampere headroom is enforced.  With exact weights and
 ideal peripherals the in-memory detector is therefore exactly this forward
 pass run on the realized channel H + dH (device.ProgrammingResult.realized).
 
-Precision follows the inputs: the forward and backward passes compute in the
-result type of the params and the channel and received arrays (at least
-float32), so float64 inputs give float64 arithmetic throughout.  The BER
-sweep and training cast their params and inputs to DTYPE, float32: analog
-arrays compute with far less precision than that, and on a trained detector
-float32 and float64 give the same bit decisions.
+Precision follows the operands: the products are computed in the result
+type of h and ys (at least float32), and each pass in the result type of its
+params or weights and the products, so float64 inputs give float64
+arithmetic throughout.  The BER sweep and training cast their params and
+inputs to DTYPE, float32: analog arrays compute with far less precision
+than that, and on a trained detector float32 and float64 give the same bit
+decisions.
 """
 
 from dataclasses import dataclass
@@ -151,7 +153,7 @@ class DetectionWeights:
 
 
 def detection_weights(params):
-    """Pack params for the cache-free detection loop.
+    """Pack params for the detection pass, ideal_forward.
 
     The arrays take the dtype of params.w1, at least float32.  The BER sweep
     packs once, as the weight arrays are programmed once, offline.
@@ -201,33 +203,17 @@ def _fused_output(params):
             np.concatenate([params.b2, params.b3], axis=1))
 
 
-def ideal_forward(params, h_real, ys, keep_cache=True):
-    """Run all L blocks in exact arithmetic at the precision of the inputs.
+def channel_products(h_real, ys):
+    """The channel-dependent module: (gram, hty), H^T H and the rows H^T y.
 
-    Vectors are rows: h_real is (..., 2n_r, 2n_t) and ys is (..., n_vec, 2n_r),
-    n_vec received vectors per channel, so a single vector is passed as y[None];
-    ys broadcasts against the channels' leading dims.  Returns (trajectory,
-    cache): trajectory is the list [x_1, ..., x_L], each of shape (...,
-    n_vec, 2n_t); the cache retains what backprop needs: the Gram products,
-    and for every block its H^T H x_{k-1}, its input u_k = [s_k; a_{k-1}] and
-    its rectified output z_k, stacked over blocks with the N vectors as rows,
-    e.g. u (L, N, 2n_t + a_size).  Everything is computed in
-    np.result_type(params.w1, h_real, ys, np.float32), so float32 params and
-    inputs run in float32 and any float64 one makes it float64.
-
-    With keep_cache=False the trajectory is [x_L] alone and the cache is
-    None.  That loop runs feature-major on one set of buffers, with each bias
-    carried in its product, so memory does not grow with L: x_L agrees with
-    the cached pass's to rounding, bit for bit at the shapes TestCacheFree
-    pins (see the module docstring).  It also takes params already packed
-    by detection_weights, whose w1b then stands for params.w1 in the result
-    type; DetNetParams are packed on entry.
+    h_real is (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), n_vec received
+    vectors per channel, so one vector is passed as y[None]; ys broadcasts
+    against the channels' leading dims.  hty is (..., n_vec, 2n_t) and gram
+    (..., 2n_t, 2n_t) keeps h's leading dims, so one channel serves many
+    vector sets.  Both are in np.result_type(h_real, ys, np.float32).
     """
     h_real, ys = np.asarray(h_real), np.asarray(ys)
-    packed = isinstance(params, DetectionWeights)
-    if packed and keep_cache:
-        raise TypeError("the cached pass takes DetNetParams, not DetectionWeights")
-    dtype = np.result_type(params.w1b if packed else params.w1, h_real, ys, np.float32)
+    dtype = np.result_type(h_real, ys, np.float32)
     h_real = h_real.astype(dtype, copy=False)
     ys = ys.astype(dtype, copy=False)
     if ys.ndim < h_real.ndim:
@@ -235,11 +221,23 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
             f"ys {ys.shape} has fewer dims than h {h_real.shape}; "
             "vectors are rows, pass one vector as y[None]"
         )
+    # hty first: allocated the other way round, the same arithmetic measured
+    # about 2% slower on perfbench's hw-sweep
     hty = ys @ h_real
-    hth = np.ascontiguousarray(np.swapaxes(h_real, -1, -2)) @ h_real
-    if not keep_cache:
-        weights = params if packed else detection_weights(params)
-        return [_last_block_output(weights, hty, hth)], None
+    return np.ascontiguousarray(np.swapaxes(h_real, -1, -2)) @ h_real, hty
+
+
+def forward(params, gram, hty):
+    """The training pass from the channel products: (trajectory, cache).
+
+    trajectory is the list [x_1, ..., x_L], each shaped like hty; the cache
+    retains what backprop needs: the products, and for every block its
+    x_{k-1} @ gram, its input u_k = [s_k; a_{k-1}] and its rectified output
+    z_k, stacked over blocks with the N vectors as rows, e.g. u (L, N, 2n_t +
+    a_size).  Everything is computed in np.result_type(params.w1, gram, hty).
+    """
+    dtype = np.result_type(params.w1, gram, hty)
+    hth, hty = np.asarray(gram, dtype), np.asarray(hty, dtype)
     n_rows = int(np.prod(hty.shape[:-1], dtype=np.int64))
     L, x_dim = params.L, params.x_dim
     w23, b23 = _fused_output(params)
@@ -271,39 +269,36 @@ def ideal_forward(params, h_real, ys, keep_cache=True):
     return trajectory, cache
 
 
-def _last_block_output(weights, hty, hth):
-    """x_L from DetectionWeights, the rows H^T y (..., n_vec, 2n_t) and H^T H.
+def ideal_forward(weights, gram, hty):
+    """The detection pass from the channel products: x_L, shaped like hty.
 
-    Runs feature-major, one column per vector: u holds x_k in its first 2n_t
-    rows, overwritten in place by s_{k+1}, then a_k, then a constant-one row,
-    and z ends in a constant-one row too.  So each bias rides in its product
-    as one more weight column, as on a crossbar whose bias conductances are
-    driven by a constant input line, and each block is two products,
-    [W1 | b1] u and [W2 | b2; W3 | b3] z, with no copy between them.  The
-    weight stacks are packed once, as the weight crossbars are programmed
-    once, and block k only indexes them; weights in another dtype than the
-    inputs' are cast once per call.  The ones enter each BLAS sum last with
-    weight 1, as the cached pass's bias add does, so x_L stays bit for bit at
-    the shapes TestCacheFree pins.
+    weights are DetectionWeights; everything is computed in
+    np.result_type(weights.w1b, gram, hty).  Feature-major, one column per
+    vector (see the module docstring): u holds x_k, overwritten in place by
+    s_{k+1}, over a_k over a constant-one row, and z ends in a constant-one
+    row, so each block is the two products [W1 | b1] u and
+    [W2 | b2; W3 | b3] z, with no copy between them, on stacks that block k
+    only indexes.
     """
-    w1b = weights.w1b.astype(hty.dtype, copy=False)
-    w23b = weights.w23b.astype(hty.dtype, copy=False)
+    dtype = np.result_type(weights.w1b, gram, hty)
+    gram = np.asarray(gram, dtype)
+    w1b = weights.w1b.astype(dtype, copy=False)
+    w23b = weights.w23b.astype(dtype, copy=False)
     x_dim, width = weights.x_dim, w23b.shape[1]
     L, S = w1b.shape[:2]
     # (2n_t, ..., n_vec): one contiguous row per feature
-    hty = np.ascontiguousarray(np.moveaxis(hty, -1, 0))
+    hty = np.ascontiguousarray(np.moveaxis(hty, -1, 0), dtype=dtype)
     hthx = np.empty_like(hty)
     step = np.empty_like(hty)
-    u = np.zeros((width + 1, hty[0].size), hty.dtype)
+    u = np.zeros((width + 1, hty[0].size), dtype)
     u[-1] = 1.0
-    z = np.empty((S + 1, u.shape[1]), hty.dtype)
+    z = np.empty((S + 1, u.shape[1]), dtype)
     z[-1] = 1.0  # the rectifier keeps it: max(1, 0) = 1
     x = u[:x_dim].reshape(hty.shape)
-    # x^T H^T H, oriented as in the cached pass so that it rounds alike; H^T H
-    # keeps h's leading dims, so one channel broadcasts over many vector sets
+    # x^T H^T H, oriented as in the training pass so that it rounds alike
     x_rows, hthx_rows = np.moveaxis(x, 0, -1), np.moveaxis(hthx, 0, -1)
     for k in range(L):
-        np.matmul(x_rows, hth, out=hthx_rows)
+        np.matmul(x_rows, gram, out=hthx_rows)
         # s_k = (x_{k-1} - alpha1 H^T y) + alpha2 H^T H x_{k-1}, in place
         np.multiply(hty, weights.alpha1[k], out=step)
         x -= step
@@ -350,7 +345,9 @@ def backward(params, cache, x_true, weighting="lnk", out=None):
     the forward pass that filled the cache.
     """
     hty = cache["hty"]
-    hth = cache["hth"]
+    # G^T made contiguous: BLAS then reads it as it reads G, so for a
+    # symmetric G the product rounds as gs @ G would, bit for bit
+    hth_t = np.ascontiguousarray(np.swapaxes(cache["hth"], -1, -2))
     us, zs = cache["u"], cache["z"]
     trajectory = cache["trajectory"]
     dtype = us.dtype
@@ -375,8 +372,9 @@ def backward(params, cache, x_true, weighting="lnk", out=None):
         gs = gss[k]
         gs[...] = gu[:, :x_dim].reshape(hty.shape)
         ga = gu[:, x_dim:]
-        # s_k = x_{k-1} - alpha1 H^T y + alpha2 H^T H x_{k-1}; H^T H symmetric
-        gx = gs + params.alpha2[k] * (gs @ hth)
+        # s_k = x_{k-1} - alpha1 H^T y + alpha2 x_{k-1} @ G, so x_{k-1}
+        # takes gs @ G^T, which is gs @ G only for a symmetric G
+        gx = gs + params.alpha2[k] * (gs @ hth_t)
 
     grads = out if out is not None else {
         k: np.empty_like(getattr(params, k)) for k in PARAM_KEYS

@@ -19,7 +19,8 @@ stay float64, and the params, each wave's received vectors and each channel
 they detect on are cast to float32 before it.  The params are cast, checked
 and then packed once per sweep into the stacks [W1 | b1] and
 [W2 | b2; W3 | b3] (detnet.DetectionWeights), as the weight arrays are
-programmed once, offline; every deep call of the sweep reads those stacks.
+programmed once, offline; each deep call runs the detection pass on those
+stacks and on its channel products H^T H and H^T y.
 
 Trials run in waves of WAVE, and the wave is the sweep's one unit: at an SNR
 point each step draws one wave and every lane still running detects all of
@@ -178,8 +179,9 @@ def _detect(detector, h, ys, sigma, cfg, weights):
     One call detects a whole wave with any detector: zf, mmse and the deep
     detectors return soft outputs, which demapping decides as their nearest
     symbols, ml and sd hard ones.  For detnet-hw, h is the wave's channel
-    programming realized at the lane's gamma.  weights are the sweep's
-    packed detnet.DetectionWeights.
+    programming realized at the lane's gamma.  A deep detector runs the
+    detection pass with weights, the sweep's packed detnet.DetectionWeights,
+    on the float32 channel products of h and ys.
     """
     if detector in ("zf", "mmse"):
         return baselines.linear_soft_batch(
@@ -190,9 +192,8 @@ def _detect(detector, h, ys, sigma, cfg, weights):
     if detector == "sd":
         out = baselines.sphere_decode(h, ys, cfg)
         return out.x_hat_real, out.node_count
-    trajectory, _ = detnet.ideal_forward(weights, h.astype(detnet.DTYPE),
-                                         ys.astype(detnet.DTYPE), keep_cache=False)
-    return trajectory[-1], None
+    products = detnet.channel_products(h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE))
+    return detnet.ideal_forward(weights, *products), None
 
 
 def _wave_errors(x_hat, bits, cfg):

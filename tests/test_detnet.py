@@ -22,6 +22,11 @@ def random_instance(cfg, seed, sigma=0.3):
     return h, x, y[None], rng
 
 
+def train_pass(p, h, y):
+    """(trajectory, cache) of the training pass on the channel products of h and y."""
+    return detnet.forward(p, *detnet.channel_products(h, y))
+
+
 class TestInit:
     def test_reproducible(self):
         cfg = small_cfg()
@@ -64,7 +69,7 @@ class TestForward:
             getattr(p, key)[:] = 0.0
         p.b2[:] = 0.75
         h, x, y, _ = random_instance(cfg, 5)
-        trajectory, _ = detnet.ideal_forward(p, h, y)
+        trajectory, _ = train_pass(p, h, y)
         assert np.allclose(trajectory[-1], 0.75)
 
     def test_batched_equals_loop(self):
@@ -73,10 +78,10 @@ class TestForward:
         rng = np.random.default_rng(2)
         hs = mimo.generate_channel(cfg, rng, count=5)
         ys = rng.standard_normal((5, 3, 2 * cfg.n_r))
-        batched, _ = detnet.ideal_forward(p, hs, ys)
+        batched, _ = train_pass(p, hs, ys)
         for i in range(5):
             for v in range(3):
-                single, _ = detnet.ideal_forward(p, hs[i], ys[i, v][None])
+                single, _ = train_pass(p, hs[i], ys[i, v][None])
                 assert np.allclose(batched[-1][i, v], single[-1][0], atol=1e-12)
 
     def test_nan_input_is_not_decided(self):
@@ -89,7 +94,7 @@ class TestForward:
         h_bad = h.copy()
         h_bad[2, 0] = np.nan
         for h_in, y_in in ((h, np.full_like(y, np.nan)), (h, y_bad), (h_bad, y)):
-            trajectory, _ = detnet.ideal_forward(p, h_in, y_in)
+            trajectory, _ = train_pass(p, h_in, y_in)
             assert not np.all(np.isfinite(trajectory[-1]))
 
     def test_vectors_must_be_rows(self):
@@ -98,10 +103,10 @@ class TestForward:
         p = detnet.init_params(cfg, np.random.default_rng(1))
         h, _, y, _ = stacked_instance(cfg, 2, (4,), 1)
         with pytest.raises(ValueError, match="rows"):
-            detnet.ideal_forward(p, h, y[:, 0])
+            detnet.channel_products(h, y[:, 0])
         with pytest.raises(ValueError, match="rows"):
-            detnet.ideal_forward(p, h[0], y[0, 0])
-        assert detnet.ideal_forward(p, h, y)[0][-1].shape == (4, 1, 2 * cfg.n_t)
+            detnet.channel_products(h[0], y[0, 0])
+        assert train_pass(p, h, y)[0][-1].shape == (4, 1, 2 * cfg.n_t)
 
     def test_antenna_permutation_equivariance(self):
         # permuting complex antennas, both rails of each, permutes the rails of s_1
@@ -147,7 +152,7 @@ class TestChannelBlock:
         h = np.clip(mimo.generate_channel(cfg, rng), -3, 3)
         h_hw = realize(h, luo_at(gamma), rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
-        trajectory, cache = detnet.ideal_forward(params, h_hw, y)
+        trajectory, cache = train_pass(params, h_hw, y)
         s = [u[:, : params.x_dim] for u in cache["u"]]
         return trajectory, h_hw, y, cache, s
 
@@ -179,7 +184,7 @@ class TestNeuralBlock:
         h = mimo.generate_channel(cfg, rng)
         h_hw = realize(h, luo_at(0.02), rng)
         y = rng.standard_normal((5, 2 * cfg.n_r))
-        trajectory, cache = detnet.ideal_forward(params, h_hw, y)
+        trajectory, cache = train_pass(params, h_hw, y)
         return params, trajectory, cache
 
     def test_zero_w1_negative_bias(self):
@@ -253,7 +258,7 @@ class TestHardwareForward:
             h = np.clip(mimo.generate_channel(cfg, rng), -3, 3)
             y = rng.standard_normal((1, 12))
             x_hw = detect(params, realize(h, luo_at(0.0), rng), y)
-            x_ideal = detnet.ideal_forward(params, h, y)[0][-1]
+            x_ideal = train_pass(params, h, y)[0][-1]
             worst = max(worst, np.abs(x_hw - x_ideal).max())
         assert worst <= 1e-2
 
@@ -268,7 +273,7 @@ class TestHardwareForward:
                 h = mimo.generate_channel(cfg, loc_rng)
                 y = loc_rng.standard_normal((1, 12))
                 x_hw = detect(params, realize(h, luo_at(gamma), loc_rng), y)
-                x_id = detnet.ideal_forward(params, h, y)[0][-1]
+                x_id = train_pass(params, h, y)[0][-1]
                 acc.append(np.linalg.norm(x_hw - x_id))
             diffs[gamma] = np.mean(acc)
         assert diffs[0.02] >= diffs[0.005]
@@ -320,11 +325,12 @@ def stacked_instance(cfg, seed, channels, n_vec, sigma=0.3):
     return h, x, y, rng
 
 
-def finite_difference_check(cfg, seed, eps=1e-5, samples=40, stack=None):
+def finite_difference_check(cfg, seed, eps=1e-5, samples=40, stack=None, gram=None):
     """Worst relative gap between backward() and central differences of loss().
 
     stack=None is one channel and one vector; stack=(channels, n_vec) is a
     stack of channels shaped `channels`, each with n_vec received vectors.
+    gram, if given, stands for H^T H in the training pass.
     """
     if stack is None:
         h, x, y, rng = random_instance(cfg, seed)
@@ -332,7 +338,10 @@ def finite_difference_check(cfg, seed, eps=1e-5, samples=40, stack=None):
         h, x, y, rng = stacked_instance(cfg, seed, *stack)
     p = detnet.init_params(cfg, rng)
     p.b1 += 0.05 * rng.standard_normal(p.b1.shape)  # avoid kinks exactly at 0
-    trajectory, cache = detnet.ideal_forward(p, h, y)
+    products = detnet.channel_products(h, y)
+    if gram is not None:
+        products = (gram, products[1])
+    trajectory, cache = detnet.forward(p, *products)
     grads = detnet.backward(p, cache, x)
 
     worst = 0.0
@@ -344,9 +353,9 @@ def finite_difference_check(cfg, seed, eps=1e-5, samples=40, stack=None):
         for i in idx:
             orig = flat[i]
             flat[i] = orig + eps
-            up = detnet.loss(detnet.ideal_forward(p, h, y)[0], x)
+            up = detnet.loss(detnet.forward(p, *products)[0], x)
             flat[i] = orig - eps
-            down = detnet.loss(detnet.ideal_forward(p, h, y)[0], x)
+            down = detnet.loss(detnet.forward(p, *products)[0], x)
             flat[i] = orig
             fd = (up - down) / (2 * eps)
             denom = max(abs(fd), abs(g_flat[i]), 1e-8)
@@ -366,11 +375,22 @@ class TestBackward:
         worst = finite_difference_check(small_cfg(), 44, stack=(channels, n_vec))
         assert worst < 1e-4
 
+    def test_finite_difference_agreement_on_a_non_symmetric_gram(self):
+        # G = B^T C from two different channels per stacked channel: the
+        # block's x_{k-1} @ G sends gs @ G^T back, not gs @ G
+        cfg = small_cfg()
+        b, c = mimo.generate_channel(cfg, np.random.default_rng(66), count=6).reshape(
+            2, 3, 2 * cfg.n_r, 2 * cfg.n_t)
+        gram = np.swapaxes(b, -1, -2) @ c
+        assert np.all(np.abs(gram - np.swapaxes(gram, -1, -2)).max(axis=(-2, -1)) > 1.0)
+        worst = finite_difference_check(cfg, 44, stack=((3,), 4), gram=gram)
+        assert worst < 1e-4
+
     def test_out_receives_the_returned_gradients(self):
         cfg = small_cfg()
         h, x, y, rng = stacked_instance(cfg, 5, (2,), 3)
         p = detnet.init_params(cfg, rng)
-        _, cache = detnet.ideal_forward(p, h, y)
+        _, cache = train_pass(p, h, y)
         grads = detnet.backward(p, cache, x)
         out = {k: np.full_like(getattr(p, k), np.nan) for k in detnet.PARAM_KEYS}
         assert detnet.backward(p, cache, x, out=out) is out
@@ -385,7 +405,7 @@ class TestBackward:
         for key in ("w1", "w2", "w3"):
             getattr(p, key)[:] = 0.0
         x_true = np.zeros(p.x_dim)
-        trajectory, cache = detnet.ideal_forward(p, h, y)
+        trajectory, cache = train_pass(p, h, y)
         assert detnet.loss(trajectory, x_true) == 0.0
         grads = detnet.backward(p, cache, x_true)
         for key in detnet.PARAM_KEYS:
@@ -396,7 +416,7 @@ class TestBackward:
         p = detnet.init_params(cfg, np.random.default_rng(0))
         p.b1[0, 0] = -100.0  # unit 0 can never activate
         h, x, y, _ = random_instance(cfg, 13)
-        _, cache = detnet.ideal_forward(p, h, y)
+        _, cache = train_pass(p, h, y)
         grads = detnet.backward(p, cache, x)
         assert np.all(grads["w1"][0, 0] == 0.0)
         assert grads["b1"][0, 0] == 0.0
@@ -406,15 +426,15 @@ class TestBackward:
         cfg = small_cfg(L=2)
         h, x, y, rng = random_instance(cfg, 17)
         p = detnet.init_params(cfg, rng)
-        _, cache = detnet.ideal_forward(p, h, y)
+        _, cache = train_pass(p, h, y)
         grads = detnet.backward(p, cache, x)
         eps = 1e-6
         for k in range(2):
             orig = p.alpha1[k]
             p.alpha1[k] = orig + eps
-            up = detnet.loss(detnet.ideal_forward(p, h, y)[0], x)
+            up = detnet.loss(train_pass(p, h, y)[0], x)
             p.alpha1[k] = orig - eps
-            down = detnet.loss(detnet.ideal_forward(p, h, y)[0], x)
+            down = detnet.loss(train_pass(p, h, y)[0], x)
             p.alpha1[k] = orig
             assert grads["alpha1"][k] == pytest.approx((up - down) / (2 * eps), rel=1e-4)
 
@@ -443,8 +463,7 @@ class TestPrecision:
         cfg = small_cfg()
         h, x, y, rng = stacked_instance(cfg, 7, (2,), 3)
         p = detnet.init_params(cfg, rng).astype(params_dtype)
-        trajectory, cache = detnet.ideal_forward(p, h.astype(input_dtype),
-                                                 y.astype(input_dtype))
+        trajectory, cache = train_pass(p, h.astype(input_dtype), y.astype(input_dtype))
         assert {t.dtype for t in trajectory} == {np.dtype(np.float64)}
         assert {cache[k].dtype for k in ("hty", "hth", "hthx", "u", "z")} == {
             np.dtype(np.float64)}
@@ -456,8 +475,7 @@ class TestPrecision:
         h, x, y, rng = stacked_instance(cfg, 8, (2,), 3)
         p64 = detnet.init_params(cfg, rng)
         p32 = p64.astype(np.float32)
-        trajectory, cache = detnet.ideal_forward(p32, h.astype(np.float32),
-                                                 y.astype(np.float32))
+        trajectory, cache = train_pass(p32, h.astype(np.float32), y.astype(np.float32))
         assert {t.dtype for t in trajectory} == {np.dtype(np.float32)}
         assert {cache[k].dtype for k in ("hty", "hth", "hthx", "u", "z")} == {
             np.dtype(np.float32)}
@@ -465,7 +483,7 @@ class TestPrecision:
         grads = detnet.backward(p32, cache, x, out=out)
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         # the same numbers to float32 precision
-        traj64, cache64 = detnet.ideal_forward(p64, h, y)
+        traj64, cache64 = train_pass(p64, h, y)
         assert np.allclose(trajectory[-1], traj64[-1], rtol=1e-4, atol=1e-5)
         grads64 = detnet.backward(p64, cache64, x)
         for key in detnet.PARAM_KEYS:
@@ -504,11 +522,14 @@ def reference_inputs(shape, dtype, L=10):
     return biased_params(cfg, rng).astype(dtype), h.astype(dtype), y
 
 
+def detect_packed(weights, h, y):
+    """x_L of the detection pass on the channel products of h and y."""
+    return detnet.ideal_forward(weights, *detnet.channel_products(h, y))
+
+
 def detect(p, h, y):
-    """x_L of the cache-free pass."""
-    trajectory, cache = detnet.ideal_forward(p, h, y, keep_cache=False)
-    assert cache is None and len(trajectory) == 1
-    return trajectory[0]
+    """x_L of the detection pass, with p packed by detection_weights."""
+    return detect_packed(detnet.detection_weights(p), h, y)
 
 
 class TestCacheFree:
@@ -519,7 +540,7 @@ class TestCacheFree:
     def test_x_l_equals_the_cached_pass_bit_for_bit(self, shape, dtype):
         p, h, y = reference_inputs(shape, dtype)
         x_l = detect(p, h, y)
-        want = detnet.ideal_forward(p, h, y)[0][-1]
+        want = train_pass(p, h, y)[0][-1]
         assert x_l.dtype == want.dtype == dtype
         assert x_l.shape == want.shape == h.shape[:-2] + (y.shape[-2], 8)
         assert np.array_equal(x_l, want)
@@ -541,7 +562,7 @@ class TestCacheFree:
         p = biased_params(cfg, rng).astype(dtype)
         h, y = h.astype(dtype), y.astype(dtype)
         x_l = detect(p, h, y)
-        want = detnet.ideal_forward(p, h, y)[0][-1]
+        want = train_pass(p, h, y)[0][-1]
         assert x_l.dtype == want.dtype == dtype
         assert x_l.shape == want.shape == y_shape[:-1] + (8,)
         assert np.max(np.abs(x_l - want)) <= rtol * np.max(np.abs(want))
@@ -555,8 +576,8 @@ class TestCacheFree:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_detection_leaves_params_alone_and_repeats(self, dtype):
-        # the per-block [W | b] buffers must be filled from params, never
-        # through a view of them
+        # packing then detecting leaves the params untouched, and a second
+        # detection repeats the first bit for bit
         p, h, y = reference_inputs("gamma-stack", dtype)
         before = {k: v.copy() for k, v in p.as_dict().items()}
         first = detect(p, h, y).copy()
@@ -582,16 +603,19 @@ class TestCacheFree:
         peaks = {}
         for L in (2, 10):
             p, h, y = reference_inputs("gamma-stack", np.float32, L=L)
-            for keep_cache in (False, True):
+            products = detnet.channel_products(h, y)
+            passes = {"detect": (detnet.ideal_forward, detnet.detection_weights(p)),
+                      "train": (detnet.forward, p)}
+            for name, (run, weights) in passes.items():
                 tracemalloc.start()
                 try:
-                    detnet.ideal_forward(p, h, y, keep_cache=keep_cache)
-                    peaks[L, keep_cache] = tracemalloc.get_traced_memory()[1]
+                    run(weights, *products)
+                    peaks[L, name] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-        assert peaks[10, False] <= 1.5 * peaks[2, False]
+        assert peaks[10, "detect"] <= 1.5 * peaks[2, "detect"]
         # the stacked cache backprop reads grows with L
-        assert peaks[10, True] > 1.5 * peaks[2, True]
+        assert peaks[10, "train"] > 1.5 * peaks[2, "train"]
 
 
 class TestDetectionWeights:
@@ -609,22 +633,13 @@ class TestDetectionWeights:
         assert np.array_equal(weights.alpha1, p.alpha1)
         assert np.array_equal(weights.alpha2, p.alpha2)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", ["vector", "wave", "gamma-stack"])
-    def test_packed_x_l_equals_the_params_call_bit_for_bit(self, shape, dtype):
-        p, h, y = reference_inputs(shape, dtype)
-        x_l = detect(detnet.detection_weights(p), h, y)
-        want = detect(p, h, y)
-        assert x_l.dtype == want.dtype == dtype
-        assert np.array_equal(x_l, want)
-
     def test_float32_weights_with_float64_inputs_run_in_float64(self):
         p, h, y = reference_inputs("wave", np.float32)
         h, y = h.astype(np.float64), y.astype(np.float64)
         weights = detnet.detection_weights(p)
         assert weights.w1b.dtype == np.float32
-        x_l = detect(weights, h, y)
-        want = detect(p, h, y)
+        x_l = detect_packed(weights, h, y)
+        want = train_pass(p, h, y)[0][-1]
         assert x_l.dtype == want.dtype == np.float64
         assert np.array_equal(x_l, want)
         # not the float32 result
@@ -633,15 +648,10 @@ class TestDetectionWeights:
     def test_a_snapshot_of_the_params(self):
         p, h, y = reference_inputs("wave", np.float32)
         weights = detnet.detection_weights(p)
-        before = detect(weights, h, y).copy()
+        before = detect_packed(weights, h, y).copy()
         for key in detnet.PARAM_KEYS:
             getattr(p, key)[...] *= 2.0  # the gains stay positive
         assert not np.array_equal(detect(p, h, y), before)
-        assert np.array_equal(detect(weights, h, y), before)
+        assert np.array_equal(detect_packed(weights, h, y), before)
         with pytest.raises(ValueError):
             weights.w1b[0, 0, 0] = 0.0
-
-    def test_the_cached_pass_needs_params(self):
-        p, h, y = reference_inputs("vector", np.float32)
-        with pytest.raises(TypeError):
-            detnet.ideal_forward(detnet.detection_weights(p), h, y)

@@ -265,9 +265,10 @@ class TestPrecision:
                  for w in range(400 // harness.WAVE)]
         h, bits, ys, z = (np.concatenate(a) for a in zip(*waves))
         h_hw = device.program_matrix(h, spec).realized(0.02, z)
-        x64 = detnet.ideal_forward(params.astype(np.float64), h_hw, ys)[0][-1]
-        x32 = detnet.ideal_forward(params, h_hw.astype(np.float32),
-                                   ys.astype(np.float32))[0][-1]
+        x64 = detnet.ideal_forward(detnet.detection_weights(params.astype(np.float64)),
+                                   *detnet.channel_products(h_hw, ys))
+        x32 = detnet.ideal_forward(detnet.detection_weights(params), *detnet.channel_products(
+            h_hw.astype(np.float32), ys.astype(np.float32)))
         assert x32.dtype == np.float32
         b64, b32 = mimo.demodulate(x64, cfg), mimo.demodulate(x32, cfg)
         # a detector that decides something: well below the untrained 0.5
@@ -303,8 +304,8 @@ class TestHardwareReuse:
             lambda h, *a: programs.append(np.shape(h)) or program_matrix(h, *a))
         monkeypatch.setattr(
             detnet, "ideal_forward",
-            lambda p, h, ys, **k: forwards.append((h.shape, h.dtype))
-            or forward(p, h, ys, **k))
+            lambda weights, gram, hty: forwards.append((hty.shape, hty.dtype))
+            or forward(weights, gram, hty))
         # at 4 dB gamma 0.02 reaches 1000 errors in the first wave and gamma 0
         # in the second, at 12 dB both in the first; the programming runs
         # while any gamma still needs the wave.  zf never gets there, so
@@ -326,8 +327,9 @@ class TestHardwareReuse:
         waves = [(snr, t) for snr, n in needed.items() for t in range(0, n, harness.WAVE)]
         assert programs == [channel] * len(waves)
         # and one forward call per gamma still running in the wave, on all
-        # of the wave's channels
-        assert forwards == [(channel, detnet.DTYPE)] * sum(
+        # of the wave's vectors
+        vectors = (harness.WAVE, exp.sweep.symbols_per_slot, 2 * exp.mimo.n_t)
+        assert forwards == [(vectors, detnet.DTYPE)] * sum(
             r.trials > t for snr, t in waves for r in hw if r.snr_db == snr)
 
     def test_the_weights_are_packed_once_per_sweep(self, exp, params, monkeypatch):
@@ -336,8 +338,8 @@ class TestHardwareReuse:
         monkeypatch.setattr(detnet, "detection_weights",
                             lambda p, *a: packs.append(pack(p, *a)) or packs[-1])
         monkeypatch.setattr(detnet, "ideal_forward",
-                            lambda p, h, ys, **k: forwards.append(type(p))
-                            or forward(p, h, ys, **k))
+                            lambda weights, gram, hty: forwards.append(type(weights))
+                            or forward(weights, gram, hty))
         deep = harness.run_ber_sweep(only(exp, "detnet", "detnet-hw"), params=params)
         assert len(exp.sweep.snr_db) == len(exp.sweep.gammas) == 2
         # every lane runs past one wave, and every call reads the one packing,
@@ -445,7 +447,7 @@ def per_wave_reference(exp, params, detector, gamma):
     cfg, s = exp.mimo, exp.sweep
     vectors = s.symbols_per_slot
     sigma = mimo.sigma_from_snr(s.snr_db[0])
-    params = params.astype(detnet.DTYPE)
+    weights = detnet.detection_weights(params.astype(detnet.DTYPE))
     bits = errors = trials = nodes = pulses = 0
     t_p = 0.0
     stop_reason = "max_trials"
@@ -467,8 +469,8 @@ def per_wave_reference(exp, params, detector, gamma):
                 pulses += int(program.pulse_counts.sum())
                 t_p += program.t_p
                 h = program.realized(gamma, z)
-            x_hat = detnet.ideal_forward(params, h.astype(detnet.DTYPE),
-                                         ys.astype(detnet.DTYPE), keep_cache=False)[0][-1]
+            x_hat = detnet.ideal_forward(weights, *detnet.channel_products(
+                h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE)))
         errors += int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != sent))
         bits += sent.size
         trials += count

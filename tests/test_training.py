@@ -136,7 +136,7 @@ def reference_train(config, train_cfg, spec, rng, params):
     for _ in range(train_cfg.epochs):
         x, h_in, y_in = (a.astype(detnet.DTYPE)
                          for a in training.draw_batch(config, train_cfg, spec, rng))
-        trajectory, cache = detnet.ideal_forward(params, h_in, y_in)
+        trajectory, cache = detnet.forward(params, *detnet.channel_products(h_in, y_in))
         history.append(detnet.loss(trajectory, x, train_cfg.loss_weighting))
         opt.step(pdict, detnet.backward(params, cache, x, train_cfg.loss_weighting))
         np.clip(params.alpha1, training.ALPHA_FLOOR, None, out=params.alpha1)
