@@ -1,17 +1,24 @@
 """Classical detectors: ZF, MMSE, exhaustive ML, and a sphere decoder.
 
 All detectors work on the real-valued model y = Hx + n with per-rail
-constellation alphabets from :mod:`immimo.mimo`.  The sphere decoder runs a
-QR-based depth-first search with Schnorr-Euchner enumeration over the 2n_t
-real rails and shrinks its radius at every leaf, so it returns exactly the
-exhaustive-ML decision while visiting far fewer nodes at high SNR.  It takes
-a whole stack of channels per call: one numpy pass on level-major
-(rail, channel, vector) arrays runs the search's first descent, to the Babai
-point, for every vector, cancelling each decided rail from every lower level
-in the search's own top-down order.  The search then resumes at that Babai
-leaf: only the levels whose second sibling beats the Babai metric are walked
-in Python, and a vector with none is done without Python work.  Its node
-count, summed over the stack, is the search's from the root either way.
+constellation alphabets from :mod:`immimo.mimo`.  Exhaustive ML scores every
+candidate by ||Hx||^2 - 2 y^T Hx, which differs from ||y - Hx||^2 by a
+constant per y, in Gram form: x^T G x with G = H^T H comes from one product
+of G's upper triangle with a cached table of the candidates' pairwise rail
+products, and y^T Hx from one product of the rows y^T H with the
+candidates.
+
+The sphere decoder runs a QR-based depth-first search with Schnorr-Euchner
+enumeration over the 2n_t real rails and shrinks its radius at every leaf,
+so it returns exactly the exhaustive-ML decision while visiting far fewer
+nodes at high SNR.  It takes a whole stack of channels per call: one numpy
+pass on level-major (rail, channel, vector) arrays runs the search's first
+descent, to the Babai point, for every vector, cancelling each decided rail
+from every lower level in the search's own top-down order.  The search then
+resumes at that Babai leaf: only the levels whose second sibling beats the
+Babai metric are walked in Python, and a vector with none is done without
+Python work.  Its node count, summed over the stack, is the search's from
+the root either way.
 """
 
 import itertools
@@ -77,7 +84,20 @@ def candidate_matrix(config):
     Columns follow the payloads in bit-lexicographic order: antenna 0 varies
     slowest, and each antenna runs through its (I, Q) level pairs with Q
     fastest, so argmin ties go to the smaller bit pattern.  Cached per
-    (n_t, modulation) since enumeration is the expensive part.
+    (n_t, modulation) since enumeration is the expensive part, together with
+    the tables :func:`ml_detect_batch` evaluates the metric from.
+    """
+    return _ml_tables(config)[0]
+
+
+def _ml_tables(config):
+    """The candidates X (2n_t, M^n_t), -2X, a pair table, and its pairs.
+
+    The pairs are the upper triangle i <= j of a 2n_t x 2n_t matrix, as
+    flat indices.  Row k of the pair table holds x_i x_j of pair k for every
+    candidate, doubled for i < j, so that a symmetric G's upper triangle
+    times the table is x^T G x for all of them.  Cached per (n_t,
+    modulation).
     """
     key = (config.n_t, config.modulation)
     cached = _CANDIDATE_CACHE.get(key)
@@ -91,15 +111,19 @@ def candidate_matrix(config):
     n_bits = config.bits_per_vector
     payloads = (np.arange(2**n_bits)[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1
     x_real = mimo.modulate(payloads, config).T
-    _CANDIDATE_CACHE[key] = x_real
-    return x_real
+    rows, cols = np.triu_indices(len(x_real))
+    pairs = x_real[rows] * x_real[cols]
+    pairs[rows != cols] *= 2.0
+    tables = x_real, -2.0 * x_real, pairs, rows * len(x_real) + cols
+    _CANDIDATE_CACHE[key] = tables
+    return tables
 
 
 _CANDIDATE_CACHE = {}
 
-# channels whose images and metrics ml_detect_batch builds at a time: at 4x6
-# QPSK, blocks of 1-4 spent more time per wave on numpy calls, and larger
-# ones held more memory for little speed
+# channels whose metrics ml_detect_batch builds at a time: at 4x6 QPSK,
+# blocks of 1-4 spent more time per wave on numpy calls, and larger ones held
+# more memory for little speed
 ML_BLOCK = 8
 
 
@@ -109,11 +133,16 @@ def ml_detect_batch(h_real, ys, config):
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with
     leading shapes that broadcast; returns (..., n_vec, 2n_t).  The leading
     dims are flattened into a stack of channels, walked ML_BLOCK channels at
-    a time: each block's images H x and metrics are built in one buffer made
-    once per call, and its decisions go into its rows of one index array.
-    A channel's decisions do not depend on the rest of the stack.
+    a time.  The metric ||y - Hx||^2 less its constant ||y||^2 is evaluated
+    in Gram form, q + (y^T H)(-2x) with q = x^T G x and G = H^T H: per
+    block, one product of the channels' upper triangles of G with the cached
+    pair table gives q for every candidate, and one product of the rows
+    y^T H with the cached -2X fills the block's metrics, in one buffer made
+    once per call; scaling by -2 is exact.  The block's decisions go into
+    its rows of one index array.  A channel's metrics, and so its decisions,
+    are the same bits wherever it sits in whatever stack.
     """
-    x_cands = candidate_matrix(config)
+    x_cands, minus_two_x, pairs, upper = _ml_tables(config)
     h_real = np.asarray(h_real, float)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n_rows, n_rails = h_real.shape[-2:]
@@ -122,31 +151,27 @@ def ml_detect_batch(h_real, ys, config):
     # views, unless one side is broadcast over the other's stack
     h_real = np.broadcast_to(h_real, lead + (n_rows, n_rails)).reshape(-1, n_rows, n_rails)
     ys = np.broadcast_to(ys, lead + (n_vec, n_rows)).reshape(-1, n_vec, n_rows)
-    n_block = min(ML_BLOCK, len(h_real))
-    # The images (block, 2n_r, n_cand) and the metrics (block, n_vec, n_cand)
-    # share one buffer, about 426 KB at 4x6 QPSK against 1.7 MB for a whole
-    # 32-trial wave.  It is above glibc's initial 128 KiB mmap threshold, so
-    # the first call maps it; freeing it raises the mmap threshold to its
-    # size and the heap-trim threshold to twice that, and every later call
-    # takes it from a heap whose pages stay mapped between calls.  Images and
-    # metrics in two buffers came within 10% of twice the larger one, so the
-    # heap could shrink and regrow around every call, with page faults.
-    buffer = np.empty(n_block * (n_rows + n_vec) * n_cand)
-    split = n_block * n_rows * n_cand
-    block_images = buffer[:split].reshape(n_block, n_rows, n_cand)
-    block_metrics = buffer[split:].reshape(n_block, n_vec, n_cand)
+    # Every block, a short last one too, runs the two products at the full
+    # block's shape: each is then a GEMM of one size, never a GEMV at one
+    # row, whose rows do not depend on where a channel sits.  Rows past a
+    # short block are stale and unread.  The metrics take about 229 KB at
+    # 4x6 QPSK, against 918 KB for a whole 32-trial wave; G's triangles, q
+    # and y^T H a few KB.
+    grams = np.zeros((ML_BLOCK, len(upper)))
+    q = np.empty((ML_BLOCK, 1, n_cand))
+    yh = np.zeros((ML_BLOCK, n_vec, n_rails))
+    metrics = np.empty((ML_BLOCK, n_vec, n_cand))
     best = np.empty((len(h_real), n_vec), dtype=np.intp)
     for start in range(0, len(h_real), ML_BLOCK):
-        stop = min(start + ML_BLOCK, len(h_real))
-        images = np.matmul(h_real[start:stop], x_cands, out=block_images[:stop - start])
-        # ||y - Hx||^2 expanded; the ||y||^2 term is constant per row.  Built
-        # in place; scaling by -2 is exact, so the values are those of the
-        # expression ||Hx||^2 - 2 y^T Hx
-        metrics = np.matmul(ys[start:stop], images, out=block_metrics[:stop - start])
-        metrics *= -2.0
-        np.square(images, out=images)
-        metrics += images.sum(axis=-2)[..., None, :]
-        np.argmin(metrics, axis=-1, out=best[start:stop])
+        h = h_real[start:start + ML_BLOCK]
+        n_block = len(h)
+        gram = np.swapaxes(h, -1, -2) @ h
+        np.take(gram.reshape(n_block, -1), upper, axis=1, out=grams[:n_block])
+        np.matmul(grams, pairs, out=q[:, 0])
+        np.matmul(ys[start:start + n_block], h, out=yh[:n_block])
+        np.matmul(yh.reshape(-1, n_rails), minus_two_x, out=metrics.reshape(-1, n_cand))
+        metrics += q
+        np.argmin(metrics[:n_block], axis=-1, out=best[start:start + n_block])
     return x_cands.T[best].reshape(lead + (n_vec, n_rails))
 
 
@@ -198,28 +223,41 @@ def sphere_decode(h_real, ys, config):
     # path, so partials[0] is the Babai metric and partials[n_rails] is 0
     partials = np.zeros((n_rails + 1,) + uppers.shape[1:])
     siblings = np.full_like(uppers, math.inf)
+    # scratch: two (channel, vector) arrays and the choice of a two-point rail
+    work, inc = np.empty((2,) + uppers.shape[1:])
+    closer = np.empty(uppers.shape[1:], dtype=bool)
     for level in range(n_rails - 1, -1, -1):
         upper, pivot, alpha = uppers[level], cols[level, level], alphabets[level]
-        above = partials[level + 1]
-        if len(alpha) > 1:
-            # Schnorr-Euchner order as in the search: nearest first, ties in
-            # alphabet order, and two-point rails swap only when strictly closer
-            center = upper / pivot
-            if len(alpha) == 2:
-                closer = np.abs(alpha[1] - center) < np.abs(alpha[0] - center)
-                x[level] = np.where(closer, alpha[1], alpha[0])
-                second = np.where(closer, alpha[0], alpha[1])
-            else:
-                dist = np.abs(alpha - center[..., None])
-                order = np.argsort(dist, axis=-1, kind="stable")
-                x[level], second = alpha[order[..., 0]], alpha[order[..., 1]]
-            inc = upper - pivot * second
-            np.add(above, inc * inc, out=siblings[level])
+        above, decided = partials[level + 1], x[level]
+        # Schnorr-Euchner order as in the search: nearest first, ties in
+        # alphabet order, and two-point rails swap only when strictly closer
+        if len(alpha) == 2:
+            # every two-point rail alphabet is (s, -s), as rail_alphabets
+            # builds it, so |alpha[1] - center| is exactly |center + s|, and
+            # the second sibling is -x, whose increment upper - pivot * -x is
+            # exactly upper + pivot * x
+            center = np.divide(upper, pivot, out=work)
+            np.abs(np.add(center, alpha[0], out=inc), out=inc)
+            np.abs(np.subtract(center, alpha[0], out=work), out=work)
+            np.less(inc, work, out=closer)
+            decided[...] = alpha[0]
+            np.negative(decided, out=decided, where=closer)
+            product = np.multiply(pivot, decided, out=work)
+            np.add(upper, product, out=inc)
+            np.add(above, np.multiply(inc, inc, out=inc), out=siblings[level])
         else:
-            x[level] = alpha[0]
-        inc = upper - pivot * x[level]
-        np.add(above, inc * inc, out=partials[level])
-        uppers[:level] -= cols[level, :level] * x[level]
+            if len(alpha) > 2:
+                dist = np.abs(alpha - (upper / pivot)[..., None])
+                order = np.argsort(dist, axis=-1, kind="stable")
+                decided[...], second = alpha[order[..., 0]], alpha[order[..., 1]]
+                sibling = upper - pivot * second
+                np.add(above, sibling * sibling, out=siblings[level])
+            else:
+                decided[...] = alpha[0]
+            product = np.multiply(pivot, decided, out=work)
+        np.subtract(upper, product, out=inc)
+        np.add(above, np.multiply(inc, inc, out=inc), out=partials[level])
+        uppers[:level] -= cols[level, :level] * decided
     nodes = partials[0].size * sum(min(2, len(a)) for a in alphabets)
 
     # the levels whose second sibling beats the Babai metric, ordered by

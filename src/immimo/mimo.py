@@ -155,9 +155,12 @@ def modulate(bits, config):
         raise ValueError(f"expected {expected} bits, got {bits.shape[-1]}")
     lead = bits.shape[:-1]
     n_bits = _RAIL_BITS[config.modulation].shape[1]
-    # (..., n_t, rails per antenna, bits per rail) -> level index per rail
+    # (..., n_t, rails per antenna, bits per rail) -> level index per rail,
+    # most significant bit first, by Horner's rule over at most two bits
     grouped = bits.reshape(lead + (config.n_t, -1, n_bits))
-    idx = grouped @ (1 << np.arange(n_bits - 1, -1, -1))
+    idx = grouped[..., 0]
+    for bit in range(1, n_bits):
+        idx = idx * 2 + grouped[..., bit]
     return _level_rails(np.swapaxes(idx, -1, -2).reshape(lead + (-1,)), config)
 
 

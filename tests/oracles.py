@@ -2,10 +2,14 @@
 
 The complex channel: src/ draws the channel straight into its real embedding
 (mimo.generate_channel); complex_channel and to_real state the same draw in
-complex form.  The conductance model: see below.
+complex form.  Exhaustive ML: src/ evaluates the metric from the Gram matrix
+(baselines.ml_detect_batch); ml_detect_exhaustive takes the argmin of the
+residual norms themselves.  The conductance model: see below.
 """
 
 import numpy as np
+
+from immimo import baselines
 
 
 def complex_channel(config, rng, count=None):
@@ -23,6 +27,21 @@ def to_real(h_complex):
     top = np.concatenate([re, -im], axis=-1)
     bottom = np.concatenate([im, re], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
+
+
+def ml_detect_exhaustive(h_real, y, config):
+    """Exhaustive ML: argmin of ||y - Hx||^2 over every candidate.
+
+    One channel h_real (2n_r, 2n_t) and y (2n_r,), or a stack of vectors
+    (..., 2n_r) through it.  Ties go to the lexicographically smaller
+    symbol-index tuple (argmin keeps the first minimum and candidates are
+    enumerated in that order).  node_count is the number of candidates.
+    """
+    x_cands = baselines.candidate_matrix(config)
+    resid = np.asarray(y, dtype=float)[..., :, None] - np.asarray(h_real, float) @ x_cands
+    best = np.argmin(np.sum(resid * resid, axis=-2), axis=-1)
+    return baselines.DetectorOutput(x_hat_real=x_cands.T[best].copy(),
+                                    node_count=x_cands.shape[1])
 
 
 # The conductance model of immimo.device, in siemens and seconds, kept only as

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from immimo import baselines, harness, mimo
 from immimo.mimo import MimoConfig
 
@@ -22,19 +23,6 @@ def noiseless_instance(c, rng):
     bits = mimo.random_bits(c, rng)[0]
     x = mimo.modulate(bits, c)
     return h, x, h @ x
-
-
-def ml_detect_exhaustive(h_real, y, config):
-    """Exhaustive ML oracle: argmin of ||y - Hx||^2 over every candidate.
-
-    Ties go to the lexicographically smaller symbol-index tuple (argmin keeps
-    the first minimum and candidates are enumerated in that order).
-    """
-    x_cands = baselines.candidate_matrix(config)
-    resid = np.asarray(y, dtype=float)[:, None] - np.asarray(h_real, float) @ x_cands
-    best = int(np.argmin(np.sum(resid * resid, axis=0)))
-    return baselines.DetectorOutput(x_hat_real=x_cands[:, best].copy(),
-                                    node_count=x_cands.shape[1])
 
 
 def zf_soft(h, y, c):
@@ -106,14 +94,14 @@ class TestMl:
         c = cfg(n_t=2, n_r=3)
         for _ in range(20):
             h, x, y = noiseless_instance(c, rng)
-            out = ml_detect_exhaustive(h, y, c)
+            out = oracles.ml_detect_exhaustive(h, y, c)
             assert np.allclose(out.x_hat_real, x)
 
     def test_bpsk_2x2_matches_brute_force(self, rng):
         c = cfg("bpsk", n_t=2, n_r=2)
         h, _, _ = noiseless_instance(c, rng)
         y = rng.standard_normal(4)
-        out = ml_detect_exhaustive(h, y, c)
+        out = oracles.ml_detect_exhaustive(h, y, c)
         assert out.node_count == 4
         # brute force over the 4 bit patterns through the modulator
         best, best_d = None, np.inf
@@ -129,13 +117,13 @@ class TestMl:
         c = cfg("bpsk", n_t=1, n_r=1)
         h = np.eye(2)
         # equidistant between the two BPSK points +1 and -1
-        out = ml_detect_exhaustive(h, np.zeros(2), c)
+        out = oracles.ml_detect_exhaustive(h, np.zeros(2), c)
         assert out.x_hat_real[0] == pytest.approx(1.0)  # bit 0 sorts first
 
     def test_search_space_guard(self):
         c = cfg("qam16", n_t=8, n_r=8)
         with pytest.raises(ValueError):
-            ml_detect_exhaustive(np.eye(16), np.zeros(16), c)
+            oracles.ml_detect_exhaustive(np.eye(16), np.zeros(16), c)
 
     def test_batch_matches_single(self, rng):
         c = cfg(n_t=3, n_r=4)
@@ -143,14 +131,20 @@ class TestMl:
         ys = rng.standard_normal((6, 8))
         batch = baselines.ml_detect_batch(h, ys, c)
         for i in range(6):
-            single = ml_detect_exhaustive(h, ys[i], c)
+            single = oracles.ml_detect_exhaustive(h, ys[i], c)
             assert np.allclose(batch[i], single.x_hat_real)
 
 
-def ml_metrics_expanded(h_real, ys, config):
-    """||Hx||^2 - 2 y^T Hx for every candidate, as one expanded expression."""
-    images = h_real @ baselines.candidate_matrix(config)
-    return np.sum(images * images, -2)[..., None, :] - 2.0 * ys @ images
+def ml_metrics_gram(h_real, ys, config):
+    """q + (y^T H)(-2X) for every candidate as one expression: the Gram form
+    of ||Hx||^2 - 2 y^T Hx, with q = x^T G x summed over the upper triangle
+    of G = H^T H, each term off the diagonal twice."""
+    x_cands = baselines.candidate_matrix(config)
+    rows, cols = np.triu_indices(len(x_cands))
+    pairs = np.where(rows == cols, 1.0, 2.0)[:, None] * x_cands[rows] * x_cands[cols]
+    gram = np.swapaxes(h_real, -1, -2) @ h_real
+    q = gram[..., rows, cols] @ pairs
+    return q[..., None, :] + (ys @ h_real) @ (-2.0 * x_cands)
 
 
 def wave(c, rng, snr, channels=8, vectors=14):
@@ -176,7 +170,7 @@ class TestMlMetric:
         for snr in (0.0, 6.0, 14.0, 30.0):
             h, ys = wave(c, rng, snr)
             got = baselines.ml_detect_batch(h, ys, c)
-            want = ml_metrics_expanded(h, ys, c)
+            want = ml_metrics_gram(h, ys, c)
             assert np.array_equal(seen.pop(), want)
             assert np.array_equal(got, baselines.candidate_matrix(c).T[argmin(want, axis=-1)])
 
@@ -193,18 +187,18 @@ class TestMlMetric:
             tracemalloc.stop()
         assert peak <= 2.5 * metrics_bytes
 
-    def test_images_and_metrics_share_one_block(self, monkeypatch):
-        # one wave-sized block per call keeps the heap warm between waves
+    def test_metrics_fill_one_buffer(self, monkeypatch):
+        # one block-sized buffer per call, reused by every block
         c = cfg()
-        h, ys = wave(c, np.random.default_rng(23), 10.0)
+        h, ys = wave(c, np.random.default_rng(23), 10.0, channels=20)
         baselines.ml_detect_batch(h, ys, c)  # fills the candidate cache
         live = []
         argmin = np.argmin
 
         def at_argmin(a, **kw):
-            # images and metrics are both alive here
-            live.extend(t.size for t in tracemalloc.take_snapshot().traces
-                        if t.size >= 64 * 1024)
+            # the metrics are alive here; q, G's triangles and y^T H are small
+            live.append([t.size for t in tracemalloc.take_snapshot().traces
+                         if t.size >= 64 * 1024])
             return argmin(a, **kw)
 
         monkeypatch.setattr(np, "argmin", at_argmin)
@@ -214,15 +208,17 @@ class TestMlMetric:
         finally:
             tracemalloc.stop()
         n_cand = 2 ** c.bits_per_vector
-        assert live == [8 * (12 + 14) * n_cand * 8]
+        assert live == [[baselines.ML_BLOCK * 14 * n_cand * 8]] * 3
 
     @pytest.mark.parametrize("channels,layout", [
         (1, "stacked"), (7, "stacked"), (9, "stacked"), (29, "stacked"),
-        (1, "unstacked"), (11, "one-channel-broadcast"),
+        (1, "unstacked"), (11, "one-channel-broadcast"), (9, "one-vector"),
     ])
     def test_blocks_decide_as_the_expanded_expression(self, channels, layout, monkeypatch):
-        # one short block, a full block and a short last one, and one channel
-        # flattened from no leading dims or broadcast over a stack of ys
+        # one short block, a full block and a short last one, one channel
+        # flattened from no leading dims or broadcast over a stack of ys, and
+        # one vector per channel.  Each block's products run at the full
+        # block's shape, so a channel's metrics are the bits it gets alone.
         c = cfg()
         rng = np.random.default_rng(24)
         seen = []
@@ -235,10 +231,17 @@ class TestMlMetric:
                 h, ys = h[0], ys[0]
             elif layout == "one-channel-broadcast":
                 h = h[0]
+            elif layout == "one-vector":
+                ys = ys[:, :1]
             got = baselines.ml_detect_batch(h, ys, c)
-            want = ml_metrics_expanded(h, ys, c)
-            assert np.array_equal(np.concatenate(seen).reshape(want.shape), want)
+            want = ml_metrics_gram(h, ys, c)
+            stacked = np.concatenate(seen).reshape(want.shape)
             seen.clear()
+            lead = want.shape[:-2]
+            hs = np.broadcast_to(h, lead + h.shape[-2:])
+            for w in np.ndindex(lead):
+                baselines.ml_detect_batch(hs[w], ys[w], c)
+                assert np.array_equal(seen.pop()[0], stacked[w])
             assert np.array_equal(got, baselines.candidate_matrix(c).T[argmin(want, axis=-1)])
 
     def test_a_full_wave_peaks_as_one_block_plus_its_decisions(self):
@@ -259,6 +262,33 @@ class TestMlMetric:
         # the rails and the candidate index of every decision
         decisions = x_hat.nbytes + x_hat[..., 0].size * np.dtype(np.intp).itemsize
         assert wave_peak <= block_peak + decisions
+
+
+class TestMlDecisions:
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("bpsk", 4, 6), ("qpsk", 4, 6), ("qam16", 2, 3), ("qam16", 3, 4),
+    ])
+    def test_decisions_equal_the_textbook_argmin(self, mod, n_t, n_r):
+        # the Gram form against argmin ||y - Hx||^2 itself
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        rng = np.random.default_rng(26)
+        for snr in (0.0, 6.0, 10.0, 14.0, 20.0, 30.0):
+            h, ys = wave(c, rng, snr, channels=12)
+            want = [oracles.ml_detect_exhaustive(h[w], ys[w], c).x_hat_real
+                    for w in range(12)]
+            assert np.array_equal(baselines.ml_detect_batch(h, ys, c), np.stack(want)), snr
+
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("bpsk", 4, 6), ("qpsk", 4, 6), ("qam16", 2, 3),
+    ])
+    def test_decisions_equal_the_sphere_decoders_at_the_noise_floor(self, mod, n_t, n_r):
+        # at -100 dB, y is almost all noise, so the metrics are the largest
+        # against their differences, and the Gram arithmetic and the QR
+        # search's still agree
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        h, ys = wave(c, np.random.default_rng(27), -100.0)
+        assert np.array_equal(baselines.ml_detect_batch(h, ys, c),
+                              baselines.sphere_decode(h, ys, c).x_hat_real)
 
 
 class TestStackedChannels:
@@ -289,7 +319,7 @@ class TestSphereDecoder:
             x = mimo.modulate(bits, c)
             y = mimo.transmit(h, x, 0.4, rng)
             sd = baselines.sphere_decode(h, y, c)
-            ml = ml_detect_exhaustive(h, y, c)
+            ml = oracles.ml_detect_exhaustive(h, y, c)
             assert np.allclose(sd.x_hat_real, ml.x_hat_real)
 
     def test_noiseless_visits_fewer_nodes_than_exhaustive(self, rng):
@@ -319,6 +349,21 @@ class TestSphereDecoder:
         h[:, 2] = h[:, 0]
         with pytest.raises(baselines.RankDeficientChannel):
             baselines.sphere_decode(h, np.zeros(6), c)
+
+    @pytest.mark.parametrize("mod,n_t,n_r", [
+        ("qpsk", 4, 6), ("bpsk", 4, 6), ("qam16", 2, 3),
+    ])
+    def test_settled_vectors_skip_the_search(self, mod, n_t, n_r, monkeypatch):
+        # at 30 dB no second sibling of these waves beats its Babai metric,
+        # so the first descent's sibling metrics alone settle every vector
+        c = cfg(mod, n_t=n_t, n_r=n_r)
+        h, ys = wave(c, np.random.default_rng(43), 30.0)
+        searched = []
+        search = baselines._search
+        monkeypatch.setattr(baselines, "_search",
+                            lambda *args: searched.append(args) or search(*args))
+        baselines.sphere_decode(h, ys, c)
+        assert searched == []
 
 
 class TestDetectorOrdering:

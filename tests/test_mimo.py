@@ -285,6 +285,18 @@ class TestAlphabetCache:
                 arr[0] = 0
 
 
+class TestTwoPointAlphabets:
+    @pytest.mark.parametrize("mod", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 4, 8])
+    def test_two_point_alphabets_are_plus_and_minus_s(self, mod, n_t):
+        # sphere_decode's first descent takes a two-point rail's second
+        # sibling as -x and its distances as |center -+ s|, exactly
+        two_point = [a for a in mimo.rail_alphabets(cfg(mod, n_t=n_t, n_r=n_t)) if len(a) == 2]
+        assert len(two_point) == (n_t if mod == "bpsk" else 2 * n_t)
+        for alpha in two_point:
+            assert alpha[0] > 0 and alpha[1] == -alpha[0]
+
+
 class TestTransmit:
     def test_noise_free(self, rng):
         c = cfg()
