@@ -2,7 +2,8 @@
 
 Subpackages:
     mimo       MIMO system model on real rails (channel draw into the real
-               embedding, modulation, AWGN, nearest-level demapping)
+               embedding, modulation, AWGN, bit errors of nearest-level
+               decisions)
     device     pulse-programmed memristor behavior and programming latency
     detnet     forward/backward pass of the unfolded detector, and its
                mapping onto the programmed channel and exact weight arrays

@@ -57,14 +57,14 @@ def linear_soft_batch(h_real, ys, config, sigma_n=None):
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
     same leading shape (a stack of channels, or none); returns
     (..., n_vec, 2n_t).  ZF raises RankDeficientChannel if any channel in the
-    stack lost full column rank.
+    stack lost full column rank, by the sphere decoder's pivot test
+    (_check_pivots).
     """
     h_real = np.asarray(h_real, dtype=float)
     h_t = np.swapaxes(h_real, -1, -2)
     g = h_t @ h_real
     if sigma_n is None:
-        if np.any(np.linalg.matrix_rank(h_real) < h_real.shape[-1]):
-            raise RankDeficientChannel("channel matrix is column-rank deficient")
+        _check_pivots(np.linalg.qr(h_real, mode="r"))
     else:
         g = g + sigma_n**2 / rail_symbol_energy(config) * np.eye(g.shape[-1])
     rhs = h_t @ np.swapaxes(np.asarray(ys, dtype=float), -1, -2)
@@ -73,6 +73,16 @@ def linear_soft_batch(h_real, ys, config, sigma_n=None):
     except np.linalg.LinAlgError as exc:
         raise RankDeficientChannel(str(exc)) from exc
     return np.swapaxes(soft, -1, -2)
+
+
+def _check_pivots(r):
+    """Raise RankDeficientChannel if any R of a stack of QR factors has a
+    numerically zero pivot: |R_ii| at most 1e-12 times its largest |R_jj|,
+    so an all-zero channel fails too.
+    """
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(diag <= 1e-12 * diag.max(axis=-1, keepdims=True)):
+        raise RankDeficientChannel("QR exposed a numerically zero pivot")
 
 
 ML_GUARD = 10**6
@@ -203,9 +213,7 @@ def sphere_decode(h_real, ys, config):
     ys = np.asarray(ys, dtype=float)
     n_rails = h_real.shape[-1]
     q, r = np.linalg.qr(h_real)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if np.any(diag < 1e-12 * diag.max(axis=-1, keepdims=True)):
-        raise RankDeficientChannel("QR exposed a numerically zero pivot")
+    _check_pivots(r)
     y_red = np.atleast_2d(ys) @ q  # (..., n_vec, 2n_t)
     del q
     out_shape = y_red.shape[:-2] + ys.shape[-2:-1] + (n_rails,)

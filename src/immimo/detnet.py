@@ -60,6 +60,12 @@ On hardware the same pass runs on differential memristor arrays in two roles:
   each bias a column of conductances driven by a constant input line; weights
   are tuned offline with verification, so their mapping is treated as exact.
 
+Both loops rectify in place against a zero array of the pre-activation's
+shape, made once per call, not against the scalar 0: with a scalar operand
+numpy 2.4's maximum does not take its vectorized loop, and on a (65, 448)
+float32 array it took 7.5-8 us against 3.9-4.5 us (2-core x86_64).  The two
+give the same bits, +0.0 for -0.0 included, and a NaN stays NaN.
+
 Peripherals (TIAs, inverters, adders, the ReLU rectifier) are ideal: the TIA
 feedback resistances realize the gains alpha1 (one stage) and alpha2 (two
 cascaded stages), here exact multiplications, so both must stay positive.
@@ -246,6 +252,7 @@ def forward(params, gram, hty):
     us = np.empty((L, n_rows, x_dim + params.a_size), dtype)
     zs = np.empty((L, n_rows, params.S), dtype)
     xas = np.empty((L, n_rows, x_dim + params.a_size), dtype)  # [x_k, a_k]
+    zero = np.zeros(zs.shape[1:], dtype)  # the rectifier's operand (see module doc)
 
     x = np.zeros(hty.shape, dtype)
     a = 0.0
@@ -257,7 +264,7 @@ def forward(params, gram, hty):
         us[k, :, x_dim:] = a
         z = np.matmul(us[k], params.w1[k].T, out=zs[k])
         z += params.b1[k]
-        np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
+        np.maximum(z, zero, out=z)  # a NaN input stays NaN
         xa = np.matmul(z, w23[k].T, out=xas[k])
         xa += b23[k]
         x = xa[:, :x_dim].reshape(hty.shape)
@@ -293,7 +300,9 @@ def ideal_forward(weights, gram, hty):
     u = np.zeros((width + 1, hty[0].size), dtype)
     u[-1] = 1.0
     z = np.empty((S + 1, u.shape[1]), dtype)
-    z[-1] = 1.0  # the rectifier keeps it: max(1, 0) = 1
+    z[-1] = 1.0
+    pre = z[:-1]  # W1 u lands above z's constant row, and is rectified there
+    zero = np.zeros_like(pre)  # the rectifier's operand, see the module doc
     x = u[:x_dim].reshape(hty.shape)
     # x^T H^T H, oriented as in the training pass so that it rounds alike
     x_rows, hthx_rows = np.moveaxis(x, 0, -1), np.moveaxis(hthx, 0, -1)
@@ -304,8 +313,8 @@ def ideal_forward(weights, gram, hty):
         x -= step
         hthx *= weights.alpha2[k]
         x += hthx
-        np.matmul(w1b[k], u, out=z[:-1])
-        np.maximum(z, 0.0, out=z)  # a NaN input stays NaN
+        np.matmul(w1b[k], u, out=pre)
+        np.maximum(pre, zero, out=pre)  # a NaN input stays NaN
         # x_k and a_k land in u, over s_k and a_{k-1}
         np.matmul(w23b[k], z, out=u[:width])
     return x_rows

@@ -1,8 +1,8 @@
 """Experiment orchestration: seeded sweeps, pipelines, CSV emission.
 
 Reproducibility contract: wave w at SNR index i draws its WAVE channels H,
-then their bits, channel noise and one unit normal per channel cell, each
-stacked, from one RNG stream keyed on (seed, i, w), so output depends on
+then their payload bits, channel noise and one unit normal per channel cell,
+each stacked, from one RNG stream keyed on (seed, i, w), so output depends on
 WAVE; a wave cut short by `max_trials` keeps its first trials.  Every
 detector and gamma at that SNR reuses these draws (common random numbers),
 so detector differences are paired and the sphere decoder reproduces
@@ -29,7 +29,10 @@ gamma on H + dH, the one programming of the wave's channels realized at that
 gamma, and each classical detector on H.  A BER point, one SweepRow, then
 adds the whole wave to its totals and stops once it has at least `min_bits`
 bits AND `min_errors` bit errors (confidence at low BER), capped at
-`max_trials` channel realizations; each detector stops on its own.  Every
+`max_trials` channel realizations; each detector stops on its own.  A wave
+is scored on rail levels, not bits: the draw keeps the level index each
+bit-carrying rail was sent at, and mimo.bit_errors counts a lane's bit
+errors from its decided levels, as demapping them to bits would.  Every
 emitted row carries a Wilson 95% interval, a flag for points with fewer than
 10 errors, the trials run, why the point stopped and the means derived from
 its totals.
@@ -107,7 +110,7 @@ class SweepRow:
     errors, trials, vectors detected and wall_time_s, plus the sphere
     decoder's tree nodes for `sd`, and the programming pulses and simulated
     programming latency t_p_s for detnet-hw (None for other detectors).
-    wall_time_s is the time this row's own detection and demapping of its
+    wall_time_s is the time this row's own detection and scoring of its
     waves took, a detnet-hw row's realizing of the channel at its gamma
     included.  The shared trial draws and channel programming are
     attributed to no row.
@@ -162,23 +165,25 @@ class SweepRow:
 def _draw_wave(cfg, vectors, seed, snr_index, wave_index, sigma, trials=WAVE):
     """One sweep step's draws: the first `trials` trials of wave `wave_index`.
 
-    Returns H (trials, 2n_r, 2n_t), bits, ys (trials, vectors, 2n_r) and the
-    programming noise's unit normals z (trials, 2n_r, 2n_t).
+    Returns H (trials, 2n_r, 2n_t), the sent level indices (trials, vectors,
+    rails) of the payload bits (mimo.bit_levels), ys (trials, vectors, 2n_r)
+    and the programming noise's unit normals z (trials, 2n_r, 2n_t).
     """
     rng = np.random.default_rng([seed, snr_index, wave_index])
     h = mimo.generate_channel(cfg, rng, count=WAVE)
     bits = mimo.random_bits(cfg, rng, count=WAVE * vectors).reshape(WAVE, vectors, -1)
-    ys = mimo.transmit(h, mimo.modulate(bits, cfg), sigma, rng)
+    sent = mimo.bit_levels(bits, cfg)
+    ys = mimo.transmit(h, mimo.level_rails(sent, cfg), sigma, rng)
     z = rng.standard_normal(h.shape)
-    return h[:trials], bits[:trials], ys[:trials], z[:trials]
+    return h[:trials], sent[:trials], ys[:trials], z[:trials]
 
 
 def _detect(detector, h, ys, sigma, cfg, weights):
     """Decisions (trials, vectors, 2n_t) on a wave, and SD's tree nodes.
 
     One call detects a whole wave with any detector: zf, mmse and the deep
-    detectors return soft outputs, which demapping decides as their nearest
-    symbols, ml and sd hard ones.  For detnet-hw, h is the wave's channel
+    detectors return soft outputs, which scoring decides as their nearest
+    levels, ml and sd hard ones.  For detnet-hw, h is the wave's channel
     programming realized at the lane's gamma.  A deep detector runs the
     detection pass with weights, the sweep's packed detnet.DetectionWeights,
     on the float32 channel products of h and ys.
@@ -194,11 +199,6 @@ def _detect(detector, h, ys, sigma, cfg, weights):
         return out.x_hat_real, out.node_count
     products = detnet.channel_products(h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE))
     return detnet.ideal_forward(weights, *products), None
-
-
-def _wave_errors(x_hat, bits, cfg):
-    """Bit errors of the decisions x_hat (trials, vectors, 2n_t) on a wave."""
-    return int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != bits))
 
 
 def run_ber_sweep(exp, params=None):
@@ -241,7 +241,7 @@ def run_ber_sweep(exp, params=None):
         trial = 0
         while active and trial < sweep.max_trials:
             trials = min(WAVE, sweep.max_trials - trial)
-            h, bits, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, trial // WAVE,
+            h, sent, ys, z = _draw_wave(cfg, vectors, exp.seed, s_idx, trial // WAVE,
                                         sigma, trials)
             if any(row.detector == HW_DETECTOR for row in active):
                 # the one reprogramming event per channel realization, for the
@@ -254,7 +254,7 @@ def run_ber_sweep(exp, params=None):
                 x_hat, nodes = _detect(row.detector,
                                        program.realized(row.gamma, z) if hw else h,
                                        ys, sigma, cfg, weights)
-                row.errors += _wave_errors(x_hat, bits, cfg)
+                row.errors += mimo.bit_errors(x_hat, sent, cfg)
                 row.wall_time_s += time.perf_counter() - t0
                 row.bits += trials * bits_per_trial
                 row.trials += trials

@@ -11,8 +11,11 @@ into its real embedding
 
 which doubles all dimensions and keeps matrix products consistent with the
 complex model.  Symbols exist only as the 2n_t real rails x = [Re x~; Im x~]:
-modulation writes them, and decisions and demapping read them rail by rail,
-since QPSK and 16QAM are products of one per-rail amplitude alphabet.
+modulation writes them, and decisions read them rail by rail, since QPSK and
+16QAM are products of one per-rail amplitude alphabet.  Each bit-carrying
+rail carries the level whose index is its bits in binary, so decisions are
+scored on level indices, with no demapping to bits: a rail's bit errors are
+the set bits of its decided level XOR its sent level (bit_errors).
 
 SNR convention: with unit transmit power and E|h~_ij|^2 = 2,
 E||H~ x~||^2 / E||n~||^2 = 1 / sigma_n^2, so sigma_n = 10^(-snr_db/20).
@@ -71,24 +74,17 @@ def _frozen(array):
     return array
 
 
-# Unscaled per-rail amplitude levels in bit-lexicographic order, and the rail
-# bits each level carries: row i of the bit table is i in binary, most
-# significant bit first.  Gray coded: adjacent levels differ in one bit.  Bit
-# pattern 0...0 maps to the most positive level, which for BPSK gives the
-# "bit 0 -> +1" sign convention.
+# Unscaled per-rail amplitude levels in bit-lexicographic order: level i
+# carries the rail bits of i in binary, most significant bit first.  Gray
+# coded: adjacent levels differ in one bit.  Bit pattern 0...0 maps to the
+# most positive level, which for BPSK gives the "bit 0 -> +1" sign
+# convention.
 _RAIL_LEVELS = {
     Modulation.BPSK: np.array([1.0, -1.0]),
     Modulation.QPSK: np.array([1.0, -1.0]),
     Modulation.QAM16: np.array([3.0, 1.0, -3.0, -1.0]),
 }
-_RAIL_BITS = {
-    mod: _frozen(np.array(table, dtype=np.int8))
-    for mod, table in (
-        (Modulation.BPSK, [[0], [1]]),
-        (Modulation.QPSK, [[0], [1]]),
-        (Modulation.QAM16, [[0, 0], [0, 1], [1, 0], [1, 1]]),
-    )
-}
+_BITS_PER_RAIL = {Modulation.BPSK: 1, Modulation.QPSK: 1, Modulation.QAM16: 2}
 
 # Mean symbol energy of the unscaled complex constellation.
 _E_AVG = {Modulation.BPSK: 1.0, Modulation.QPSK: 2.0, Modulation.QAM16: 10.0}
@@ -149,28 +145,39 @@ def modulate(bits, config):
     rails first, then quadrature rails (0 for BPSK).  Raises on a
     wrong-length payload.
     """
+    return level_rails(bit_levels(bits, config), config)
+
+
+def bit_levels(bits, config):
+    """The level index each bit-carrying rail sends for payload bits.
+
+    bits are (..., bits_per_vector), consumed as by modulate; returns int8
+    (..., rails), in-phase rails first, then quadrature rails (none for
+    BPSK).  Raises on a wrong-length payload.
+    """
     bits = np.asarray(bits, dtype=np.int8)
     expected = config.bits_per_vector
     if bits.shape[-1] != expected:
         raise ValueError(f"expected {expected} bits, got {bits.shape[-1]}")
     lead = bits.shape[:-1]
-    n_bits = _RAIL_BITS[config.modulation].shape[1]
+    n_bits = _BITS_PER_RAIL[config.modulation]
     # (..., n_t, rails per antenna, bits per rail) -> level index per rail,
     # most significant bit first, by Horner's rule over at most two bits
     grouped = bits.reshape(lead + (config.n_t, -1, n_bits))
     idx = grouped[..., 0]
     for bit in range(1, n_bits):
         idx = idx * 2 + grouped[..., bit]
-    return _level_rails(np.swapaxes(idx, -1, -2).reshape(lead + (-1,)), config)
+    return np.swapaxes(idx, -1, -2).reshape(lead + (-1,))
 
 
-def _level_rails(idx, config):
-    """Rails (..., 2n_t) at levels idx on the leading, bit-carrying rails.
+def level_rails(levels, config):
+    """Rails (..., 2n_t) at level indices levels on the bit-carrying rails.
 
-    The rails past idx's width, BPSK's quadrature rails, are 0.
+    levels are as bit_levels returns them; the rails past their width,
+    BPSK's quadrature rails, are 0.
     """
-    rails = np.zeros(idx.shape[:-1] + (2 * config.n_t,))
-    rails[..., :idx.shape[-1]] = rail_alphabets(config)[0][idx]
+    rails = np.zeros(levels.shape[:-1] + (2 * config.n_t,))
+    rails[..., :levels.shape[-1]] = rail_alphabets(config)[0][levels]
     return rails
 
 
@@ -212,14 +219,19 @@ def _nearest_levels(x_real, config):
     return idx
 
 
-def demodulate(x_hat_real, config):
-    """Nearest-level decision on every rail followed by Gray demapping to bits."""
-    idx = _nearest_levels(x_hat_real, config)
-    bits = _RAIL_BITS[config.modulation][idx]  # (..., rails, bits per rail)
-    # rails run [I_0..I_{n_t-1}, Q_0..Q_{n_t-1}]; the payload runs per antenna
-    lead = bits.shape[:-2]
-    bits = np.swapaxes(bits.reshape(lead + (-1, config.n_t, bits.shape[-1])), -2, -3)
-    return bits.reshape(lead + (-1,))
+def bit_errors(x_hat_real, levels, config):
+    """Bit errors of decided rails x_hat_real (..., 2n_t) against sent levels.
+
+    levels are as bit_levels gives them.  Each rail is decided as its
+    nearest level; level i carries i in binary, so a rail's bit errors are
+    the set bits of its decided index XOR its sent one, as demapping both to
+    bits and comparing would count them.
+    """
+    wrong = _nearest_levels(x_hat_real, config) ^ levels
+    if _BITS_PER_RAIL[config.modulation] == 1:
+        return int(np.count_nonzero(wrong))
+    # two bits per rail: every wrong rail has one bit wrong, 3 has both
+    return int(np.count_nonzero(wrong)) + int(np.count_nonzero(wrong == 3))
 
 
 def sigma_from_snr(snr_db):

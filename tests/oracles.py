@@ -2,14 +2,16 @@
 
 The complex channel: src/ draws the channel straight into its real embedding
 (mimo.generate_channel); complex_channel and to_real state the same draw in
-complex form.  Exhaustive ML: src/ evaluates the metric from the Gram matrix
+complex form.  Demapping: src/ scores decisions on rail level indices
+(mimo.bit_errors); demodulate maps them back to payload bits.  Exhaustive
+ML: src/ evaluates the metric from the Gram matrix
 (baselines.ml_detect_batch); ml_detect_exhaustive takes the argmin of the
 residual norms themselves.  The conductance model: see below.
 """
 
 import numpy as np
 
-from immimo import baselines
+from immimo import baselines, mimo
 
 
 def complex_channel(config, rng, count=None):
@@ -27,6 +29,40 @@ def to_real(h_complex):
     top = np.concatenate([re, -im], axis=-1)
     bottom = np.concatenate([im, re], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
+
+
+def sent_levels(x_real, config):
+    """Level index of each bit-carrying rail of exact symbols x_real.
+
+    The index at which the rail's alphabet equals the rail, so the inverse
+    of the rails mimo.level_rails writes.
+    """
+    alphabet = mimo.rail_alphabets(config)[0]
+    n_rails = config.n_t if config.modulation is mimo.Modulation.BPSK else 2 * config.n_t
+    hits = np.asarray(x_real)[..., :n_rails, None] == alphabet
+    assert np.all(hits.sum(axis=-1) == 1), "not a constellation point"
+    return np.argmax(hits, axis=-1)
+
+
+def payload_bits(levels, config):
+    """Payload bits (..., bits_per_vector) of rail level indices (..., rails).
+
+    Level i carries the rail bits of i in binary, most significant first;
+    the payload runs per antenna, its in-phase rail's bits before its
+    quadrature rail's, while the rails run [I_0..I_{n_t-1}, Q_0..Q_{n_t-1}].
+    """
+    levels = np.asarray(levels)
+    n_bits = {mimo.Modulation.BPSK: 1, mimo.Modulation.QPSK: 1,
+              mimo.Modulation.QAM16: 2}[config.modulation]
+    bits = (levels[..., None] >> np.arange(n_bits - 1, -1, -1)) & 1
+    lead = bits.shape[:-2]
+    bits = np.swapaxes(bits.reshape(lead + (-1, config.n_t, n_bits)), -2, -3)
+    return bits.reshape(lead + (-1,)).astype(np.int8)
+
+
+def demodulate(x_hat_real, config):
+    """Nearest-level decision on every rail followed by Gray demapping to bits."""
+    return payload_bits(mimo._nearest_levels(x_hat_real, config), config)
 
 
 def ml_detect_exhaustive(h_real, y, config):

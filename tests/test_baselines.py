@@ -39,7 +39,7 @@ class TestZf:
         for _ in range(20):
             h, x, y = noiseless_instance(c, rng)
             soft = zf_soft(h, y, c)
-            assert np.allclose(mimo.modulate(mimo.demodulate(soft, c), c), x)
+            assert np.allclose(mimo.modulate(oracles.demodulate(soft, c), c), x)
             assert np.allclose(soft, x, atol=1e-8)
 
     def test_square_invertible_is_inverse(self, rng):
@@ -68,6 +68,35 @@ class TestZf:
                 baselines.linear_soft_batch(h[seed % 3], ys[0], c)
             with pytest.raises(baselines.RankDeficientChannel):
                 baselines.linear_soft_batch(h, ys, c)
+
+
+    @pytest.mark.parametrize("eps,deficient", [(0.0, True), (1e-15, True), (1e-13, True),
+                                               (1e-10, False), (1e-6, False), (None, True)])
+    def test_one_nearly_deficient_channel_in_a_stack(self, eps, deficient):
+        # ZF takes SD's pivot test: channel 2's second column is its first
+        # plus eps times noise, so its second QR pivot is about 3.5 eps
+        # against a largest pivot of about 4; the test's threshold 1e-12
+        # relative flags eps up to about 1e-12, where an SVD rank at machine
+        # precision flagged only eps below about 1e-14.  eps None zeroes the
+        # whole channel, whose largest pivot is 0 too
+        c = cfg()
+        rng = np.random.default_rng(8)
+        h = mimo.generate_channel(c, rng, count=4)
+        if eps is None:
+            h[2] = 0.0
+        else:
+            h[2, :, 1] = h[2, :, 0] + eps * rng.standard_normal(h.shape[1])
+        ys = rng.standard_normal((4, 3, 12))
+        raised = []
+        for detect in (lambda: baselines.linear_soft_batch(h, ys, c),
+                       lambda: baselines.sphere_decode(h, ys, c)):
+            try:
+                detect()
+            except baselines.RankDeficientChannel:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert raised == [deficient, deficient]
 
 
 class TestMmse:
@@ -382,9 +411,9 @@ class TestDetectorOrdering:
                 ("zf", baselines.linear_soft_batch(h, ys, c)),
                 ("mmse", baselines.linear_soft_batch(h, ys, c, sigma_n=sigma)),
             ):
-                hat = mimo.demodulate(soft, c)
+                hat = oracles.demodulate(soft, c)
                 errs[name] += np.sum(hat != bits)
-            hat = mimo.demodulate(baselines.ml_detect_batch(h, ys, c), c)
+            hat = oracles.demodulate(baselines.ml_detect_batch(h, ys, c), c)
             errs["ml"] += np.sum(hat != bits)
             total += bits.size
         assert total >= 100_000
@@ -393,7 +422,7 @@ class TestDetectorOrdering:
 
 def payload(x_hat, c):
     """The decided bits of one vector as an integer, first bit most significant."""
-    return int("".join(str(int(b)) for b in mimo.demodulate(x_hat, c)), 2)
+    return int("".join(str(int(b)) for b in oracles.demodulate(x_hat, c)), 2)
 
 
 # Per-vector node counts and decided payloads of the depth-first search with

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from immimo import baselines, config, detnet, device, harness, mimo, training
 from immimo.mimo import MimoConfig
 
@@ -211,7 +212,10 @@ class TestWaveDraws:
         ys = ys + sigma * rng.standard_normal(ys.shape)
         z = rng.standard_normal(h.shape)
         got = harness._draw_wave(cfg, vectors, seed, snr_index, wave, sigma)
-        for a, b in zip(got, (h, bits, ys, z), strict=True):
+        # the bits are kept as the level index each rail was sent at
+        sent = oracles.sent_levels(x, cfg)
+        assert np.array_equal(oracles.payload_bits(sent, cfg), bits)
+        for a, b in zip(got, (h, sent, ys, z), strict=True):
             assert a.shape[0] == harness.WAVE
             assert np.array_equal(a, b)
 
@@ -263,14 +267,15 @@ class TestPrecision:
                                    np.random.default_rng(3))
         waves = [harness._draw_wave(cfg, 14, 7, 1, w, mimo.sigma_from_snr(10.0))
                  for w in range(400 // harness.WAVE)]
-        h, bits, ys, z = (np.concatenate(a) for a in zip(*waves))
+        h, sent, ys, z = (np.concatenate(a) for a in zip(*waves))
+        bits = oracles.payload_bits(sent, cfg)
         h_hw = device.program_matrix(h, spec).realized(0.02, z)
         x64 = detnet.ideal_forward(detnet.detection_weights(params.astype(np.float64)),
                                    *detnet.channel_products(h_hw, ys))
         x32 = detnet.ideal_forward(detnet.detection_weights(params), *detnet.channel_products(
             h_hw.astype(np.float32), ys.astype(np.float32)))
         assert x32.dtype == np.float32
-        b64, b32 = mimo.demodulate(x64, cfg), mimo.demodulate(x32, cfg)
+        b64, b32 = oracles.demodulate(x64, cfg), oracles.demodulate(x32, cfg)
         # a detector that decides something: well below the untrained 0.5
         assert np.mean(b64 != bits) < 0.2
         assert np.count_nonzero(b32 != b64) <= 1e-4 * bits.size
@@ -448,6 +453,7 @@ def per_wave_reference(exp, params, detector, gamma):
     vectors = s.symbols_per_slot
     sigma = mimo.sigma_from_snr(s.snr_db[0])
     weights = detnet.detection_weights(params.astype(detnet.DTYPE))
+    bits_per_trial = vectors * cfg.bits_per_vector
     bits = errors = trials = nodes = pulses = 0
     t_p = 0.0
     stop_reason = "max_trials"
@@ -471,8 +477,9 @@ def per_wave_reference(exp, params, detector, gamma):
                 h = program.realized(gamma, z)
             x_hat = detnet.ideal_forward(weights, *detnet.channel_products(
                 h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE)))
-        errors += int(np.count_nonzero(mimo.demodulate(x_hat, cfg) != sent))
-        bits += sent.size
+        payload = oracles.payload_bits(sent, cfg)
+        errors += int(np.count_nonzero(oracles.demodulate(x_hat, cfg) != payload))
+        bits += count * bits_per_trial
         trials += count
         if bits >= s.min_bits and errors >= s.min_errors:
             stop_reason = "target"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from immimo import baselines, mimo
 from immimo.mimo import MimoConfig
 from oracles import complex_channel, to_real
@@ -178,7 +179,7 @@ class TestModulation:
     def test_modulate_demodulate_round_trip(self, mod, rng):
         c = cfg(mod, n_t=3, n_r=3)
         bits = mimo.random_bits(c, rng, count=200)
-        assert np.array_equal(mimo.demodulate(mimo.modulate(bits, c), c), bits)
+        assert np.array_equal(oracles.demodulate(mimo.modulate(bits, c), c), bits)
 
     @pytest.mark.parametrize("mod", ["qpsk", "qam16"])
     def test_small_perturbations_never_flip(self, mod, rng):
@@ -193,7 +194,7 @@ class TestModulation:
             x = mimo.modulate(bits, c)
             bump = rng.uniform(-1, 1, size=x.shape)
             bump *= 0.49 * min_dist / np.abs(bump).max()
-            assert np.array_equal(mimo.demodulate(x + bump, c), bits)
+            assert np.array_equal(oracles.demodulate(x + bump, c), bits)
 
 
 class TestComplexOracle:
@@ -212,7 +213,7 @@ class TestComplexOracle:
         # where every rail sits on a tie
         soft = rng.standard_normal((2, 500, 6)) * 0.6
         soft[0, 0] = 0.0
-        assert np.array_equal(mimo.demodulate(soft, c), oracle_demodulate(soft, mod, 3))
+        assert np.array_equal(oracles.demodulate(soft, c), oracle_demodulate(soft, mod, 3))
 
     @pytest.mark.parametrize("mod,n_t", [("bpsk", 3), ("qpsk", 2), ("qam16", 2)])
     def test_candidate_matrix_equals_complex_product(self, mod, n_t):
@@ -256,9 +257,9 @@ class TestRailDecisions:
     def test_equal_to_the_argmin_oracle(self, mod, dtype, rng, monkeypatch):
         c = cfg(mod, n_t=4, n_r=4)
         soft = self.stacked_soft(c, rng, dtype)
-        got = mimo.demodulate(soft, c), mimo.modulate(mimo.demodulate(soft, c), c)
+        got = oracles.demodulate(soft, c), mimo.modulate(oracles.demodulate(soft, c), c)
         monkeypatch.setattr(mimo, "_nearest_levels", argmin_levels)
-        want = mimo.demodulate(soft, c), mimo.modulate(mimo.demodulate(soft, c), c)
+        want = oracles.demodulate(soft, c), mimo.modulate(oracles.demodulate(soft, c), c)
         assert got[0].shape == (3, 4, 50, c.bits_per_vector)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -271,6 +272,55 @@ class TestRailDecisions:
         x = np.array([tie, np.nan, np.inf, -np.inf], dtype=dtype)
         assert mimo._nearest_levels(x, c).tolist() == [lower, 0, 0, 0]
         assert argmin_levels(x, c).tolist() == [lower, 0, 0, 0]
+
+
+class TestBitErrors:
+    """The scorer on sent levels against demapping the decisions to bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mod", MODS)
+    def test_equals_the_demapped_count(self, mod, dtype, rng):
+        # every special rail of TestRailDecisions: midpoint ties, lone NaN
+        # and infinite rails, BPSK's bitless quadrature rails
+        c = cfg(mod, n_t=4, n_r=4)
+        soft = TestRailDecisions.stacked_soft(c, rng, dtype)
+        bits = mimo.random_bits(c, rng, count=3 * 4 * 50).reshape(3, 4, 50, -1)
+        sent = mimo.bit_levels(bits, c)
+        assert np.array_equal(oracles.payload_bits(sent, c), bits)
+        want = np.count_nonzero(oracles.demodulate(soft, c) != bits)
+        assert mimo.bit_errors(soft, sent, c) == want
+        # a lane that decides every rail as sent
+        assert mimo.bit_errors(mimo.level_rails(sent, c).astype(dtype), sent, c) == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mod", MODS)
+    def test_equals_the_nearest_complex_point_count(self, mod, dtype, rng):
+        # the brute-force complex oracle decides a whole symbol, so its NaN
+        # and tie cases are whole antennas: both rails NaN, or both on one
+        # midpoint between two levels
+        n_t = 3
+        c = cfg(mod, n_t=n_t, n_r=3)
+        soft = rng.standard_normal((4, 100, 2 * n_t)) * 0.6
+        if mod == "bpsk":
+            soft[..., n_t:] = 0.0
+        levels = mimo.rail_alphabets(c)[0]
+        between = ((levels[:, None] + levels[None, :]) / 2).ravel()
+        for row, value in enumerate(np.concatenate([between, [np.nan]])):
+            soft[0, row, [0, n_t]] = value
+            soft[1, row, :] = value
+        soft[2, :, 1::n_t] = np.nan
+        soft = soft.astype(dtype)
+        bits = mimo.random_bits(c, rng, count=400).reshape(4, 100, -1)
+        want = np.count_nonzero(oracle_demodulate(soft, mod, n_t) != bits)
+        assert mimo.bit_errors(soft, mimo.bit_levels(bits, c), c) == want
+
+    @pytest.mark.parametrize("mod", MODS)
+    def test_sent_levels_are_the_oracle_symbols(self, mod, rng):
+        c = cfg(mod, n_t=3, n_r=3)
+        bits = mimo.random_bits(c, rng, count=500)
+        sent = mimo.bit_levels(bits, c)
+        assert np.array_equal(sent, oracles.sent_levels(oracle_modulate(bits, mod, 3), c))
+        assert np.array_equal(mimo.level_rails(sent, c), mimo.modulate(bits, c))
 
 
 class TestAlphabetCache:
