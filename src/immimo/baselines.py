@@ -1,7 +1,9 @@
 """Classical detectors: ZF, MMSE, exhaustive ML, and a sphere decoder.
 
 All detectors work on the real-valued model y = Hx + n with per-rail
-constellation alphabets from :mod:`immimo.mimo`.  Exhaustive ML scores every
+constellation alphabets from :mod:`immimo.mimo`.  ZF, MMSE and exhaustive ML
+start from G = H^T H and the rows y^T H of mimo.channel_products, the sphere
+decoder from a QR factorization of H.  Exhaustive ML scores every
 candidate by ||Hx||^2 - 2 y^T Hx, which differs from ||y - Hx||^2 by a
 constant per y, in Gram form: x^T G x with G = H^T H comes from one product
 of G's upper triangle with a cached table of the candidates' pairwise rail
@@ -56,20 +58,18 @@ def linear_soft_batch(h_real, ys, config, sigma_n=None):
 
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
     same leading shape (a stack of channels, or none); returns
-    (..., n_vec, 2n_t).  ZF raises RankDeficientChannel if any channel in the
-    stack lost full column rank, by the sphere decoder's pivot test
-    (_check_pivots).
+    (..., n_vec, 2n_t), solved from mimo.channel_products in float64.  ZF
+    raises RankDeficientChannel if any channel in the stack lost full column
+    rank, by the sphere decoder's pivot test (_check_pivots).
     """
     h_real = np.asarray(h_real, dtype=float)
-    h_t = np.swapaxes(h_real, -1, -2)
-    g = h_t @ h_real
+    g, hty = mimo.channel_products(h_real, np.asarray(ys, dtype=float))
     if sigma_n is None:
         _check_pivots(np.linalg.qr(h_real, mode="r"))
     else:
         g = g + sigma_n**2 / rail_symbol_energy(config) * np.eye(g.shape[-1])
-    rhs = h_t @ np.swapaxes(np.asarray(ys, dtype=float), -1, -2)
     try:
-        soft = np.linalg.solve(g, rhs)
+        soft = np.linalg.solve(g, np.swapaxes(hty, -1, -2))
     except np.linalg.LinAlgError as exc:
         raise RankDeficientChannel(str(exc)) from exc
     return np.swapaxes(soft, -1, -2)
@@ -88,26 +88,17 @@ def _check_pivots(r):
 ML_GUARD = 10**6
 
 
-def candidate_matrix(config):
-    """All M^n_t transmit vectors as real columns, shape (2n_t, M^n_t).
-
-    Columns follow the payloads in bit-lexicographic order: antenna 0 varies
-    slowest, and each antenna runs through its (I, Q) level pairs with Q
-    fastest, so argmin ties go to the smaller bit pattern.  Cached per
-    (n_t, modulation) since enumeration is the expensive part, together with
-    the tables :func:`ml_detect_batch` evaluates the metric from.
-    """
-    return _ml_tables(config)[0]
-
-
 def _ml_tables(config):
     """The candidates X (2n_t, M^n_t), -2X, a pair table, and its pairs.
 
-    The pairs are the upper triangle i <= j of a 2n_t x 2n_t matrix, as
-    flat indices.  Row k of the pair table holds x_i x_j of pair k for every
-    candidate, doubled for i < j, so that a symmetric G's upper triangle
-    times the table is x^T G x for all of them.  Cached per (n_t,
-    modulation).
+    X holds all M^n_t transmit vectors as real columns, following the
+    payloads in bit-lexicographic order: antenna 0 varies slowest, and each
+    antenna runs through its (I, Q) level pairs with Q fastest, so argmin
+    ties go to the smaller bit pattern.  The pairs are the upper triangle
+    i <= j of a 2n_t x 2n_t matrix, as flat indices.  Row k of the pair table
+    holds x_i x_j of pair k for every candidate, doubled for i < j, so that a
+    symmetric G's upper triangle times the table is x^T G x for all of them.
+    Cached per (n_t, modulation).
     """
     key = (config.n_t, config.modulation)
     cached = _CANDIDATE_CACHE.get(key)
@@ -140,27 +131,26 @@ ML_BLOCK = 8
 def ml_detect_batch(h_real, ys, config):
     """Exhaustive ML for many received vectors per channel.
 
-    h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with
-    leading shapes that broadcast; returns (..., n_vec, 2n_t).  The leading
-    dims are flattened into a stack of channels, walked ML_BLOCK channels at
-    a time.  The metric ||y - Hx||^2 less its constant ||y||^2 is evaluated
-    in Gram form, q + (y^T H)(-2x) with q = x^T G x and G = H^T H: per
-    block, one product of the channels' upper triangles of G with the cached
-    pair table gives q for every candidate, and one product of the rows
-    y^T H with the cached -2X fills the block's metrics, in one buffer made
-    once per call; scaling by -2 is exact.  The block's decisions go into
-    its rows of one index array.  A channel's metrics, and so its decisions,
-    are the same bits wherever it sits in whatever stack.
+    h_real is a stack of channels (n_ch, 2n_r, 2n_t) and ys (n_ch, n_vec,
+    2n_r) the vectors received through them; returns (n_ch, n_vec, 2n_t).
+    The stack is walked ML_BLOCK channels at a time.  The metric
+    ||y - Hx||^2 less its constant ||y||^2 is evaluated in Gram form,
+    q + (y^T H)(-2x) with q = x^T G x and G = H^T H, from each block's
+    mimo.channel_products: one product of the channels' upper triangles of
+    G with the cached pair table gives q for every candidate, and one
+    product of the rows y^T H with the cached -2X fills the block's metrics,
+    in one buffer made once per call; scaling by -2 is exact.  The block's
+    decisions go into its rows of one index array.  A channel's metrics,
+    and so its decisions, are the same bits wherever it sits in whatever
+    stack.
     """
     x_cands, minus_two_x, pairs, upper = _ml_tables(config)
     h_real = np.asarray(h_real, float)
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n_rows, n_rails = h_real.shape[-2:]
-    n_vec, n_cand = ys.shape[-2], x_cands.shape[1]
-    lead = np.broadcast_shapes(h_real.shape[:-2], ys.shape[:-2])
-    # views, unless one side is broadcast over the other's stack
-    h_real = np.broadcast_to(h_real, lead + (n_rows, n_rails)).reshape(-1, n_rows, n_rails)
-    ys = np.broadcast_to(ys, lead + (n_vec, n_rows)).reshape(-1, n_vec, n_rows)
+    ys = np.asarray(ys, dtype=float)
+    if h_real.ndim != 3 or ys.ndim != 3 or len(ys) != len(h_real):
+        raise ValueError(f"expected channels (n_ch, 2n_r, 2n_t) and ys (n_ch, n_vec, 2n_r), "
+                         f"got {h_real.shape} and {ys.shape}")
+    n_vec, n_rails, n_cand = ys.shape[1], h_real.shape[2], x_cands.shape[1]
     # Every block, a short last one too, runs the two products at the full
     # block's shape: each is then a GEMM of one size, never a GEMV at one
     # row, whose rows do not depend on where a channel sits.  Rows past a
@@ -173,24 +163,24 @@ def ml_detect_batch(h_real, ys, config):
     metrics = np.empty((ML_BLOCK, n_vec, n_cand))
     best = np.empty((len(h_real), n_vec), dtype=np.intp)
     for start in range(0, len(h_real), ML_BLOCK):
-        h = h_real[start:start + ML_BLOCK]
-        n_block = len(h)
-        gram = np.swapaxes(h, -1, -2) @ h
+        stop = start + ML_BLOCK
+        gram, hty = mimo.channel_products(h_real[start:stop], ys[start:stop])
+        n_block = len(gram)
         np.take(gram.reshape(n_block, -1), upper, axis=1, out=grams[:n_block])
         np.matmul(grams, pairs, out=q[:, 0])
-        np.matmul(ys[start:start + n_block], h, out=yh[:n_block])
+        yh[:n_block] = hty
         np.matmul(yh.reshape(-1, n_rails), minus_two_x, out=metrics.reshape(-1, n_cand))
         metrics += q
-        np.argmin(metrics[:n_block], axis=-1, out=best[start:start + n_block])
-    return x_cands.T[best].reshape(lead + (n_vec, n_rails))
+        np.argmin(metrics[:n_block], axis=-1, out=best[start:stop])
+    return x_cands.T[best]
 
 
 def sphere_decode(h_real, ys, config):
     """Sphere decoder with Schnorr-Euchner enumeration for many channels.
 
     h_real has shape (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), with the
-    same leading shape, or ys is one vector (2n_r,).  Returns the same
-    decisions as :func:`ml_detect_batch`, in ys's leading shape, together
+    same leading shape (a stack of channels, or none).  Returns the same
+    decisions as :func:`ml_detect_batch`, shaped (..., n_vec, 2n_t), together
     with the number of tree nodes the depth-first search visits over the
     whole stack (node_count).  A channel's decisions and nodes do not depend
     on the rest of the stack.
@@ -214,11 +204,10 @@ def sphere_decode(h_real, ys, config):
     n_rails = h_real.shape[-1]
     q, r = np.linalg.qr(h_real)
     _check_pivots(r)
-    y_red = np.atleast_2d(ys) @ q  # (..., n_vec, 2n_t)
+    y_red = ys @ q  # (..., n_vec, 2n_t)
     del q
-    out_shape = y_red.shape[:-2] + ys.shape[-2:-1] + (n_rails,)
-    r = np.broadcast_to(r, y_red.shape[:-2] + r.shape[-2:]).reshape(-1, n_rails, n_rails)
-    targets = y_red.reshape(r.shape[0], -1, n_rails)
+    r = r.reshape(-1, n_rails, n_rails)
+    targets = y_red.reshape(len(r), -1, n_rails)
     alphabets = mimo.rail_alphabets(config)
 
     # first descent for every vector on (rail, channel, vector) arrays.  The
@@ -288,7 +277,7 @@ def sphere_decode(h_real, ys, config):
         if best is not babai:
             flat_x[:, vec] = best
         nodes += searched
-    x_hat = np.moveaxis(x, 0, -1).reshape(out_shape)
+    x_hat = np.moveaxis(x, 0, -1).reshape(y_red.shape)
     return DetectorOutput(x_hat_real=x_hat, node_count=nodes)
 
 

@@ -21,13 +21,14 @@ ys (..., n_vec, 2n_r), one row per vector.  Then H^T y is ys @ H and H^T H x
 is x @ H^T H, each one stacked product.  A single vector is ys = y[None].
 
 The forward pass is split at the paper's module boundary, one function per
-role.  channel_products(h_real, ys), the channel-dependent module, forms
-G = H^T H and the rows H^T y, the only places H enters.  forward(params,
-gram, hty), the training pass, runs the L blocks from them and keeps the
-cache that backward reads.  ideal_forward(weights, gram, hty), the detection
-pass, runs the same blocks and returns x_L alone; it reads DetectionWeights,
-the stacks [W1 | b1] and [W2 | b2; W3 | b3] that detection_weights packs
-once, as the weight crossbars are programmed once, offline.
+role.  mimo.channel_products(h_real, ys), the channel-dependent module,
+forms G = H^T H and the rows H^T y, the only places H enters.
+forward(params, gram, hty), the training pass, runs the L blocks from them
+and keeps the cache that backward reads.  ideal_forward(weights, gram,
+hty), the detection pass, runs the same blocks and returns x_L alone; it
+reads DetectionWeights, the stacks [W1 | b1] and [W2 | b2; W3 | b3] that
+detection_weights packs once, as the weight crossbars are programmed once,
+offline.
 
 Two block loops remain, each laid out for its pass.  backward reads every
 block's intermediates, stacked over the L blocks with the N vectors as rows,
@@ -46,10 +47,13 @@ it after the product.  Only the layout and width BLAS sees differ, and BLAS
 picks its kernel by layout and size.  At the shapes tests/test_detnet.py's
 TestCacheFree pins bit for bit (one vector, a wave of 8 channels with 14
 vectors each, and that wave at 5 programming-noise levels, with nonzero
-biases) the detection pass's x_L equals the training pass's bit for bit.
-Elsewhere, for instance a wave capped at one trial, x_L agrees to rounding
-and the decisions have been equal at every shape tested; only a value within
-rounding of a decision boundary could fall the other way.
+biases) the detection pass's x_L equals the training pass's bit for bit
+under OpenBLAS's SkylakeX and Sandybridge kernels; under its Haswell
+kernels (AVX2-only machines, Zen included) the float32 wave and gamma-stack
+shapes differ in the last bits (see ROADMAP.md).  Elsewhere, for instance a
+wave capped at one trial, x_L agrees to rounding and the decisions have been
+equal at every shape tested; only a value within rounding of a decision
+boundary could fall the other way.
 
 On hardware the same pass runs on differential memristor arrays in two roles:
 
@@ -207,30 +211,6 @@ def _fused_output(params):
     """W2 over W3 and b2 over b3, so x_k and a_k come from one product."""
     return (np.concatenate([params.w2, params.w3], axis=1),
             np.concatenate([params.b2, params.b3], axis=1))
-
-
-def channel_products(h_real, ys):
-    """The channel-dependent module: (gram, hty), H^T H and the rows H^T y.
-
-    h_real is (..., 2n_r, 2n_t) and ys (..., n_vec, 2n_r), n_vec received
-    vectors per channel, so one vector is passed as y[None]; ys broadcasts
-    against the channels' leading dims.  hty is (..., n_vec, 2n_t) and gram
-    (..., 2n_t, 2n_t) keeps h's leading dims, so one channel serves many
-    vector sets.  Both are in np.result_type(h_real, ys, np.float32).
-    """
-    h_real, ys = np.asarray(h_real), np.asarray(ys)
-    dtype = np.result_type(h_real, ys, np.float32)
-    h_real = h_real.astype(dtype, copy=False)
-    ys = ys.astype(dtype, copy=False)
-    if ys.ndim < h_real.ndim:
-        raise ValueError(
-            f"ys {ys.shape} has fewer dims than h {h_real.shape}; "
-            "vectors are rows, pass one vector as y[None]"
-        )
-    # hty first: allocated the other way round, the same arithmetic measured
-    # about 2% slower on perfbench's hw-sweep
-    hty = ys @ h_real
-    return np.ascontiguousarray(np.swapaxes(h_real, -1, -2)) @ h_real, hty
 
 
 def forward(params, gram, hty):

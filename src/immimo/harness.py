@@ -197,7 +197,7 @@ def _detect(detector, h, ys, sigma, cfg, weights):
     if detector == "sd":
         out = baselines.sphere_decode(h, ys, cfg)
         return out.x_hat_real, out.node_count
-    products = detnet.channel_products(h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE))
+    products = mimo.channel_products(h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE))
     return detnet.ideal_forward(weights, *products), None
 
 

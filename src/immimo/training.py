@@ -156,7 +156,7 @@ def train(config, train_cfg, spec, rng, params=None):
     for epoch in range(train_cfg.epochs):
         x, h_in, y_in = (a.astype(detnet.DTYPE)
                          for a in draw_batch(config, train_cfg, spec, rng))
-        trajectory, cache = detnet.forward(params, *detnet.channel_products(h_in, y_in))
+        trajectory, cache = detnet.forward(params, *mimo.channel_products(h_in, y_in))
         value = detnet.loss(trajectory, x, train_cfg.loss_weighting)
         if not math.isfinite(value):
             raise TrainingDiverged(f"loss became {value} at epoch {epoch}")

@@ -6,7 +6,7 @@ complex form.  Demapping: src/ scores decisions on rail level indices
 (mimo.bit_errors); demodulate maps them back to payload bits.  Exhaustive
 ML: src/ evaluates the metric from the Gram matrix
 (baselines.ml_detect_batch); ml_detect_exhaustive takes the argmin of the
-residual norms themselves.  The conductance model: see below.
+residual norms themselves, over candidate_matrix.  The conductance model: see below.
 """
 
 import numpy as np
@@ -65,6 +65,15 @@ def demodulate(x_hat_real, config):
     return payload_bits(mimo._nearest_levels(x_hat_real, config), config)
 
 
+def candidate_matrix(config):
+    """All M^n_t transmit vectors as real columns, shape (2n_t, M^n_t).
+
+    The candidates exhaustive ML scores, in bit-lexicographic payload order,
+    from the table baselines caches per (n_t, modulation).
+    """
+    return baselines._ml_tables(config)[0]
+
+
 def ml_detect_exhaustive(h_real, y, config):
     """Exhaustive ML: argmin of ||y - Hx||^2 over every candidate.
 
@@ -73,7 +82,7 @@ def ml_detect_exhaustive(h_real, y, config):
     symbol-index tuple (argmin keeps the first minimum and candidates are
     enumerated in that order).  node_count is the number of candidates.
     """
-    x_cands = baselines.candidate_matrix(config)
+    x_cands = candidate_matrix(config)
     resid = np.asarray(y, dtype=float)[..., :, None] - np.asarray(h_real, float) @ x_cands
     best = np.argmin(np.sum(resid * resid, axis=-2), axis=-1)
     return baselines.DetectorOutput(x_hat_real=x_cands.T[best].copy(),

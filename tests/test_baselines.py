@@ -158,17 +158,27 @@ class TestMl:
         c = cfg(n_t=3, n_r=4)
         h, _, _ = noiseless_instance(c, rng)
         ys = rng.standard_normal((6, 8))
-        batch = baselines.ml_detect_batch(h, ys, c)
+        batch = baselines.ml_detect_batch(h[None], ys[None], c)[0]
         for i in range(6):
             single = oracles.ml_detect_exhaustive(h, ys[i], c)
             assert np.allclose(batch[i], single.x_hat_real)
+
+    def test_channels_and_vectors_stack_alike(self, rng):
+        # one channel is a stack of one, h[None]; neither side is broadcast
+        # over the other's stack
+        c = cfg(n_t=2, n_r=3)
+        h = mimo.generate_channel(c, rng, count=3)
+        ys = rng.standard_normal((3, 5, 6))
+        for h_in, ys_in in ((h[0], ys[0]), (h[0], ys), (h[:1], ys), (h, ys[0])):
+            with pytest.raises(ValueError, match="n_ch"):
+                baselines.ml_detect_batch(h_in, ys_in, c)
 
 
 def ml_metrics_gram(h_real, ys, config):
     """q + (y^T H)(-2X) for every candidate as one expression: the Gram form
     of ||Hx||^2 - 2 y^T Hx, with q = x^T G x summed over the upper triangle
     of G = H^T H, each term off the diagonal twice."""
-    x_cands = baselines.candidate_matrix(config)
+    x_cands = oracles.candidate_matrix(config)
     rows, cols = np.triu_indices(len(x_cands))
     pairs = np.where(rows == cols, 1.0, 2.0)[:, None] * x_cands[rows] * x_cands[cols]
     gram = np.swapaxes(h_real, -1, -2) @ h_real
@@ -201,7 +211,7 @@ class TestMlMetric:
             got = baselines.ml_detect_batch(h, ys, c)
             want = ml_metrics_gram(h, ys, c)
             assert np.array_equal(seen.pop(), want)
-            assert np.array_equal(got, baselines.candidate_matrix(c).T[argmin(want, axis=-1)])
+            assert np.array_equal(got, oracles.candidate_matrix(c).T[argmin(want, axis=-1)])
 
     def test_one_wave_allocates_little_beyond_its_metrics(self):
         c = cfg()
@@ -240,14 +250,12 @@ class TestMlMetric:
         assert live == [[baselines.ML_BLOCK * 14 * n_cand * 8]] * 3
 
     @pytest.mark.parametrize("channels,layout", [
-        (1, "stacked"), (7, "stacked"), (9, "stacked"), (29, "stacked"),
-        (1, "unstacked"), (11, "one-channel-broadcast"), (9, "one-vector"),
+        (1, "stacked"), (7, "stacked"), (9, "stacked"), (29, "stacked"), (9, "one-vector"),
     ])
     def test_blocks_decide_as_the_expanded_expression(self, channels, layout, monkeypatch):
-        # one short block, a full block and a short last one, one channel
-        # flattened from no leading dims or broadcast over a stack of ys, and
-        # one vector per channel.  Each block's products run at the full
-        # block's shape, so a channel's metrics are the bits it gets alone.
+        # one short block, a full block and a short last one, and one vector
+        # per channel.  Each block's products run at the full block's shape,
+        # so a channel's metrics are the bits it gets alone.
         c = cfg()
         rng = np.random.default_rng(24)
         seen = []
@@ -256,22 +264,16 @@ class TestMlMetric:
                             or argmin(a, **kw))
         for snr in (0.0, 14.0):
             h, ys = wave(c, rng, snr, channels=channels)
-            if layout == "unstacked":
-                h, ys = h[0], ys[0]
-            elif layout == "one-channel-broadcast":
-                h = h[0]
-            elif layout == "one-vector":
+            if layout == "one-vector":
                 ys = ys[:, :1]
             got = baselines.ml_detect_batch(h, ys, c)
             want = ml_metrics_gram(h, ys, c)
             stacked = np.concatenate(seen).reshape(want.shape)
             seen.clear()
-            lead = want.shape[:-2]
-            hs = np.broadcast_to(h, lead + h.shape[-2:])
-            for w in np.ndindex(lead):
-                baselines.ml_detect_batch(hs[w], ys[w], c)
+            for w in range(channels):
+                baselines.ml_detect_batch(h[w:w + 1], ys[w:w + 1], c)
                 assert np.array_equal(seen.pop()[0], stacked[w])
-            assert np.array_equal(got, baselines.candidate_matrix(c).T[argmin(want, axis=-1)])
+            assert np.array_equal(got, oracles.candidate_matrix(c).T[argmin(want, axis=-1)])
 
     def test_a_full_wave_peaks_as_one_block_plus_its_decisions(self):
         c = cfg()
@@ -329,7 +331,7 @@ class TestStackedChannels:
         zf = baselines.linear_soft_batch(h, ys, c)
         mmse = baselines.linear_soft_batch(h, ys, c, sigma_n=0.3)
         for w in range(5):
-            assert np.array_equal(ml[w], baselines.ml_detect_batch(h[w], ys[w], c))
+            assert np.array_equal(ml[w], baselines.ml_detect_batch(h[w:w + 1], ys[w:w + 1], c)[0])
             assert np.allclose(zf[w], baselines.linear_soft_batch(h[w], ys[w], c))
             assert np.allclose(
                 mmse[w], baselines.linear_soft_batch(h[w], ys[w], c, sigma_n=0.3)
@@ -346,7 +348,7 @@ class TestSphereDecoder:
             h = mimo.generate_channel(c, rng)
             bits = mimo.random_bits(c, rng)[0]
             x = mimo.modulate(bits, c)
-            y = mimo.transmit(h, x, 0.4, rng)
+            y = mimo.transmit(h, x[None], 0.4, rng)
             sd = baselines.sphere_decode(h, y, c)
             ml = oracles.ml_detect_exhaustive(h, y, c)
             assert np.allclose(sd.x_hat_real, ml.x_hat_real)
@@ -355,9 +357,9 @@ class TestSphereDecoder:
         c = cfg(n_t=4, n_r=4)
         for _ in range(20):
             h, x, y = noiseless_instance(c, rng)
-            sd = baselines.sphere_decode(h, y, c)
+            sd = baselines.sphere_decode(h, y[None], c)
             assert np.allclose(sd.x_hat_real, x)
-            assert sd.node_count <= baselines.candidate_matrix(c).shape[1]
+            assert sd.node_count <= oracles.candidate_matrix(c).shape[1]
 
     def test_pruning_improves_with_snr(self, rng):
         c = cfg(n_t=4, n_r=4)
@@ -367,7 +369,7 @@ class TestSphereDecoder:
             nodes = []
             for _ in range(100):
                 h, x, _ = noiseless_instance(c, rng)
-                y = mimo.transmit(h, x, sigma, rng)
+                y = mimo.transmit(h, x[None], sigma, rng)
                 nodes.append(baselines.sphere_decode(h, y, c).node_count)
             counts[snr] = np.mean(nodes)
         assert counts[10.0] < counts[0.0]
@@ -377,7 +379,7 @@ class TestSphereDecoder:
         h = mimo.generate_channel(c, rng)
         h[:, 2] = h[:, 0]
         with pytest.raises(baselines.RankDeficientChannel):
-            baselines.sphere_decode(h, np.zeros(6), c)
+            baselines.sphere_decode(h, np.zeros((1, 6)), c)
 
     @pytest.mark.parametrize("mod,n_t,n_r", [
         ("qpsk", 4, 6), ("bpsk", 4, 6), ("qam16", 2, 3),
@@ -413,7 +415,7 @@ class TestDetectorOrdering:
             ):
                 hat = oracles.demodulate(soft, c)
                 errs[name] += np.sum(hat != bits)
-            hat = oracles.demodulate(baselines.ml_detect_batch(h, ys, c), c)
+            hat = oracles.demodulate(baselines.ml_detect_batch(h[None], ys[None], c)[0], c)
             errs["ml"] += np.sum(hat != bits)
             total += bits.size
         assert total >= 100_000
@@ -479,10 +481,10 @@ class TestPinnedSearch:
                 h = mimo.generate_channel(c, rng)
                 bits = mimo.random_bits(c, rng, count=4)
                 ys = mimo.transmit(h, mimo.modulate(bits, c), mimo.sigma_from_snr(snr), rng)
-                for y in ys:
-                    out = baselines.sphere_decode(h, y, c)
+                for v in range(len(ys)):
+                    out = baselines.sphere_decode(h, ys[v:v + 1], c)
                     got_nodes.append(out.node_count)
-                    got_payloads.append(payload(out.x_hat_real, c))
+                    got_payloads.append(payload(out.x_hat_real[0], c))
             assert (got_nodes, got_payloads) == (nodes, payloads), snr
 
     def test_noiseless_vector_settles_at_the_sent_point(self):
@@ -490,8 +492,8 @@ class TestPinnedSearch:
         rng = np.random.default_rng(7)
         for _ in range(3):
             h, x, y = noiseless_instance(c, rng)
-            out = baselines.sphere_decode(h, y, c)
-            assert np.array_equal(out.x_hat_real, x)
+            out = baselines.sphere_decode(h, y[None], c)
+            assert np.array_equal(out.x_hat_real[0], x)
             assert out.node_count == 16
 
     # R = H (upper triangular with a positive diagonal, so Q = I).  Rail 3
@@ -510,10 +512,10 @@ class TestPinnedSearch:
     ])
     def test_center_on_a_decision_boundary(self, y, nodes, x_hat):
         c = cfg(n_t=2, n_r=2)
-        out = baselines.sphere_decode(self.BOUNDARY_H, np.array(y), c)
-        assert (out.node_count, out.x_hat_real.tolist()) == (nodes, x_hat)
-        assert out.x_hat_real.tolist() == baselines.ml_detect_batch(
-            self.BOUNDARY_H, np.array([y]), c)[0].tolist()
+        out = baselines.sphere_decode(self.BOUNDARY_H, np.array([y]), c)
+        assert (out.node_count, out.x_hat_real[0].tolist()) == (nodes, x_hat)
+        assert out.x_hat_real[0].tolist() == baselines.ml_detect_batch(
+            self.BOUNDARY_H[None], np.array([[y]]), c)[0, 0].tolist()
 
 
 def search_from_root(rows, alphabets, target):
@@ -592,15 +594,15 @@ class TestResumedSearch:
             stacked = baselines.sphere_decode(h, ys, c)
             assert np.array_equal(stacked.x_hat_real, x_hat), snr
             assert stacked.node_count == nodes.sum(), snr
-            # every vector alone, as a 1-D y and as one row: a single
-            # vector's level-major targets are a view of its own targets
+            # every vector alone, as one row: a single vector's level-major
+            # targets are a view of its own targets
             for w in range(6):
                 for v in range(10):
-                    for y in (ys[w, v], ys[w, v:v + 1]):
-                        one = baselines.sphere_decode(h[w], y, c)
-                        want_x, want_nodes = sphere_decode_from_root(h[w], y, c)
-                        assert np.array_equal(one.x_hat_real, want_x)
-                        assert one.node_count == want_nodes.sum()
+                    y = ys[w, v:v + 1]
+                    one = baselines.sphere_decode(h[w], y, c)
+                    want_x, want_nodes = sphere_decode_from_root(h[w], y, c)
+                    assert np.array_equal(one.x_hat_real, want_x)
+                    assert one.node_count == want_nodes.sum()
 
     def test_a_searched_vector_equals_the_oracle(self):
         # at 0 dB most 4x4 QPSK vectors leave the Babai point
@@ -609,7 +611,7 @@ class TestResumedSearch:
         leave = 0
         for _ in range(100):
             h = mimo.generate_channel(c, rng)
-            y = mimo.transmit(h, mimo.modulate(mimo.random_bits(c, rng)[0], c), 1.0, rng)
+            y = mimo.transmit(h, mimo.modulate(mimo.random_bits(c, rng), c), 1.0, rng)
             out = baselines.sphere_decode(h, y, c)
             want_x, want_nodes = sphere_decode_from_root(h, y, c)
             assert np.array_equal(out.x_hat_real, want_x)

@@ -19,13 +19,13 @@ def random_instance(cfg, seed, sigma=0.3):
     rng = np.random.default_rng(seed)
     h = mimo.generate_channel(cfg, rng)
     x = mimo.modulate(mimo.random_bits(cfg, rng)[0], cfg)
-    y = mimo.transmit(h, x, sigma, rng)
-    return h, x, y[None], rng
+    y = mimo.transmit(h, x[None], sigma, rng)
+    return h, x, y, rng
 
 
 def train_pass(p, h, y):
     """(trajectory, cache) of the training pass on the channel products of h and y."""
-    return detnet.forward(p, *detnet.channel_products(h, y))
+    return detnet.forward(p, *mimo.channel_products(h, y))
 
 
 class TestInit:
@@ -104,9 +104,9 @@ class TestForward:
         p = detnet.init_params(cfg, np.random.default_rng(1))
         h, _, y, _ = stacked_instance(cfg, 2, (4,), 1)
         with pytest.raises(ValueError, match="rows"):
-            detnet.channel_products(h, y[:, 0])
+            mimo.channel_products(h, y[:, 0])
         with pytest.raises(ValueError, match="rows"):
-            detnet.channel_products(h[0], y[0, 0])
+            mimo.channel_products(h[0], y[0, 0])
         assert train_pass(p, h, y)[0][-1].shape == (4, 1, 2 * cfg.n_t)
 
     def test_antenna_permutation_equivariance(self):
@@ -339,7 +339,7 @@ def finite_difference_check(cfg, seed, eps=1e-5, samples=40, stack=None, gram=No
         h, x, y, rng = stacked_instance(cfg, seed, *stack)
     p = detnet.init_params(cfg, rng)
     p.b1 += 0.05 * rng.standard_normal(p.b1.shape)  # avoid kinks exactly at 0
-    products = detnet.channel_products(h, y)
+    products = mimo.channel_products(h, y)
     if gram is not None:
         products = (gram, products[1])
     trajectory, cache = detnet.forward(p, *products)
@@ -525,7 +525,7 @@ def reference_inputs(shape, dtype, L=10):
 
 def detect_packed(weights, h, y):
     """x_L of the detection pass on the channel products of h and y."""
-    return detnet.ideal_forward(weights, *detnet.channel_products(h, y))
+    return detnet.ideal_forward(weights, *mimo.channel_products(h, y))
 
 
 def detect(p, h, y):
@@ -604,7 +604,7 @@ class TestCacheFree:
         peaks = {}
         for L in (2, 10):
             p, h, y = reference_inputs("gamma-stack", np.float32, L=L)
-            products = detnet.channel_products(h, y)
+            products = mimo.channel_products(h, y)
             passes = {"detect": (detnet.ideal_forward, detnet.detection_weights(p)),
                       "train": (detnet.forward, p)}
             for name, (run, weights) in passes.items():

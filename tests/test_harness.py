@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +244,28 @@ class TestGolden:
                 for r in full] == GOLDEN
 
 
+# ROADMAP.md's reference sweep, at seed 1 on the init_params(cfg,
+# default_rng(0)) checkpoint
+REF_SWEEP = (
+    "seed = 1\nmimo.n_t = 4\nmimo.n_r = 6\nmimo.modulation = qpsk\n"
+    "sweep.snr_db = 6, 10, 14\nsweep.gammas = 0, 0.02\n"
+    "sweep.detectors = zf, mmse, ml, sd, detnet, detnet-hw\n"
+    "sweep.min_bits = 10000\nsweep.max_trials = 2000\n"
+)
+# its ber.csv less the wall_time_s column; refactors keep it byte for byte
+REF_SWEEP_CSV = Path(__file__).with_name("ref_sweep_seed1.csv")
+
+
+class TestReferenceSweep:
+    def test_every_column_but_wall_time_is_pinned(self):
+        exp = config.parse_config(REF_SWEEP)
+        params = detnet.init_params(exp.mimo, np.random.default_rng(0))
+        rows = harness.run_ber_sweep(exp, params=params)
+        want = [line.split(",") for line in REF_SWEEP_CSV.read_text().splitlines()]
+        assert len(want) == 37
+        assert without_wall_time(ber_csv(rows)) == want
+
+
 class TestPrecision:
     """The deep detectors decide from a float32 forward pass."""
 
@@ -271,8 +294,8 @@ class TestPrecision:
         bits = oracles.payload_bits(sent, cfg)
         h_hw = device.program_matrix(h, spec).realized(0.02, z)
         x64 = detnet.ideal_forward(detnet.detection_weights(params.astype(np.float64)),
-                                   *detnet.channel_products(h_hw, ys))
-        x32 = detnet.ideal_forward(detnet.detection_weights(params), *detnet.channel_products(
+                                   *mimo.channel_products(h_hw, ys))
+        x32 = detnet.ideal_forward(detnet.detection_weights(params), *mimo.channel_products(
             h_hw.astype(np.float32), ys.astype(np.float32)))
         assert x32.dtype == np.float32
         b64, b32 = oracles.demodulate(x64, cfg), oracles.demodulate(x32, cfg)
@@ -475,7 +498,7 @@ def per_wave_reference(exp, params, detector, gamma):
                 pulses += int(program.pulse_counts.sum())
                 t_p += program.t_p
                 h = program.realized(gamma, z)
-            x_hat = detnet.ideal_forward(weights, *detnet.channel_products(
+            x_hat = detnet.ideal_forward(weights, *mimo.channel_products(
                 h.astype(detnet.DTYPE), ys.astype(detnet.DTYPE)))
         payload = oracles.payload_bits(sent, cfg)
         errors += int(np.count_nonzero(oracles.demodulate(x_hat, cfg) != payload))
@@ -588,17 +611,10 @@ class TestBatchedSphereDecoder:
                 ys = mimo.transmit(h, mimo.modulate(bits, c),
                                    mimo.sigma_from_snr(snr), rng)
                 batch = baselines.sphere_decode(h, ys, c)
-                singles = [baselines.sphere_decode(h, y, c) for y in ys]
+                singles = [baselines.sphere_decode(h, ys[v:v + 1], c) for v in range(7)]
                 assert batch.x_hat_real.shape == (7, 2 * n_t)
                 assert np.array_equal(batch.x_hat_real,
-                                      np.stack([s.x_hat_real for s in singles]))
+                                      np.concatenate([s.x_hat_real for s in singles]))
                 assert batch.node_count == sum(s.node_count for s in singles)
                 assert np.array_equal(batch.x_hat_real,
-                                      baselines.ml_detect_batch(h, ys, c))
-
-    def test_single_vector_keeps_its_shape(self):
-        c = MimoConfig(n_t=2, n_r=3)
-        rng = np.random.default_rng(4)
-        h = mimo.generate_channel(c, rng)
-        out = baselines.sphere_decode(h, rng.standard_normal(6), c)
-        assert out.x_hat_real.shape == (4,)
+                                      baselines.ml_detect_batch(h[None], ys[None], c)[0])

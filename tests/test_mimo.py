@@ -220,8 +220,7 @@ class TestComplexOracle:
         points, _ = complex_points(mod, n_t)
         combos = np.array(list(itertools.product(points, repeat=n_t)))
         expected = embed(combos).T
-        assert np.array_equal(baselines.candidate_matrix(cfg(mod, n_t=n_t, n_r=n_t)),
-                              expected)
+        assert np.array_equal(baselines._ml_tables(cfg(mod, n_t=n_t, n_r=n_t))[0], expected)
 
 
 def argmin_levels(x_real, config):
@@ -348,12 +347,6 @@ class TestTwoPointAlphabets:
 
 
 class TestTransmit:
-    def test_noise_free(self, rng):
-        c = cfg()
-        h = mimo.generate_channel(c, rng)
-        x = mimo.modulate(mimo.random_bits(c, rng)[0], c)
-        assert np.array_equal(mimo.transmit(h, x, 0.0, rng), h @ x)
-
     def test_channel_stack_sends_each_channel_its_rows(self, rng):
         c = cfg("qpsk", n_t=4, n_r=6)
         h = mimo.generate_channel(c, rng, count=3)
@@ -367,14 +360,14 @@ class TestTransmit:
         c = cfg(n_t=1, n_r=1)
         h = mimo.generate_channel(c, rng)
         draws = np.stack(
-            [mimo.transmit(h, np.zeros(2), 0.3, rng) for _ in range(50_000)]
+            [mimo.transmit(h, np.zeros((1, 2)), 0.3, rng) for _ in range(50_000)]
         )
         assert np.allclose(draws.var(axis=0), 0.09, rtol=0.05)
 
     def test_seeded_reproducibility(self):
         c = cfg()
         h = mimo.generate_channel(c, np.random.default_rng(0))
-        x = mimo.modulate(mimo.random_bits(c, np.random.default_rng(1))[0], c)
+        x = mimo.modulate(mimo.random_bits(c, np.random.default_rng(1)), c)
         y1 = mimo.transmit(h, x, 0.5, np.random.default_rng(7))
         y2 = mimo.transmit(h, x, 0.5, np.random.default_rng(7))
         assert np.array_equal(y1, y2)
