@@ -161,12 +161,15 @@ def hardware_complexity(config):
 def flops_per_symbol(config):
     """Digital-equivalent FLOPs to detect one symbol vector.
 
-    16 N_t^2 N_r - 4 N_t^2 + 8 N_t N_r - 2 N_t + L (8 N_t^2 + 6 N_t + 24 N_t S)
+    16 N_t^2 N_r - 4 N_t^2 + 8 N_t N_r - 2 N_t + L (8 N_t^2 + 6 N_t + 8 N_t S + 4 a S)
+
+    for an auxiliary width a = config.a_size; at the default a = 4 N_t the
+    dense-layer term 8 N_t S + 4 a S is 24 N_t S.
     """
-    n_t, n_r, L, s = config.n_t, config.n_r, config.L, config.S
+    n_t, n_r, L, s, a = config.n_t, config.n_r, config.L, config.S, config.a_size
     return (
         16 * n_t**2 * n_r - 4 * n_t**2 + 8 * n_t * n_r - 2 * n_t
-        + L * (8 * n_t**2 + 6 * n_t + 24 * n_t * s)
+        + L * (8 * n_t**2 + 6 * n_t + 8 * n_t * s + 4 * a * s)
     )
 
 
@@ -187,11 +190,8 @@ def count_forward_flops(config):
     This is the oracle for the FLOPs formula.  Counting convention: an
     (m x n) mat-vec costs m*n multiplies and m*(n-1) adds; adding a bias
     costs m adds; a scalar gain on a length-n vector costs n multiplies; a
-    vector sum costs n adds; the rectifier is not a FLOP.
-
-    With a_size = 4 n_t the count reproduces the closed-form expression
-    exactly, constant term included; other widths change the dense-layer
-    term and the delta is visible by comparing against flops_per_symbol().
+    vector sum costs n adds; the rectifier is not a FLOP.  The count equals
+    flops_per_symbol() at every a_size, constant term included.
     """
     n_t, n_r, L, s, a = config.n_t, config.n_r, config.L, config.S, config.a_size
     rows, cols = 2 * n_r, 2 * n_t

@@ -16,9 +16,10 @@ that depends on the mode runs there.  The other flags override config values
 the same way (--seed, --preset) or name the output directory (--out).
 Exit codes: 0 success, 2 user error (a one-line message, never a traceback;
 a bad config or checkpoint, a file in the way of --out or a directory in
-the way of an output file, or a `bounds` run with the bound outside its
-phi > 1 regime), 3 numeric failure (training divergence, a rank-deficient
-channel, floating-point error).
+the way of an output file, an --out the system cannot make or write, such
+as one with too long a name or without permission, or a `bounds` run with
+the bound outside its phi > 1 regime), 3 numeric failure (training
+divergence, a rank-deficient channel, floating-point error).
 """
 
 import argparse
@@ -69,6 +70,10 @@ def main(argv=None):
         outputs = run_pipeline(exp, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: output directory {args.out!r}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingDiverged, RankDeficientChannel, FloatingPointError,
             ArithmeticError) as exc:

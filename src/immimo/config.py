@@ -183,7 +183,6 @@ _SCHEMA = {
     "train.snr_low_db": ("train", "snr_low_db", float),
     "train.snr_high_db": ("train", "snr_high_db", float),
     "train.gamma": ("train", "gamma_train", float),
-    "train.weighting": ("train", "loss_weighting", str),
     "sweep.snr_db": ("sweep", "snr_db", (list, float)),
     "sweep.gammas": ("sweep", "gammas", (list, float)),
     "sweep.detectors": ("sweep", "detectors", (list, str)),

@@ -13,7 +13,6 @@ and carries state between blocks; it has no physical meaning.
 
 The training loss sums squared errors over blocks with logarithmic weights
 w_k = ln(k), which zeroes block 1 and damps unstable early-block errors.
-ln(k+1) is available as an alternative that keeps block 1 in the loss.
 
 All functions here are pure numpy and take one layout, vectors as rows: a
 stack of channels H (..., 2n_r, 2n_t) and the vectors received through them,
@@ -300,18 +299,14 @@ def ideal_forward(weights, gram, hty):
     return x_rows
 
 
-def loss_weights(L, weighting="lnk"):
-    k = np.arange(1, L + 1, dtype=float)
-    if weighting == "lnk":
-        return np.log(k)
-    if weighting == "lnk1":
-        return np.log(k + 1)
-    raise ValueError(f"unknown loss weighting {weighting!r}")
+def loss_weights(L):
+    """The block weights w_k = ln k, k = 1..L."""
+    return np.log(np.arange(1, L + 1, dtype=float))
 
 
-def loss(trajectory, x_true, weighting="lnk"):
+def loss(trajectory, x_true):
     """Batch-mean block-weighted squared error sum_k w_k ||x - x_k||^2."""
-    w = loss_weights(len(trajectory), weighting)
+    w = loss_weights(len(trajectory))
     x_true = np.asarray(x_true, dtype=trajectory[0].dtype)
     if np.broadcast_shapes(trajectory[0].shape, x_true.shape) != trajectory[0].shape:
         raise ValueError(f"x_true {x_true.shape} does not match x_k {trajectory[0].shape}")
@@ -321,7 +316,7 @@ def loss(trajectory, x_true, weighting="lnk"):
     return float(np.mean(w @ per_block))
 
 
-def backward(params, cache, x_true, weighting="lnk", out=None):
+def backward(params, cache, x_true, out=None):
     """Exact gradients of :func:`loss` w.r.t. every parameter array.
 
     Returns a dict keyed like DetNetParams.as_dict(); given `out`, a dict of
@@ -342,7 +337,7 @@ def backward(params, cache, x_true, weighting="lnk", out=None):
     dtype = us.dtype
     x_true = np.asarray(x_true, dtype=dtype)
     L, x_dim = params.L, params.x_dim
-    w = loss_weights(L, weighting).astype(dtype)
+    w = loss_weights(L).astype(dtype)
     n_rows = us.shape[1]
     w23, _ = _fused_output(params)
     gxas = np.empty_like(us)  # dL/d[x_k, a_k]

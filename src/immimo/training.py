@@ -1,12 +1,13 @@
 """Noise-aware training of the unfolded detector.
 
-Every epoch draws a fresh batch of (x, H, y0 = Hx, n): channel noise n at an
-SNR sampled uniformly from the training range.  Above a training C2C level of
-zero, H is programmed and realized with one unit normal per cell
+Every epoch draws a fresh batch of (x, H) and sends it through
+mimo.transmit, y = Hx + n, the channel noise n at an SNR sampled uniformly
+from the training range.  Above a training C2C level of zero, H is
+programmed and realized with one unit normal per cell
 (device.program_matrix, ProgrammingResult.realized), the law the sweep's
 `detnet-hw` lanes detect on; at zero it stays exact, as for `detnet`.  The
-forward pass runs on (H + dH, y0 + n) while the loss targets the true x, so
-the network learns to tolerate both noise sources.  Training is plain Adam on
+forward pass runs on (H + dH, y) while the loss targets the true x, so the
+network learns to tolerate both noise sources.  Training is plain Adam on
 the manually backpropagated gradients; the step gains alpha are clamped to
 stay strictly positive because they map to physical resistances.
 The parameters, their gradients and Adam's moments are held in detnet.DTYPE,
@@ -25,8 +26,9 @@ from . import mimo
 
 CHECKPOINT_VERSION = 1
 
-# the scalar fields of a checkpoint's header
-HEADER_KEYS = ("version", "n_t", "n_r", "modulation", "L", "S", "a_size")
+# the MimoConfig fields a checkpoint's header carries, in the order it
+# stores them after its version, each with the type it is read back as
+CONFIG_FIELDS = {"n_t": int, "n_r": int, "L": int, "S": int, "a_size": int, "modulation": str}
 
 # the least value of a step gain after an Adam step
 ALPHA_FLOOR = 1e-6
@@ -44,7 +46,6 @@ class TrainConfig:
     snr_low_db: float = 8.0
     snr_high_db: float = 13.0
     gamma_train: float = 0.02
-    loss_weighting: str = "lnk"
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -53,7 +54,6 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.snr_low_db > self.snr_high_db:
             raise ValueError("snr_low_db must be <= snr_high_db")
-        detnet.loss_weights(1, self.loss_weighting)  # rejects an unknown name
         dev.check_gamma(self.gamma_train)
 
 
@@ -103,26 +103,21 @@ def draw_batch(config, train_cfg, spec, rng):
     """One epoch's training samples as rows, one vector per channel.
 
     Returns (x (B, 1, 2n_t), H_in = H + dH (B, 2n_r, 2n_t),
-    y_in = y0 + n (B, 1, 2n_r)) for batch size B.  H + dH is H programmed on
-    `spec` and realized at gamma_train, as the sweep stores it; at
-    gamma_train 0, H itself.
+    y = Hx + n (B, 1, 2n_r)) for batch size B, y from mimo.transmit.
+    H + dH is H programmed on `spec` and realized at gamma_train, as the sweep
+    stores it; at gamma_train 0, H itself.
     """
     b = train_cfg.batch_size
-    bits = mimo.random_bits(config, rng, count=b)
-    x = mimo.modulate(bits, config)
+    x = mimo.modulate(mimo.random_bits(config, rng, count=b), config)[:, None]
     h = mimo.generate_channel(config, rng, count=b)
-    y = (h @ x[..., None])[..., 0]
-
     lo, hi = train_cfg.snr_low_db, train_cfg.snr_high_db
     snr = np.full(b, lo) if lo == hi else rng.uniform(lo, hi, size=b)
-    noise = rng.standard_normal(y.shape)
-    noise *= mimo.sigma_from_snr(snr)[:, None]
-    y += noise
+    y = mimo.transmit(h, x, mimo.sigma_from_snr(snr)[:, None, None], rng)
 
     if train_cfg.gamma_train > 0:
         z = rng.standard_normal(h.shape)
         h = dev.program_matrix(h, spec).realized(train_cfg.gamma_train, z)
-    return x[:, None], h, y[:, None]
+    return x, h, y
 
 
 def _views(buf, like):
@@ -157,11 +152,11 @@ def train(config, train_cfg, spec, rng, params=None):
         x, h_in, y_in = (a.astype(detnet.DTYPE)
                          for a in draw_batch(config, train_cfg, spec, rng))
         trajectory, cache = detnet.forward(params, *mimo.channel_products(h_in, y_in))
-        value = detnet.loss(trajectory, x, train_cfg.loss_weighting)
+        value = detnet.loss(trajectory, x)
         if not math.isfinite(value):
             raise TrainingDiverged(f"loss became {value} at epoch {epoch}")
         history[epoch] = value
-        detnet.backward(params, cache, x, train_cfg.loss_weighting, out=grads)
+        detnet.backward(params, cache, x, out=grads)
         opt.step(flat, flat_grad)
         # alphas map to resistor values; project back into the feasible set
         np.clip(params.alpha1, ALPHA_FLOOR, None, out=params.alpha1)
@@ -172,15 +167,12 @@ def train(config, train_cfg, spec, rng, params=None):
 
 def save_params(path, params, config):
     """Versioned checkpoint: config header plus row-major parameter blocks."""
+    header = {f: getattr(config, f) for f in CONFIG_FIELDS}
     np.savez(
         path,
         version=CHECKPOINT_VERSION,
-        n_t=config.n_t,
-        n_r=config.n_r,
-        L=config.L,
-        S=config.S,
-        a_size=config.a_size,
-        modulation=config.modulation.value,
+        # the modulation is stored by its name
+        **{f: v.value if isinstance(v, mimo.Modulation) else v for f, v in header.items()},
         **{k: np.ascontiguousarray(v) for k, v in params.as_dict().items()},
     )
 
@@ -197,28 +189,22 @@ def load_params(path, expected_config=None):
         data = np.load(file, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("not an .npz checkpoint")
-        header = {k: data[k] for k in HEADER_KEYS}
+        kinds = {"version": int, **CONFIG_FIELDS}
+        header = {k: data[k] for k in kinds}
         for key, value in header.items():
             if value.ndim != 0:
                 raise ValueError(f"checkpoint {key} has shape {value.shape}; "
                                  "a header field is a scalar")
-            if key != "modulation" and value.dtype.kind not in "iu":
+            if kinds[key] is int and value.dtype.kind not in "iu":
                 raise ValueError(f"checkpoint {key} has dtype {value.dtype}; "
                                  "it is an integer field")
         version = int(header["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        config = mimo.MimoConfig(
-            n_t=int(header["n_t"]),
-            n_r=int(header["n_r"]),
-            modulation=str(header["modulation"]),
-            L=int(header["L"]),
-            S=int(header["S"]),
-            a_size=int(header["a_size"]),
-        )
+        config = mimo.MimoConfig(**{f: kind(header[f]) for f, kind in CONFIG_FIELDS.items()})
         params = detnet.DetNetParams(**{k: data[k] for k in detnet.PARAM_KEYS})
     if expected_config is not None:
-        for attr in ("n_t", "n_r", "modulation", "L", "S", "a_size"):
+        for attr in CONFIG_FIELDS:
             got, want = getattr(config, attr), getattr(expected_config, attr)
             if got != want:
                 raise ValueError(

@@ -85,9 +85,17 @@ class TestBound:
 
 
 class TestFlops:
-    @pytest.mark.parametrize("n_t,n_r", [(4, 6), (8, 8), (2, 3), (16, 32)])
-    def test_counter_matches_closed_form(self, n_t, n_r):
-        c = MimoConfig(n_t=n_t, n_r=n_r)
+    @pytest.mark.parametrize("n_t,n_r,a_size", [
+        pytest.param(4, 6, None, id="4-6"),
+        pytest.param(8, 8, None, id="8-8"),
+        pytest.param(2, 3, None, id="2-3"),
+        pytest.param(16, 32, None, id="16-32"),
+        pytest.param(4, 6, 8, id="4-6-a8"),
+        pytest.param(4, 6, 24, id="4-6-a24"),
+        pytest.param(2, 3, 1, id="2-3-a1"),
+    ])
+    def test_counter_matches_closed_form(self, n_t, n_r, a_size):
+        c = MimoConfig(n_t=n_t, n_r=n_r, a_size=a_size)
         assert analysis.count_forward_flops(c) == analysis.flops_per_symbol(c)
 
 

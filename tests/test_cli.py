@@ -55,6 +55,21 @@ def test_checkpoint_header_mismatch_exits_2(tmp_path, capsys):
     assert "L=3" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_t", 1), ("n_r", 4), ("modulation", "qam16"), ("L", 3), ("S", 16), ("a_size", 5),
+])
+def test_each_checkpoint_header_mismatch_is_named(tmp_path, capsys, field, value):
+    # SWEEP's detector but for one header field
+    other = mimo.MimoConfig(**{"n_t": 2, "n_r": 3, "L": 2, "S": 8, field: value})
+    ckpt = tmp_path / "p.npz"
+    training.save_params(ckpt, detnet.init_params(other, np.random.default_rng(0)), other)
+    code, err = run(tmp_path, SWEEP + f"sweep.detectors = detnet\neval.params = {ckpt}\n",
+                    capsys)
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(err, f"config error: eval.params {str(ckpt)!r}: checkpoint {field}=")
+    assert " does not match configured " in err
+
+
 def test_rank_deficient_channel_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mimo, "generate_channel",
                         lambda config, rng, count: np.zeros((count, 2 * config.n_r,
@@ -81,7 +96,9 @@ def test_gamma_is_not_checked_without_detnet_hw(tmp_path, capsys):
     assert (code, err) == (cli.EXIT_OK, "")
 
 
-@pytest.mark.parametrize("line", ["threads = 2", "mimo.n_x = 3", "train.lr_decay = true"])
+# manifests written while train.weighting was a key echo this line
+@pytest.mark.parametrize("line", ["threads = 2", "mimo.n_x = 3", "train.lr_decay = true",
+                                  "train.weighting = lnk"])
 def test_unknown_key_exits_2(tmp_path, capsys, line):
     code, err = run(tmp_path, SWEEP + line + "\n", capsys)
     assert code == cli.EXIT_CONFIG
@@ -89,7 +106,6 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("mode,line,message", [
-    ("train", "train.weighting = foo", "train section: unknown loss weighting 'foo'"),
     ("train", "train.gamma = 0.1", "train section: gamma outside"),
     ("train", "train.gamma = -0.5", "train section: gamma outside"),
     ("latency", "latency.trials = 0", "latency.trials must be >= 1"),
@@ -122,7 +138,7 @@ def test_unknown_key_exits_2(tmp_path, capsys, line):
      "train.snr_low_db: SNR -7000.0 dB is below the floor of -100 dB"),
     ("eval-ber", "sweep.snr_db = -101", "sweep.snr_db: SNR -101.0 dB is below the floor"),
     ("train", "train.snr_low_db = -101", "train.snr_low_db: SNR -101.0 dB is below the floor"),
-], ids=["weighting", "gamma-high", "gamma-negative", "trials-zero", "trials-negative",
+], ids=["gamma-high", "gamma-negative", "trials-zero", "trials-negative",
         "snr-repeat", "gamma-repeat", "detector-repeat", "no-detector", "seed-negative",
         "t-array-negative", "t-adder-negative", "t-relu-negative", "snr-nan",
         "t-array-nan", "sigma-n-nan", "gamma-inf", "lr-minus-inf", "varpi2-infinity",
@@ -289,6 +305,15 @@ def test_out_blocked_by_a_file_exits_2_naming_it(tmp_path, capsys, under):
     assert_one_line(err, f"config error: output directory {str(out)!r}: ")
     assert err.endswith(f": {str(tmp_path / 'f')!r} is a file\n")
     assert (tmp_path / "f").read_text() == "kept\n"
+
+
+def test_out_with_an_unusable_name_exits_2_naming_it(tmp_path, capsys):
+    # a path component longer than any file system allows
+    (tmp_path / "x.cfg").write_text(SWEEP + "sweep.detectors = zf\n")
+    out = tmp_path / ("o" * 300)
+    code = cli.main(["eval-ber", "--config", str(tmp_path / "x.cfg"), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert_one_line(capsys.readouterr().err, f"config error: output directory {str(out)!r}: ")
 
 
 @pytest.mark.parametrize("mode,blocked", [

@@ -39,7 +39,6 @@ def config_texts(draw):
         "mimo.n_r = 6",
         f"mimo.modulation = {draw(st.sampled_from(['bpsk', 'qpsk', 'qam16']))}",
         f"train.lr = {draw(finite)!r}",
-        f"train.weighting = {draw(st.sampled_from(['lnk', 'lnk1']))}",
         f"train.snr_low_db = {lo!r}",
         f"train.snr_high_db = {lo + draw(st.floats(0, 10))!r}",
         f"train.gamma = {draw(unit)!r}",
@@ -87,12 +86,12 @@ def test_echo_round_trips_each_preset(preset):
 
 def test_echo_keeps_sections_the_old_echo_dropped():
     cfg = config.parse_config(
-        "bounds.varpi1 = 0.1\nlatency.trials = 7\ntrain.weighting = lnk1\n"
+        "bounds.varpi1 = 0.1\nlatency.trials = 7\ntrain.batch_size = 32\n"
     )
     echo = config.config_echo(cfg)
     assert "bounds.varpi1 = 0.1\n" in echo
     assert "latency.trials = 7\n" in echo
-    assert "train.weighting = lnk1\n" in echo
+    assert "train.batch_size = 32\n" in echo
     assert "threads" not in echo
 
 

@@ -285,7 +285,7 @@ class TestLoss:
         cfg = small_cfg(L=1)
         x_true = np.ones(4)
         trajectory = [np.zeros(4)]
-        assert detnet.loss(trajectory, x_true, "lnk") == 0.0
+        assert detnet.loss(trajectory, x_true) == 0.0
 
     def test_perfect_trajectory(self):
         x_true = np.ones(4)
@@ -295,16 +295,7 @@ class TestLoss:
         # unit squared error in both blocks: ln(1) * 1 + ln(2) * 1
         x_true = np.zeros(4)
         e = np.array([1.0, 0.0, 0.0, 0.0])
-        assert detnet.loss([e, e], x_true, "lnk") == pytest.approx(np.log(2))
-
-    def test_lnk1_keeps_block1(self):
-        x_true = np.zeros(4)
-        e = np.array([1.0, 0.0, 0.0, 0.0])
-        assert detnet.loss([e], x_true, "lnk1") == pytest.approx(np.log(2))
-
-    def test_unknown_weighting(self):
-        with pytest.raises(ValueError):
-            detnet.loss_weights(3, "cubic")
+        assert detnet.loss([e, e], x_true) == pytest.approx(np.log(2))
 
     def test_target_must_not_broadcast_the_rows(self):
         # a (B, 2n_t) target against (B, 1, 2n_t) rows would compare every pair

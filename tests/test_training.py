@@ -137,8 +137,8 @@ def reference_train(config, train_cfg, spec, rng, params):
         x, h_in, y_in = (a.astype(detnet.DTYPE)
                          for a in training.draw_batch(config, train_cfg, spec, rng))
         trajectory, cache = detnet.forward(params, *mimo.channel_products(h_in, y_in))
-        history.append(detnet.loss(trajectory, x, train_cfg.loss_weighting))
-        opt.step(pdict, detnet.backward(params, cache, x, train_cfg.loss_weighting))
+        history.append(detnet.loss(trajectory, x))
+        opt.step(pdict, detnet.backward(params, cache, x))
         np.clip(params.alpha1, training.ALPHA_FLOOR, None, out=params.alpha1)
         np.clip(params.alpha2, training.ALPHA_FLOOR, None, out=params.alpha2)
     return params, np.array(history)
